@@ -1,18 +1,32 @@
-"""Command-line front end: spectrum | rates | sweep | oracle | design.
+"""Command-line front end: ``cfcool <command> [flags]``.
 
-Every command resolves a :class:`RunConfig` from flags and an optional flat
-``key=value`` config file (flags override the file), then emits one
-deterministic CSV or JSON table.  CSV starts with a single ``# key=value ...``
-metadata line carrying the fully resolved physics parameters; parsing that
-parameter set back yields an equal RunConfig.  Floats are printed with 17
-significant digits so files are byte-stable across runs.
+Commands, and the flags each takes besides the common ones (``--config``,
+``--topology``, ``--units``, ``--kappa``, ``--omega-m``, ``--g``, ``--delta``,
+``--kappa-f``, ``--kappa1``, ``--kappa2``, ``--kappa-loss``, ``--delta-f``,
+``--tau``, ``--format``, ``--output``/``-o``):
+
+  spectrum  Sigma(omega) or a filter response: --omega-min, --omega-max,
+            --points, --element
+  rates     sideband rates and cooling figures: --gamma-m, --n-th
+  sweep     rates along a parameter grid: --gamma-m, --n-th, --sweep-param,
+            --sweep-min, --sweep-max, --sweep-points
+  oracle    Lyapunov cross-check: --gamma-m, --n-th
+  design    resolved design point: none
+
+``cfcool <command> --help`` lists a command's flags; any other flag is an
+error.  A flat ``key=value`` config file (``--config``; flags override it)
+accepts the keys of every command.  Each command emits one deterministic CSV
+or JSON table.  CSV starts with a single ``# key=value ...`` metadata line
+carrying the fully resolved parameters; parsing it back yields an equal
+RunConfig.  Floats are printed with 17 significant digits.
 
 Default units put omega_m = 1 ("units of omega_m"), which keeps emitted data
 dimensionless and portable; pass ``--units si`` to work in rad/s.
 
-Exit codes: 0 success (including a reported unstable model), 1 configuration
-error, 2 numeric failure (singular loop at a frequency where a rate is
-required).
+Exit codes: 0 success (including a reported unstable model); 1 bad input, an
+error of the ValueError family (unknown flag, bad or missing value, parameters
+the physics rejects); 2 numeric failure, an error of the ArithmeticError
+family (e.g. a singular loop at a frequency where a rate is required).
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +44,7 @@ import numpy as np
 from . import __version__, design, netalg, oracle, spectra
 from .design import SystemConfig, Topology
 from .errors import (
+    CfcoolError,
     ConfigError,
     NoNetCooling,
     SingularLoop,
@@ -38,49 +53,65 @@ from .errors import (
 )
 from .netalg import FilterCavityParams, OptoCavityParams
 
-_TOPOLOGIES = ("notch", "bandpass", "none")
-_UNITS = ("omega_m", "si")
-_FORMATS = ("csv", "json")
-_ELEMENTS = ("loop", "filter")
-_SWEEP_PARAMS = ("delta", "kappa_f", "kappa", "g")
+
+def _param(kind, default=None, commands=None, echo_default=True, aliases=(), **kw):
+    """A RunConfig field that is also a CLI parameter.
+
+    ``kind`` parses the value: ``float``, ``int``, ``str`` or a tuple of
+    choices.  ``commands`` names the commands whose flags include it (None:
+    every command); config files accept every parameter.  With
+    ``echo_default`` false the default value is left out of the metadata.
+    """
+    meta = {"kind": kind, "commands": commands, "echo_default": echo_default, "aliases": aliases}
+    return field(default=default, metadata=meta, **kw)
+
+
+_BATH = ("rates", "sweep", "oracle")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run parameters.
+    """Fully resolved run parameters, and the table of CLI parameters.
 
-    ``delta`` is stored resolved (an ``auto`` request is replaced by the
-    optimal detuning before construction, so the metadata echoes the resolved
-    value); ``delta_from_auto`` records the request for callers and does not
-    affect equality or metadata.  The output path never enters metadata, so
-    identical configurations written to different locations stay
-    byte-identical.
+    Field name = config key = flag (``-`` for ``_``); field order is metadata
+    order.  ``delta`` is stored resolved: ``auto`` becomes the optimal
+    detuning, and ``delta_from_auto`` records the request.  Fields outside
+    equality (the output path, ``delta_from_auto``) never enter metadata, so
+    identical configurations written to different places are byte-identical.
     """
 
-    topology: str = "none"
-    units: str = "omega_m"
-    kappa: float | None = None
-    omega_m: float = 1.0
-    g: float | None = None
-    delta: float | None = None
-    kappa1: float | None = None
-    kappa2: float | None = None
-    kappa_loss: float = 0.0
-    delta_f: float | None = None
-    gamma_m: float = 0.0
-    n_th: float = 0.0
-    tau: float = 0.0
-    omega_min: float | None = None
-    omega_max: float | None = None
-    points: int | None = None
-    element: str = "loop"
-    sweep_param: str | None = None
-    sweep_min: float | None = None
-    sweep_max: float | None = None
-    sweep_points: int | None = None
-    fmt: str = "csv"
-    output: str | None = field(default=None, compare=False)
+    topology: str = _param(("notch", "bandpass", "none"), "none")
+    units: str = _param(("omega_m", "si"), "omega_m")
+    kappa: float | None = _param(float)
+    omega_m: float = _param(float, 1.0)
+    g: float | None = _param(float)
+    delta: float | None = _param(float)
+    kappa1: float | None = _param(float)
+    kappa2: float | None = _param(float)
+    kappa_loss: float = _param(float, 0.0)
+    delta_f: float | None = _param(float)
+    gamma_m: float = _param(float, 0.0, _BATH)
+    n_th: float = _param(float, 0.0, _BATH)
+    tau: float = _param(float, 0.0)
+    omega_min: float | None = _param(float, commands=("spectrum",))
+    omega_max: float | None = _param(float, commands=("spectrum",))
+    points: int | None = _param(int, commands=("spectrum",))
+    element: str = _param(("loop", "filter"), "loop", ("spectrum",), echo_default=False)
+    sweep_param: str | None = _param(
+        tuple(p.value for p in design.SweepParameter), commands=("sweep",)
+    )
+    sweep_min: float | None = _param(float, commands=("sweep",))
+    sweep_max: float | None = _param(float, commands=("sweep",))
+    sweep_points: int | None = _param(int, commands=("sweep",))
+    format: str = _param(("csv", "json"), "csv")
+    output: str | None = _param(str, aliases=("-o",), compare=False)
     delta_from_auto: bool = field(default=False, compare=False)
+
+
+#: Parameter key -> parse metadata.  ``kappa_f`` is input-only: it resolves
+#: into equal ``kappa1``/``kappa2``.
+_PARAMS = {f.name: f.metadata for f in fields(RunConfig) if f.metadata}
+_PARAMS["kappa_f"] = _param(float).metadata
 
 
 def fmt17(x: float) -> str:
@@ -136,144 +167,84 @@ def _read_config_file(path: str | Path) -> dict[str, str]:
     return raw
 
 
-_FLOAT_KEYS = (
-    "kappa", "omega_m", "g", "kappa_f", "kappa1", "kappa2", "kappa_loss",
-    "delta_f", "gamma_m", "n_th", "tau", "omega_min", "omega_max",
-    "sweep_min", "sweep_max",
-)
-_INT_KEYS = ("points", "sweep_points")
-_CHOICE_KEYS = {
-    "topology": _TOPOLOGIES,
-    "units": _UNITS,
-    "format": _FORMATS,
-    "element": _ELEMENTS,
-    "sweep_param": _SWEEP_PARAMS,
-}
-_KNOWN_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_CHOICE_KEYS) | {"delta", "output"}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _to_float(key: str, value: str) -> float:
+def _parse_value(key: str, value: str):
+    kind = _PARAMS[key]["kind"]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{_flag(key)}: must be one of {kind}, got {value!r}")
+        return value
     try:
-        out = float(value)
+        out = kind(value)
     except ValueError:
-        raise ConfigError(f"--{key.replace('_', '-')}: expected a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"--{key.replace('_', '-')}: value must be finite, got {value!r}")
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{_flag(key)}: expected {noun}, got {value!r}") from None
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{_flag(key)}: value must be finite, got {value!r}")
     return out
-
-
-def _to_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"--{key.replace('_', '-')}: expected an integer, got {value!r}") from None
 
 
 def resolve_config(raw: dict[str, str]) -> RunConfig:
     """Validate and resolve a merged key->string mapping into a RunConfig."""
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(_PARAMS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    for key, choices in _CHOICE_KEYS.items():
-        if key in raw and raw[key] not in choices:
-            raise ConfigError(
-                f"--{key.replace('_', '-')}: must be one of {choices}, got {raw[key]!r}"
-            )
+    auto = raw.get("delta") == "auto"
+    vals = {
+        key: _parse_value(key, value)
+        for key, value in raw.items()
+        if not (auto and key == "delta")
+    }
 
-    vals: dict[str, object] = {}
-    for key in _FLOAT_KEYS:
-        if key in raw:
-            vals[key] = _to_float(key, raw[key])
-    for key in _INT_KEYS:
-        if key in raw:
-            vals[key] = _to_int(key, raw[key])
-
-    units = raw.get("units", "omega_m")
-    if units == "omega_m":
-        omega_m = vals.get("omega_m", 1.0)
-        if omega_m != 1.0:
+    if vals.get("units", "omega_m") == "omega_m":
+        if vals.setdefault("omega_m", 1.0) != 1.0:
             raise UnitError(
                 "in omega_m units the mechanical frequency is 1 by definition; "
                 "pass --units si to use a dimensionful --omega-m"
             )
-    else:
-        if "omega_m" not in vals:
-            raise ConfigError("--units si requires an explicit --omega-m")
-        omega_m = vals["omega_m"]
-        if omega_m <= 0:
-            raise ConfigError(f"--omega-m must be > 0, got {omega_m}")
+    elif "omega_m" not in vals:
+        raise ConfigError("--units si requires an explicit --omega-m")
+    elif vals["omega_m"] <= 0:
+        raise ConfigError(f"--omega-m must be > 0, got {vals['omega_m']}")
+    omega_m = vals["omega_m"]
 
-    topology = raw.get("topology", "none")
-
-    if "kappa_f" in vals and ("kappa1" in vals or "kappa2" in vals):
-        raise ConfigError("give either --kappa-f or --kappa1/--kappa2, not both")
-    kappa1 = kappa2 = None
     if "kappa_f" in vals:
-        kappa1 = kappa2 = vals["kappa_f"]
-    else:
-        kappa1 = vals.get("kappa1")
-        kappa2 = vals.get("kappa2")
-        if (kappa1 is None) != (kappa2 is None):
-            raise ConfigError("--kappa1 and --kappa2 must be given together")
+        if "kappa1" in vals or "kappa2" in vals:
+            raise ConfigError("give either --kappa-f or --kappa1/--kappa2, not both")
+        vals["kappa1"] = vals["kappa2"] = vals.pop("kappa_f")
+    elif ("kappa1" in vals) != ("kappa2" in vals):
+        raise ConfigError("--kappa1 and --kappa2 must be given together")
 
-    delta_f = vals.get("delta_f")
-    if delta_f is None:
-        if topology == "notch":
-            delta_f = omega_m
-        elif topology == "bandpass":
-            delta_f = -omega_m
+    topology = vals.get("topology", "none")
+    if "delta_f" not in vals and topology != "none":
+        vals["delta_f"] = omega_m if topology == "notch" else -omega_m
 
-    delta_from_auto = False
-    delta: float | None
-    raw_delta = raw.get("delta")
-    if raw_delta is None:
-        delta = -omega_m
-    elif raw_delta == "auto":
+    if auto:
         if topology != "notch":
             raise ConfigError("--delta auto is defined for the notch topology only")
         if "kappa" not in vals:
             raise ConfigError("missing required flag --kappa (needed to resolve --delta auto)")
-        if kappa1 is None or kappa1 != kappa2:
+        if "kappa1" not in vals or vals["kappa1"] != vals["kappa2"]:
             raise ConfigError("--delta auto needs a symmetric controller (--kappa-f)")
-        delta = design.optimal_detuning(omega_m, vals["kappa"], kappa1)
-        delta_from_auto = True
+        vals["delta"] = design.optimal_detuning(omega_m, vals["kappa"], vals["kappa1"])
     else:
-        delta = _to_float("delta", raw_delta)
+        vals.setdefault("delta", -omega_m)
 
-    return RunConfig(
-        topology=topology,
-        units=units,
-        kappa=vals.get("kappa"),
-        omega_m=omega_m,
-        g=vals.get("g"),
-        delta=delta,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        kappa_loss=vals.get("kappa_loss", 0.0),
-        delta_f=delta_f,
-        gamma_m=vals.get("gamma_m", 0.0),
-        n_th=vals.get("n_th", 0.0),
-        tau=vals.get("tau", 0.0),
-        omega_min=vals.get("omega_min"),
-        omega_max=vals.get("omega_max"),
-        points=vals.get("points"),
-        element=raw.get("element", "loop"),
-        sweep_param=raw.get("sweep_param"),
-        sweep_min=vals.get("sweep_min"),
-        sweep_max=vals.get("sweep_max"),
-        sweep_points=vals.get("sweep_points"),
-        fmt=raw.get("format", "csv"),
-        output=raw.get("output"),
-        delta_from_auto=delta_from_auto,
-    )
+    return RunConfig(**vals, delta_from_auto=auto)
 
 
 def parse_config(source: str | Path | Sequence[str]) -> RunConfig:
-    """Build a RunConfig from a config-file path or an argv-style flag list."""
+    """Build a RunConfig from a config-file path or an argv-style flag list.
+
+    A flag list may hold the flags of any command.
+    """
     if isinstance(source, (str, Path)):
         return resolve_config(_read_config_file(source))
-    ns = _flag_parser().parse_args(list(source))
+    ns = build_parser().parse_args(list(source))
     return resolve_config(_merge_namespace(ns))
 
 
@@ -283,28 +254,13 @@ def metadata_pairs(cfg: RunConfig) -> tuple[tuple[str, str], ...]:
     Keys starting with underscore are informational and ignored on re-parse.
     """
     pairs: list[tuple[str, str]] = [("_version", __version__)]
-    pairs.append(("topology", cfg.topology))
-    pairs.append(("units", cfg.units))
-    for key in (
-        "kappa", "omega_m", "g", "delta", "kappa1", "kappa2", "kappa_loss",
-        "delta_f", "gamma_m", "n_th", "tau", "omega_min", "omega_max",
-    ):
-        value = getattr(cfg, key)
-        if value is not None:
-            pairs.append((key, fmt17(value)))
-    if cfg.points is not None:
-        pairs.append(("points", str(cfg.points)))
-    if cfg.element != "loop":
-        pairs.append(("element", cfg.element))
-    if cfg.sweep_param is not None:
-        pairs.append(("sweep_param", cfg.sweep_param))
-        for key in ("sweep_min", "sweep_max"):
-            value = getattr(cfg, key)
-            if value is not None:
-                pairs.append((key, fmt17(value)))
-        if cfg.sweep_points is not None:
-            pairs.append(("sweep_points", str(cfg.sweep_points)))
-    pairs.append(("format", cfg.fmt))
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if not f.compare or value is None:
+            continue
+        if value == f.default and not f.metadata["echo_default"]:
+            continue
+        pairs.append((f.name, fmt17(value) if f.metadata["kind"] is float else str(value)))
     return tuple(pairs)
 
 
@@ -321,7 +277,7 @@ def emit_metadata(cfg: RunConfig) -> str:
 def _require(cfg: RunConfig, *keys: str) -> None:
     for key in keys:
         if getattr(cfg, key) is None:
-            raise ConfigError(f"missing required flag --{key.replace('_', '-')}")
+            raise ConfigError(f"missing required flag {_flag(key)}")
 
 
 def _filter_from(cfg: RunConfig) -> FilterCavityParams:
@@ -544,75 +500,56 @@ def render(table: OutputTable, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _flag_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config")
-    p.add_argument("--topology", choices=_TOPOLOGIES)
-    p.add_argument("--units", choices=_UNITS)
-    p.add_argument("--kappa")
-    p.add_argument("--omega-m", dest="omega_m")
-    p.add_argument("--g")
-    p.add_argument("--delta")
-    p.add_argument("--kappa-f", dest="kappa_f")
-    p.add_argument("--kappa1")
-    p.add_argument("--kappa2")
-    p.add_argument("--kappa-loss", dest="kappa_loss")
-    p.add_argument("--delta-f", dest="delta_f")
-    p.add_argument("--gamma-m", dest="gamma_m")
-    p.add_argument("--n-th", dest="n_th")
-    p.add_argument("--tau")
-    p.add_argument("--omega-min", dest="omega_min")
-    p.add_argument("--omega-max", dest="omega_max")
-    p.add_argument("--points")
-    p.add_argument("--element", choices=_ELEMENTS)
-    p.add_argument("--sweep-param", dest="sweep_param", choices=_SWEEP_PARAMS)
-    p.add_argument("--sweep-min", dest="sweep_min")
-    p.add_argument("--sweep-max", dest="sweep_max")
-    p.add_argument("--sweep-points", dest="sweep_points")
-    p.add_argument("--format", dest="format", choices=_FORMATS)
-    p.add_argument("--output", "-o", dest="output")
-    return p
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports bad flags as a ConfigError instead of exiting with code 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Flag parser of ``cfcool <command>``; with no command, every flag."""
+    parser = _ArgumentParser(
+        prog="cfcool" if command is None else f"cfcool {command}",
+        description=None if command is None else _COMMANDS[command].__doc__,
+    )
+    parser.add_argument("--config", help="flat key=value file; flags override it")
+    for key, spec in _PARAMS.items():
+        if command is None or spec["commands"] is None or command in spec["commands"]:
+            kind = spec["kind"]
+            choices = kind if isinstance(kind, tuple) else None
+            parser.add_argument(_flag(key), *spec["aliases"], dest=key, choices=choices)
+    return parser
 
 
 def _merge_namespace(ns: argparse.Namespace) -> dict[str, str]:
     raw = _read_config_file(ns.config) if ns.config else {}
     for key, value in vars(ns).items():
-        if key in ("config", "command") or value is None:
-            continue
-        raw[key] = str(value)
+        if key != "config" and value is not None:
+            raw[key] = value
     return raw
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cfcool",
-        description="Coherent-feedback loop shaping for optomechanical cooling.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    flags = _flag_parser()
-    sub.add_parser("spectrum", parents=[flags], help="emit Sigma(omega) or a filter response")
-    sub.add_parser("rates", parents=[flags], help="emit the sideband rates and cooling figures")
-    sub.add_parser("sweep", parents=[flags], help="emit rates along a parameter grid")
-    sub.add_parser("oracle", parents=[flags], help="emit the Lyapunov cross-check")
-    sub.add_parser("design", parents=[flags], help="emit the resolved design point")
-    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        sys.stdout.write(__doc__)
+        return 0
     try:
-        ns = build_parser().parse_args(argv)
+        if command not in _COMMANDS:
+            raise ConfigError(f"expected a command: one of {', '.join(_COMMANDS)}")
+        ns = build_parser(command).parse_args(argv[1:])
         cfg = resolve_config(_merge_namespace(ns))
-        table = _COMMANDS[ns.command](cfg)
-        text = render(table, cfg.fmt)
+        table = _COMMANDS[command](cfg)
+        text = render(table, cfg.format)
         if cfg.output:
             Path(cfg.output).write_text(text, encoding="utf-8", newline="")
         else:
             sys.stdout.write(text)
-    except ConfigError as exc:
-        print(f"cfcool: config error: {exc}", file=sys.stderr)
-        return 1
-    except SingularLoop as exc:
-        print(f"cfcool: numeric failure: {exc}", file=sys.stderr)
-        return 2
+    except CfcoolError as exc:
+        numeric = isinstance(exc, ArithmeticError)
+        kind = "numeric failure" if numeric else "config error"
+        print(f"cfcool: {kind}: {exc}", file=sys.stderr)
+        return 2 if numeric else 1
     return 0

@@ -25,8 +25,8 @@ from .errors import (
     SingularLoop,
     UnsupportedDelay,
 )
-from .netalg import FilterCavityParams, OptoCavityParams, ResponseFn
-from .spectra import MechanicalBath, RateResult, scattering_rates
+from .netalg import FilterCavityParams, OptoCavityParams
+from .spectra import MechanicalBath, RateResult, ResponseFn, scattering_rates
 
 
 class Topology(Enum):
@@ -236,6 +236,8 @@ def _with_parameter(config: SystemConfig, parameter: SweepParameter, value: floa
         return replace(config, cav=replace(config.cav, g=value))
     if config.filt is None:
         raise InvalidParam("cannot sweep kappa_f without a controller")
+    if not config.filt.is_symmetric_ideal:
+        raise InvalidParam("sweeping kappa_f needs a symmetric lossless controller")
     return replace(
         config,
         filt=FilterCavityParams.symmetric(kappa_f=value, delta_f=config.filt.delta_f),

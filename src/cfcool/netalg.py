@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -247,18 +247,7 @@ class DelayLine:
         return np.array([[delay_response(self.tau, omega)]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class Identity:
-    """Transparent connector."""
-
-    n_inputs: ClassVar[int] = 1
-    n_outputs: ClassVar[int] = 1
-
-    def s_matrix(self, omega: float) -> np.ndarray:
-        return np.array([[1.0 + 0.0j]], dtype=complex)
-
-
-Element = Union[CavityReflection, FilterTwoPort, DelayLine, Identity]
+Element = Union[CavityReflection, FilterTwoPort, DelayLine]
 Port = tuple[str, int]
 Edge = tuple[Port, Port]
 
@@ -398,6 +387,3 @@ def bandpass_network(cav: OptoCavityParams, filt: FilterCavityParams, tau: float
     """Band-passing loop: as the band-blocking wiring but the transmitted
     output of the controller drives the cavity."""
     return _loop_network(cav, filt, tau, feed_output=1)
-
-
-ResponseFn = Callable[[float], complex]

@@ -1,7 +1,10 @@
 """Config parsing, command tables, rendering, determinism, and exit codes."""
 
+import hashlib
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -310,3 +313,85 @@ class TestMain:
         assert main(["spectrum", "--config", str(cfg_file), "--output", str(out1)]) == 0
         assert main(["spectrum", "--config", str(cfg_file), "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--kappa", "-1", "--g", "0.1"],  # InvalidParam
+            ["oracle", "--topology", "notch", "--kappa", "10", "--g", "0.01",
+             "--kappa-f", "1", "--tau", "0.1"],  # UnsupportedDelay
+            ["rates", *NOTCH_FLAGS, "--bogus", "1"],
+            ["rates", *NOTCH_FLAGS, "--points", "5"],  # a flag rates does not take
+            ["rates", *NOTCH_FLAGS, "--format", "xml"],
+            ["sweep", "--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa1", "1",
+             "--kappa2", "2", "--kappa-loss", "0.5", "--sweep-param", "kappa_f",
+             "--sweep-min", "0.5", "--sweep-max", "2", "--sweep-points", "3"],
+            ["bogus"],
+        ],
+    )
+    def test_bad_input_exits_one_without_traceback(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "cfcool", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("cfcool: config error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_top_level_help(self, capsys):
+        assert main(["--help"]) == 0
+        assert "cfcool <command> --help" in capsys.readouterr().out
+
+    def test_config_file_takes_keys_of_other_commands(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("points=5\nsweep_points=3\n")
+        assert main(["rates", *NOTCH_FLAGS, "--config", str(path)]) == 0
+        assert " points=5 " in capsys.readouterr().out
+
+
+class TestGoldenBytes:
+    """SHA-256 of the full output of the README commands.
+
+    Their values come from scalar float arithmetic (the sweep's stability flag
+    only thresholds eigenvalues), so the bytes are the same on every platform.
+    """
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("spectrum --element filter --kappa-f 1 --delta-f 1 "
+             "--omega-min -3 --omega-max 3 --points 601",
+             "7a58c2e4c71b735e658c5df19365a511c3d267b9a00638e66395f986038e5dcf"),
+            ("spectrum --topology notch --kappa 10 --g 0.1 --kappa-f 1 "
+             "--omega-min -3 --omega-max 3 --points 601",
+             "636cc3a252a51a8f191ae28941ba53db0ea25f6362eaa3903d6368e34275e5dd"),
+            ("spectrum --topology notch --kappa 10 --g 0.1 --kappa-f 1 --delta auto "
+             "--omega-min -3 --omega-max 3 --points 601",
+             "f084db56cbc36fcfeac79e00b48e107999fa914a1542163e9be132943e9cf7b2"),
+            ("rates --topology bandpass --kappa 10 --g 0.1 --kappa-f 1",
+             "b7feafbce63483eb75dfcb64ff5d091d63626805ba5b6c71c15c729ee1837713"),
+            ("sweep --topology notch --kappa 10 --g 0.1 --kappa-f 1 "
+             "--sweep-param delta --sweep-min -5 --sweep-max 0 --sweep-points 501",
+             "5e58b407e29539732b64ae7232558d2245c4e774466b58fe33b543d66958f93f"),
+            ("design --topology notch --kappa 10 --g 0.1 --kappa-f 1",
+             "cb6b1460a52c1c0987518090452bf31f3706b0bce1b3a7814a93b59778b35b8a"),
+        ],
+    )
+    def test_readme_command_digest(self, capsys, command, digest):
+        assert main(command.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_oracle_metadata_and_header(self, capsys):
+        # Oracle values go through LAPACK and may differ in the last digits
+        # between builds; the echoed parameters and the columns may not.
+        argv = ("oracle --topology notch --kappa 10 --g 0.01 --kappa-f 1 --delta auto "
+                "--gamma-m 1e-5 --n-th 100").split()
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "# _version=0.1.0 topology=notch units=omega_m kappa=10 omega_m=1 g=0.01 "
+            "delta=-3.5 kappa1=1 kappa2=1 kappa_loss=0 delta_f=1 "
+            "gamma_m=1.0000000000000001e-05 n_th=100 tau=0 format=csv"
+        )
+        assert lines[1] == "stable,n_oracle,n_rate,rel_dev"

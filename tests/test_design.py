@@ -182,6 +182,17 @@ class TestSweep:
         with pytest.raises(InvalidParam):
             sweep(cfg, "not_a_parameter", [0.0, 1.0])
 
+    @pytest.mark.parametrize("filt", [
+        FilterCavityParams(kappa1=1.0, kappa2=2.0, kappa_loss=0.0, delta_f=1.0),
+        FilterCavityParams(kappa1=1.0, kappa2=1.0, kappa_loss=0.5, delta_f=1.0),
+    ])
+    def test_kappa_f_sweep_rejects_asymmetric_or_lossy_controller(self, filt):
+        # kappa_f alone cannot describe these controllers; sweeping it must not
+        # silently substitute a symmetric lossless one.
+        cfg = SystemConfig(OptoCavityParams(10.0, -1.0, 0.1, 1.0), filt, Topology.NOTCH)
+        with pytest.raises(InvalidParam, match="symmetric lossless"):
+            sweep(cfg, "kappa_f", [0.5, 1.0])
+
 
 class TestImbalance:
     def test_mirror_imbalance_leaks_stokes(self):
