@@ -20,6 +20,9 @@ or JSON table.  CSV starts with a single ``# key=value ...`` metadata line
 carrying the fully resolved parameters; parsing it back yields an equal
 RunConfig.  Floats are printed with 17 significant digits.
 
+``--delta auto`` (notch only) and ``design`` use the closed-form optimum, so
+they need a symmetric lossless controller: ``--kappa-f`` and no loss.
+
 Default units put omega_m = 1 ("units of omega_m"), which keeps emitted data
 dimensionless and portable; pass ``--units si`` to work in rad/s.
 
@@ -35,7 +38,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -219,22 +222,20 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
     elif ("kappa1" in vals) != ("kappa2" in vals):
         raise ConfigError("--kappa1 and --kappa2 must be given together")
 
-    topology = vals.get("topology", "none")
-    if "delta_f" not in vals and topology != "none":
-        vals["delta_f"] = omega_m if topology == "notch" else -omega_m
+    topology = Topology(vals.get("topology", "none"))
+    delta, delta_f = design.preset_detunings(topology, omega_m)
+    if delta_f is not None:
+        vals.setdefault("delta_f", delta_f)
+    cfg = RunConfig(**{"delta": delta, **vals}, delta_from_auto=auto)
 
     if auto:
-        if topology != "notch":
+        if topology is not Topology.NOTCH:
             raise ConfigError("--delta auto is defined for the notch topology only")
-        if "kappa" not in vals:
+        if cfg.kappa is None:
             raise ConfigError("missing required flag --kappa (needed to resolve --delta auto)")
-        if "kappa1" not in vals or vals["kappa1"] != vals["kappa2"]:
-            raise ConfigError("--delta auto needs a symmetric controller (--kappa-f)")
-        vals["delta"] = design.optimal_detuning(omega_m, vals["kappa"], vals["kappa1"])
-    else:
-        vals.setdefault("delta", -omega_m)
-
-    return RunConfig(**vals, delta_from_auto=auto)
+        kappa_f = _filter_from(cfg).kappa_f
+        cfg = replace(cfg, delta=design.optimal_detuning(omega_m, cfg.kappa, kappa_f))
+    return cfg
 
 
 def parse_config(source: str | Path | Sequence[str]) -> RunConfig:
@@ -334,11 +335,9 @@ def cmd_spectrum(cfg: RunConfig) -> OutputTable:
 
     config = system_config(cfg)
     chi_cl = design.closed_loop_response(config)
-    # Reference curve: the same cavity without feedback at the conventional
-    # optimum delta = -omega_m, the baseline the shaped spectra are judged by.
-    bare = OptoCavityParams(
-        kappa=cfg.kappa, delta=-cfg.omega_m, g=cfg.g, omega_m=cfg.omega_m
-    )
+    # Reference curve: the same cavity without feedback at the preset
+    # detuning, the baseline the shaped spectra are judged by.
+    bare = replace(config.cav, delta=design.preset_detunings(Topology.NONE, cfg.omega_m)[0])
     g = cfg.g
     rows = []
     for w in grid:
@@ -353,21 +352,16 @@ def cmd_spectrum(cfg: RunConfig) -> OutputTable:
     )
 
 
-def _rates_cells(config: SystemConfig, bath: spectra.MechanicalBath):
+def cmd_rates(cfg: RunConfig) -> OutputTable:
+    """One-row table of the sideband rates and cooling figures."""
+    config, bath = system_config(cfg), _bath(cfg)
     rates = spectra.scattering_rates(
-        design.closed_loop_response(config), config.cav.g, config.cav.omega_m
+        design.closed_loop_response(config), cfg.g, cfg.omega_m
     )
     try:
         n_steady = spectra.steady_phonon(rates, bath)
     except NoNetCooling:
         n_steady = None
-    return rates, n_steady
-
-
-def cmd_rates(cfg: RunConfig) -> OutputTable:
-    """One-row table of the sideband rates and cooling figures."""
-    config = system_config(cfg)
-    rates, n_steady = _rates_cells(config, _bath(cfg))
     feasible = None
     if config.topology is Topology.BANDPASS and config.filt.is_symmetric_ideal:
         feasible = float(
@@ -446,12 +440,9 @@ def cmd_oracle(cfg: RunConfig) -> OutputTable:
 def cmd_design(cfg: RunConfig) -> OutputTable:
     """Resolved optimal detuning, controller detuning, and feasibility."""
     _require(cfg, "kappa")
-    if cfg.kappa1 is None or cfg.kappa1 != cfg.kappa2 or cfg.kappa_loss != 0.0:
-        raise ConfigError("design needs a symmetric lossless controller (--kappa-f)")
-    if cfg.delta_f is None:
-        raise ConfigError("design needs a topology (or explicit --delta-f)")
-    delta_c = design.optimal_detuning(cfg.omega_m, cfg.kappa, cfg.kappa1)
-    feasible = design.bandpass_ground_state_feasible(cfg.kappa, cfg.kappa1, cfg.omega_m)
+    kappa_f = _filter_from(cfg).kappa_f
+    delta_c = design.optimal_detuning(cfg.omega_m, cfg.kappa, kappa_f)
+    feasible = design.bandpass_ground_state_feasible(cfg.kappa, kappa_f, cfg.omega_m)
     row = (delta_c, cfg.delta_f, cfg.delta, float(feasible))
     return OutputTable(
         meta=metadata_pairs(cfg),

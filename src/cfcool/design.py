@@ -51,11 +51,17 @@ class SystemConfig:
             raise InvalidParam(f"delay must be finite and >= 0, got {self.delay!r}")
 
 
+def preset_detunings(topology: Topology, omega_m: float) -> tuple[float, float | None]:
+    """Preset (delta, delta_f) of a topology; delta_f is None without a controller."""
+    delta_f = {Topology.NOTCH: omega_m, Topology.BANDPASS: -omega_m}.get(topology)
+    return -omega_m, delta_f
+
+
 def _preset(kappa, omega_m, g, kappa_f, delta_override, topology):
     if kappa <= 0 or omega_m <= 0 or kappa_f <= 0:
         raise InvalidParam("kappa, omega_m and kappa_f must all be > 0")
-    delta = -omega_m if delta_override is None else delta_override
-    delta_f = omega_m if topology is Topology.NOTCH else -omega_m
+    delta, delta_f = preset_detunings(topology, omega_m)
+    delta = delta if delta_override is None else delta_override
     return SystemConfig(
         cav=OptoCavityParams(kappa=kappa, delta=delta, g=g, omega_m=omega_m),
         filt=FilterCavityParams.symmetric(kappa_f=kappa_f, delta_f=delta_f),
@@ -127,9 +133,10 @@ def optimal_detuning(omega_m: float, kappa: float, kappa_f: float) -> float:
 
 
 def default_detuning_bracket(config: SystemConfig) -> tuple[float, float]:
-    """Bracket [-omega_m - kappa*kappa_f, -1e-3*omega_m] containing the optimum."""
+    """Bracket [-omega_m - kappa*kf, -1e-3*omega_m] containing the optimum, where kf
+    is the controller linewidth kappa_total/2 (kappa_f if symmetric lossless)."""
     cav = config.cav
-    kf = config.filt.kappa1 if config.filt is not None else cav.kappa
+    kf = config.filt.kappa_total / 2.0 if config.filt is not None else cav.kappa
     return (-cav.omega_m - cav.kappa * kf, -1e-3 * cav.omega_m)
 
 
@@ -222,10 +229,6 @@ class SweepTable:
     parameter: str
     rows: tuple[SweepRow, ...]
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(row.value for row in self.rows)
-
 
 def _with_parameter(config: SystemConfig, parameter: SweepParameter, value: float) -> SystemConfig:
     if parameter is SweepParameter.DELTA:
@@ -234,9 +237,7 @@ def _with_parameter(config: SystemConfig, parameter: SweepParameter, value: floa
         return replace(config, cav=replace(config.cav, kappa=value))
     if parameter is SweepParameter.G:
         return replace(config, cav=replace(config.cav, g=value))
-    if config.filt is None:
-        raise InvalidParam("cannot sweep kappa_f without a controller")
-    if not config.filt.is_symmetric_ideal:
+    if config.filt is None or not config.filt.is_symmetric_ideal:
         raise InvalidParam("sweeping kappa_f needs a symmetric lossless controller")
     return replace(
         config,

@@ -35,6 +35,10 @@ DELAY_PHASE_SIGN = +1.0
 #: huge, meaningless gain.
 RCOND_SINGULAR = 1e-13
 
+#: Absolute threshold on the closed forms' loop denominator |1 - r_sys*S_fb|
+#: below which the loop is treated as singular.
+DEN_SINGULAR = 1e-13
+
 
 def _check_finite(obj, names):
     for name in names:
@@ -119,7 +123,9 @@ class FilterCavityParams:
     def kappa_f(self) -> float:
         """Per-mirror rate of the symmetric-ideal case."""
         if not self.is_symmetric_ideal:
-            raise InvalidParam("kappa_f is defined only for symmetric lossless filters")
+            raise InvalidParam(
+                "kappa_f needs a symmetric lossless controller (kappa1 == kappa2, no loss)"
+            )
         return self.kappa1
 
 
@@ -169,21 +175,27 @@ def scattering(f: FilterCavityParams, omega: float) -> np.ndarray:
     )
 
 
+def _closed_loop(cav, f, omega, wiring, fwd, fb):
+    # The loop equation chi*S_fwd / (1 - r_sys*S_fb) shared by both wirings;
+    # fwd and fb pick the controller entries [R, T] on the feed and feedback paths.
+    if not f.is_symmetric_ideal:
+        raise ClosedFormInapplicable(
+            f"the {wiring} closed form assumes kappa1 == kappa2 and no loss"
+        )
+    s = scattering(f, omega)
+    den = 1.0 - reflection_sys(cav, omega) * s[0, fb]
+    if abs(den) < DEN_SINGULAR:
+        raise SingularLoop(omega)
+    return chi(cav, omega) * s[0, fwd] / den
+
+
 def closed_form_notch(cav: OptoCavityParams, f: FilterCavityParams, omega: float) -> complex:
     """Loop response chi*R / (1 - (sqrt(kappa)*chi + 1)*T) of the band-blocking wiring.
 
     Valid for symmetric lossless controllers; the controller reflection feeds
     the cavity, so the response has an exact zero at omega = -delta_f.
     """
-    if not f.is_symmetric_ideal:
-        raise ClosedFormInapplicable(
-            "the band-blocking closed form assumes kappa1 == kappa2 and no loss"
-        )
-    s = scattering(f, omega)
-    den = 1.0 - reflection_sys(cav, omega) * s[0, 1]
-    if abs(den) < 1e-13:
-        raise SingularLoop(omega)
-    return chi(cav, omega) * s[0, 0] / den
+    return _closed_loop(cav, f, omega, "band-blocking", 0, 1)
 
 
 def closed_form_bandpass(cav: OptoCavityParams, f: FilterCavityParams, omega: float) -> complex:
@@ -192,15 +204,7 @@ def closed_form_bandpass(cav: OptoCavityParams, f: FilterCavityParams, omega: fl
     Valid for symmetric lossless controllers; only the band transmitted by the
     controller (centred at omega = -delta_f) reaches the cavity.
     """
-    if not f.is_symmetric_ideal:
-        raise ClosedFormInapplicable(
-            "the band-passing closed form assumes kappa1 == kappa2 and no loss"
-        )
-    s = scattering(f, omega)
-    den = 1.0 - reflection_sys(cav, omega) * s[0, 0]
-    if abs(den) < 1e-13:
-        raise SingularLoop(omega)
-    return chi(cav, omega) * s[0, 1] / den
+    return _closed_loop(cav, f, omega, "band-passing", 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ STABILITY_MARGIN = 1e-12
 #: Accepted Lyapunov residual, relative to ||D||.
 LYAPUNOV_RTOL = 1e-10
 
+_LABELS = ("X_m", "P_m", "X_c", "P_c", "X_f", "P_f")
+
 
 @dataclass(frozen=True, eq=False)
 class StateSpaceModel:
@@ -95,6 +97,37 @@ def _mode_block(detuning: float, decay: float) -> np.ndarray:
     return np.array([[-decay / 2.0, -detuning], [detuning, -decay / 2.0]])
 
 
+def _optics(config: SystemConfig):
+    """Optical drift block and one input matrix per independent vacuum: the
+    only part of the model the topology changes."""
+    cav = config.cav
+    eye = np.eye(2)
+    if config.topology is Topology.NOTCH:
+        f = config.filt
+        A = np.zeros((4, 4))
+        A[0:2, 0:2] = _mode_block(cav.delta, cav.kappa)
+        # Cascade widens the controller linewidth by the mirror-to-mirror
+        # feedthrough 2*sqrt(kappa1*kappa2) and couples the optical modes
+        # one-way in each direction with distinct rates.
+        A[2:4, 2:4] = _mode_block(f.delta_f, f.kappa_total + 2.0 * math.sqrt(f.kappa1 * f.kappa2))
+        A[0, 2] = A[1, 3] = -math.sqrt(cav.kappa * f.kappa1)
+        A[2, 0] = A[3, 1] = -math.sqrt(cav.kappa * f.kappa2)
+        # One shared vacuum drives cavity and controller coherently; the loss
+        # port brings its own independent vacuum.
+        shared, loss = np.zeros((4, 2)), np.zeros((4, 2))
+        shared[0:2] = -math.sqrt(cav.kappa) * eye
+        shared[2:4] = -(math.sqrt(f.kappa1) + math.sqrt(f.kappa2)) * eye
+        loss[2:4] = -math.sqrt(f.kappa_loss) * eye
+        return A, (shared, loss)
+    if config.topology is Topology.BANDPASS:
+        f = config.filt
+        kappa_eff = cav.kappa * (f.kappa1 + f.kappa_loss) / (cav.kappa + f.kappa2)
+        delta_eff = (f.kappa2 * cav.delta + cav.kappa * f.delta_f) / (cav.kappa + f.kappa2)
+    else:
+        kappa_eff, delta_eff = cav.kappa, cav.delta
+    return _mode_block(delta_eff, kappa_eff), (-math.sqrt(kappa_eff) * eye,)
+
+
 def build_state_space(config: SystemConfig, bath: MechanicalBath) -> StateSpaceModel:
     """Assemble drift and diffusion for the configured loop at zero delay.
 
@@ -104,57 +137,23 @@ def build_state_space(config: SystemConfig, bath: MechanicalBath) -> StateSpaceM
     if config.delay > 0:
         raise UnsupportedDelay("state-space oracle supports zero loop delay only")
     cav = config.cav
-    two_g = 2.0 * cav.g
+    optics, vacua = _optics(config)
+    n = 2 + optics.shape[0]
 
-    if config.topology is Topology.NOTCH:
-        f = config.filt
-        n = 6
-        labels = ("X_m", "P_m", "X_c", "P_c", "X_f", "P_f")
-        A = np.zeros((n, n))
-        A[0:2, 0:2] = _mode_block(-cav.omega_m, bath.gamma_m)
-        A[2:4, 2:4] = _mode_block(cav.delta, cav.kappa)
-        # Cascade widens the controller linewidth by the mirror-to-mirror
-        # feedthrough 2*sqrt(kappa1*kappa2) and couples the optical modes
-        # one-way in each direction with distinct rates.
-        A[4:6, 4:6] = _mode_block(f.delta_f, f.kappa_total + 2.0 * math.sqrt(f.kappa1 * f.kappa2))
-        A[2:4, 4:6] += -math.sqrt(cav.kappa * f.kappa1) * np.eye(2)
-        A[4:6, 2:4] += -math.sqrt(cav.kappa * f.kappa2) * np.eye(2)
-        A[1, 2] += two_g
-        A[3, 0] += two_g
+    A = np.zeros((n, n))
+    A[0:2, 0:2] = _mode_block(-cav.omega_m, bath.gamma_m)
+    A[2:, 2:] = optics
+    # The full -2g X_c X_m interaction, beam-splitter and squeezing terms alike.
+    A[1, 2] += 2.0 * cav.g
+    A[3, 0] += 2.0 * cav.g
 
-        # One shared vacuum drives cavity and controller coherently; the loss
-        # port brings its own independent vacuum.
-        b_main = np.zeros((n, 2))
-        b_main[2:4, :] = -math.sqrt(cav.kappa) * np.eye(2)
-        b_main[4:6, :] = -(math.sqrt(f.kappa1) + math.sqrt(f.kappa2)) * np.eye(2)
-        D = 0.5 * b_main @ b_main.T
-        if f.kappa_loss > 0:
-            b_loss = np.zeros((n, 2))
-            b_loss[4:6, :] = -math.sqrt(f.kappa_loss) * np.eye(2)
-            D += 0.5 * b_loss @ b_loss.T
-    else:
-        n = 4
-        labels = ("X_m", "P_m", "X_c", "P_c")
-        if config.topology is Topology.BANDPASS:
-            f = config.filt
-            kappa_eff = cav.kappa * (f.kappa1 + f.kappa_loss) / (cav.kappa + f.kappa2)
-            delta_eff = (f.kappa2 * cav.delta + cav.kappa * f.delta_f) / (cav.kappa + f.kappa2)
-        else:
-            kappa_eff, delta_eff = cav.kappa, cav.delta
-        A = np.zeros((n, n))
-        A[0:2, 0:2] = _mode_block(-cav.omega_m, bath.gamma_m)
-        A[2:4, 2:4] = _mode_block(delta_eff, kappa_eff)
-        A[1, 2] += two_g
-        A[3, 0] += two_g
-        b_main = np.zeros((n, 2))
-        b_main[2:4, :] = -math.sqrt(kappa_eff) * np.eye(2)
-        D = 0.5 * b_main @ b_main.T
+    D = np.zeros((n, n))
+    for b in vacua:
+        D[2:, 2:] += 0.5 * b @ b.T
+    b_mech = -math.sqrt(bath.gamma_m) * np.eye(2)
+    D[0:2, 0:2] = (bath.n_th + 0.5) * b_mech @ b_mech.T
 
-    b_mech = np.zeros((n, 2))
-    b_mech[0:2, :] = -math.sqrt(bath.gamma_m) * np.eye(2)
-    D = D + (bath.n_th + 0.5) * b_mech @ b_mech.T
-
-    return StateSpaceModel(drift=A, diffusion=D, labels=labels)
+    return StateSpaceModel(drift=A, diffusion=D, labels=_LABELS[:n])
 
 
 def is_stable(m: StateSpaceModel) -> bool:

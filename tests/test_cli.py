@@ -339,6 +339,18 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("controller", [
+        ["--kappa-f", "1", "--kappa-loss", "0.5"],
+        ["--kappa1", "1", "--kappa2", "2"],
+    ])
+    def test_auto_detuning_rejects_non_ideal_controller(self, capsys, controller):
+        # The closed-form optimum (-3.5 here) is not this loop's optimum (about
+        # -3.207 for the lossy one); resolving it would describe another loop.
+        argv = ["rates", "--topology", "notch", "--kappa", "10", "--g", "0.1",
+                *controller, "--delta", "auto"]
+        assert main(argv) == 1
+        assert "needs a symmetric lossless controller" in capsys.readouterr().err
+
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
         assert "cfcool <command> --help" in capsys.readouterr().out

@@ -108,6 +108,15 @@ class TestArgmaxNumeric:
         with pytest.raises(BracketError):
             argmax_detuning_numeric(cfg, (-100.0, -50.0), tol=1e-6)
 
+    def test_default_bracket_uses_controller_linewidth(self):
+        # The linewidth of an imbalanced controller is kappa_total/2; a bracket
+        # from kappa1 = 0.05 alone ends at -1.5 and misses the maximum near -1.88.
+        cav = OptoCavityParams(10.0, -1.0, 0.1, 1.0)
+        filt = FilterCavityParams(kappa1=0.05, kappa2=4.0, kappa_loss=0.0, delta_f=1.0)
+        cfg = SystemConfig(cav, filt, Topology.NOTCH)
+        wide = argmax_detuning_numeric(cfg, (-81.0, -1e-3))
+        assert abs(argmax_detuning_numeric(cfg) - wide) <= 1e-6
+
 
 class TestEnhancementFactor:
     def test_anti_stokes_gain_at_optimum(self):
