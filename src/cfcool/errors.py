@@ -10,7 +10,8 @@ class InvalidParam(CfcoolError, ValueError):
 
 
 class SingularLoop(CfcoolError, ArithmeticError):
-    """The interconnection system is singular at the requested frequency."""
+    """The loop is singular at the requested frequency: |det(I - M)|, the
+    closed forms' loop denominator, is below ``netalg.DEN_SINGULAR``."""
 
     def __init__(self, omega: float, message: str | None = None):
         self.omega = omega

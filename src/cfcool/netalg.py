@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
 import numpy as np
@@ -30,13 +30,11 @@ from .errors import ClosedFormInapplicable, InvalidParam, SingularLoop
 #: on the same Fourier convention.
 DELAY_PHASE_SIGN = +1.0
 
-#: Reciprocal-condition threshold below which (I - M(omega)) is treated as
-#: singular (an algebraic loop sitting on resonance) instead of returning a
-#: huge, meaningless gain.
-RCOND_SINGULAR = 1e-13
-
-#: Absolute threshold on the closed forms' loop denominator |1 - r_sys*S_fb|
-#: below which the loop is treated as singular.
+#: A loop is singular where its return difference |det(I - M(omega))| falls
+#: below this threshold (an algebraic loop sitting on resonance); it then
+#: raises :class:`SingularLoop` instead of returning a huge, meaningless gain.
+#: For the preset loops det(I - M) is the closed forms' loop denominator
+#: 1 - r_sys*S_fb, so both paths apply one rule to one quantity.
 DEN_SINGULAR = 1e-13
 
 
@@ -271,6 +269,9 @@ class NetworkSpec:
     wiring: tuple[Edge, ...]
     input_port: Port
     tap: str
+    #: Row of each element input port in the solver's signal vector x.
+    index: dict[Port, int] = field(init=False, repr=False, compare=False)
+    _by_name: dict[str, Element] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.elements]
@@ -295,6 +296,7 @@ class NetworkSpec:
         check_port(self.input_port, is_output=False)
         if self.input_port in driven:
             raise InvalidParam(f"external input port {self.input_port!r} is also edge-driven")
+        index: dict[Port, int] = {}
         for name, el in self.elements:
             for k in range(el.n_inputs):
                 port = (name, k)
@@ -303,11 +305,14 @@ class NetworkSpec:
                     raise InvalidParam(
                         f"input port {port!r} must have exactly one driver, has {n_drivers}"
                     )
+                index[port] = len(index)
         if self.tap not in by_name or not isinstance(by_name[self.tap], CavityReflection):
             raise InvalidParam(f"tap {self.tap!r} must name a CavityReflection element")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_by_name", by_name)
 
     def element(self, name: str) -> Element:
-        return dict(self.elements)[name]
+        return self._by_name[name]
 
 
 def solve_network(net: NetworkSpec, omega: float) -> complex:
@@ -315,13 +320,10 @@ def solve_network(net: NetworkSpec, omega: float) -> complex:
 
     Stacks all element input signals into x, assembles x = M(omega) x + e_in,
     solves the linear system, and applies the tap cavity's internal gain
-    chi(omega) to its port signal.  Raises :class:`SingularLoop` when the
-    reciprocal condition number of (I - M) falls below ``RCOND_SINGULAR``.
+    chi(omega) to its port signal.  Raises :class:`SingularLoop` where the
+    loop is singular, |det(I - M)| < ``DEN_SINGULAR`` (see there).
     """
-    index: dict[Port, int] = {}
-    for name, el in net.elements:
-        for k in range(el.n_inputs):
-            index[(name, k)] = len(index)
+    index = net.index
     n = len(index)
 
     M = np.zeros((n, n), dtype=complex)
@@ -336,14 +338,10 @@ def solve_network(net: NetworkSpec, omega: float) -> complex:
     b[index[net.input_port]] = 1.0
 
     A = np.eye(n, dtype=complex) - M
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_SINGULAR:
+    if abs(np.linalg.det(A)) < DEN_SINGULAR:
         raise SingularLoop(omega)
     x = np.linalg.solve(A, b)
-
-    tap_el = net.element(net.tap)
-    assert isinstance(tap_el, CavityReflection)
-    return complex(tap_el.tap_gain(omega) * x[index[(net.tap, 0)]])
+    return complex(net.element(net.tap).tap_gain(omega) * x[index[(net.tap, 0)]])
 
 
 # ---------------------------------------------------------------------------

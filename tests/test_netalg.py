@@ -256,6 +256,18 @@ class TestSolver:
             solve_network(notch_network(blue, FILT), -1.0)
         assert exc.value.omega == -1.0
 
+    def test_near_singular_point_finite_on_both_paths(self):
+        # |den| ~ 2e-13 sits above DEN_SINGULAR: both paths return a value,
+        # because the solver thresholds det(I - M), which is that denominator.
+        blue = OptoCavityParams(1.0, +1.0, 0.1, 1.0)
+        f = FilterCavityParams.symmetric(1.0, 1.0)
+        w = -1.0 + 4e-14
+        den = abs(1.0 - reflection_sys(blue, w) * scattering(f, w)[0, 1])
+        assert 1.5e-13 < den < 2.5e-13
+        closed = closed_form_notch(blue, f, w)
+        assert abs(abs(closed) - 0.4) < 1e-12
+        assert rel_err(solve_network(notch_network(blue, f), w), closed) <= 1e-14 / den
+
     def test_loop_delay_changes_response(self):
         base = abs(solve_network(notch_network(CAV, FILT, tau=0.0), 0.5))
         lagged = abs(solve_network(notch_network(CAV, FILT, tau=1.0), 0.5))
