@@ -27,6 +27,7 @@ from .errors import (
     ClosedFormInapplicable,
     ConfigError,
     InvalidParam,
+    LyapunovResidual,
     NegativeOccupation,
     NoNetCooling,
     SingularLoop,
@@ -55,7 +56,9 @@ from .oracle import (
     StateSpaceModel,
     build_state_space,
     consistency_check,
+    drift_matrix,
     heisenberg_defect,
+    is_hurwitz,
     is_stable,
     phonon_number,
     steady_covariance,

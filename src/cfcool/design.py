@@ -255,7 +255,11 @@ def sweep(
 
     Rows come back in grid order; singular-loop points are flagged rather than
     dropped or propagated.  ``bath`` (default: no mechanical damping) enters
-    only the stability flag.
+    only the stability flag: the rows' drift matrices are stacked and tested
+    by one :func:`oracle.is_hurwitz` call, the same rule as
+    :func:`oracle.is_stable` on each row's model.  At nonzero delay every flag
+    is None: :func:`oracle.drift_matrix` refuses the first row before
+    assembling anything.
     """
     try:
         parameter = SweepParameter(parameter)
@@ -272,9 +276,17 @@ def sweep(
 
     from . import oracle  # deferred: oracle depends on this module's types
 
+    configs = [_with_parameter(config, parameter, value) for value in values]
+    try:
+        drifts = np.stack([oracle.drift_matrix(cfg, bath) for cfg in configs])
+    except UnsupportedDelay:
+        # Nonzero delay has no finite-dimensional state space; record the
+        # flags as unknown instead of failing the whole table.
+        flags = [None] * len(configs)
+    else:
+        flags = oracle.is_hurwitz(drifts).tolist()
     rows = []
-    for value in values:
-        cfg = _with_parameter(config, parameter, value)
+    for value, cfg, stable in zip(values, configs, flags):
         try:
             rates = scattering_rates(
                 closed_loop_response(cfg), cfg.cav.g, cfg.cav.omega_m
@@ -282,11 +294,5 @@ def sweep(
             singular = False
         except SingularLoop:
             rates, singular = None, True
-        try:
-            stable = oracle.is_stable(oracle.build_state_space(cfg, bath))
-        except UnsupportedDelay:
-            # Nonzero delay has no finite-dimensional state space; record the
-            # flag as unknown instead of failing the whole table.
-            stable = None
         rows.append(SweepRow(value=value, rates=rates, stable=stable, singular=singular))
     return SweepTable(parameter=parameter.value, rows=tuple(rows))

@@ -34,6 +34,10 @@ class UnstableModel(CfcoolError, ArithmeticError):
     """The drift matrix is not Hurwitz; no stationary covariance exists."""
 
 
+class LyapunovResidual(CfcoolError, ArithmeticError):
+    """The Lyapunov solve's backward error exceeds ``oracle.LYAPUNOV_RTOL``."""
+
+
 class NegativeOccupation(CfcoolError, ArithmeticError):
     """A phonon number came out negative beyond numerical tolerance."""
 

@@ -40,6 +40,7 @@ import numpy as np
 from .design import SystemConfig, Topology, closed_loop_response
 from .errors import (
     InvalidParam,
+    LyapunovResidual,
     NegativeOccupation,
     UnstableModel,
     UnsupportedDelay,
@@ -49,7 +50,7 @@ from .spectra import MechanicalBath, scattering_rates, steady_phonon
 #: Stability margin: every drift eigenvalue must satisfy Re < -margin*||A||.
 STABILITY_MARGIN = 1e-12
 
-#: Accepted Lyapunov residual, relative to ||D||.
+#: Accepted Lyapunov backward error: residual relative to 2||A|| ||V|| + ||D||.
 LYAPUNOV_RTOL = 1e-10
 
 _LABELS = ("X_m", "P_m", "X_c", "P_c", "X_f", "P_f")
@@ -128,8 +129,9 @@ def _optics(config: SystemConfig):
     return _mode_block(delta_eff, kappa_eff), (-math.sqrt(kappa_eff) * eye,)
 
 
-def build_state_space(config: SystemConfig, bath: MechanicalBath) -> StateSpaceModel:
-    """Assemble drift and diffusion for the configured loop at zero delay.
+def drift_matrix(config: SystemConfig, bath: MechanicalBath) -> np.ndarray:
+    """Drift A of the configured loop at zero delay: the one assembly of the
+    mechanics block, the optics and the -2 g X_c X_m coupling.
 
     Raises :class:`UnsupportedDelay` for config.delay > 0: a delay line is
     infinite-dimensional and has no exact realization here.
@@ -137,18 +139,24 @@ def build_state_space(config: SystemConfig, bath: MechanicalBath) -> StateSpaceM
     if config.delay > 0:
         raise UnsupportedDelay("state-space oracle supports zero loop delay only")
     cav = config.cav
-    optics, vacua = _optics(config)
+    optics, _ = _optics(config)
     n = 2 + optics.shape[0]
-
     A = np.zeros((n, n))
     A[0:2, 0:2] = _mode_block(-cav.omega_m, bath.gamma_m)
     A[2:, 2:] = optics
     # The full -2g X_c X_m interaction, beam-splitter and squeezing terms alike.
     A[1, 2] += 2.0 * cav.g
     A[3, 0] += 2.0 * cav.g
+    return A
 
+
+def build_state_space(config: SystemConfig, bath: MechanicalBath) -> StateSpaceModel:
+    """Drift (:func:`drift_matrix`) plus vacuum and thermal diffusion of the
+    configured loop at zero delay, validated as a :class:`StateSpaceModel`."""
+    A = drift_matrix(config, bath)
+    n = A.shape[0]
     D = np.zeros((n, n))
-    for b in vacua:
+    for b in _optics(config)[1]:
         D[2:, 2:] += 0.5 * b @ b.T
     b_mech = -math.sqrt(bath.gamma_m) * np.eye(2)
     D[0:2, 0:2] = (bath.n_th + 0.5) * b_mech @ b_mech.T
@@ -156,17 +164,31 @@ def build_state_space(config: SystemConfig, bath: MechanicalBath) -> StateSpaceM
     return StateSpaceModel(drift=A, diffusion=D, labels=_LABELS[:n])
 
 
+def is_hurwitz(drift: np.ndarray) -> np.ndarray:
+    """Strict Hurwitz test over a stack of drift matrices (..., n, n): one flag
+    per matrix, True when every eigenvalue has Re < -STABILITY_MARGIN*||A||_2.
+
+    This is the one stability rule; a single model is the size-1 stack.
+    """
+    eigs = np.linalg.eigvals(drift)
+    margin = STABILITY_MARGIN * np.linalg.norm(drift, 2, axis=(-2, -1))
+    return np.all(eigs.real < -margin[..., None], axis=-1)
+
+
 def is_stable(m: StateSpaceModel) -> bool:
-    """Strict Hurwitz test: every eigenvalue real part below -margin*||A||."""
-    eigs = np.linalg.eigvals(m.drift)
-    return bool(np.all(eigs.real < -STABILITY_MARGIN * np.linalg.norm(m.drift, 2)))
+    """:func:`is_hurwitz` of one model's drift."""
+    return bool(is_hurwitz(m.drift))
 
 
 def steady_covariance(m: StateSpaceModel) -> np.ndarray:
     """Solve A V + V A^T + D = 0 by the dense vectorized linear system.
 
     Sizes here never exceed 8x8, so the Kronecker solve is exact enough and
-    needs no tuning; the residual is checked against ``LYAPUNOV_RTOL``.
+    needs no tuning.  The solve is accepted when its normwise backward error
+    is small: residual <= ``LYAPUNOV_RTOL``*(2||A|| ||V|| + ||D||), which
+    scales with the solution, so the huge covariance of a weakly damped,
+    strongly driven loop passes when it is accurate.  Raises
+    :class:`LyapunovResidual` otherwise.
     """
     if not is_stable(m):
         raise UnstableModel("drift is not Hurwitz; no stationary covariance")
@@ -178,9 +200,11 @@ def steady_covariance(m: StateSpaceModel) -> np.ndarray:
     V = v.reshape((n, n), order="F")
     V = 0.5 * (V + V.T)
     residual = np.linalg.norm(A @ V + V @ A.T + D)
-    if residual > LYAPUNOV_RTOL * np.linalg.norm(D):
-        raise ArithmeticError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance; ill-conditioned drift?"
+    scale = 2.0 * np.linalg.norm(A) * np.linalg.norm(V) + np.linalg.norm(D)
+    if residual > LYAPUNOV_RTOL * scale:
+        raise LyapunovResidual(
+            f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RTOL:g}*{scale:.3e}; "
+            "ill-conditioned drift?"
         )
     return V
 

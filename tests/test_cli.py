@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from cfcool import oracle
 from cfcool.cli import (
     OutputTable,
     cmd_design,
@@ -24,6 +25,9 @@ from cfcool.cli import (
 from cfcool.errors import ConfigError, UnitError
 
 NOTCH_FLAGS = ["--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa-f", "1"]
+#: A stable loop whose steady covariance is huge (resonant drive, gamma_m -> 0).
+WEAKLY_DAMPED_BANDPASS = ["--topology", "bandpass", "--kappa", "1", "--delta", "0", "--g", "1",
+                          "--kappa-f", "1", "--delta-f", "0", "--gamma-m", "1e-6", "--n-th", "0"]
 GRID_FLAGS = ["--omega-min", "-3", "--omega-max", "3", "--points", "601"]
 
 
@@ -233,6 +237,14 @@ class TestOracleCommand:
         assert line.startswith("0,")  # stable=0, remaining fields empty
         assert line == "0,,,"
 
+    def test_weakly_damped_loop_passes_backward_error_gate(self, capsys):
+        # n ~ 4.7e5 with a normwise backward error of 1.2e-17: the gate must
+        # scale with ||V||, not with ||D|| alone.
+        assert main(["oracle", *WEAKLY_DAMPED_BANDPASS]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[0] == "1"
+        assert math.isfinite(float(row[1])) and float(row[1]) > 0
+
 
 class TestDesignCommand:
     def test_resolved_design_point(self):
@@ -350,6 +362,15 @@ class TestExitCodes:
                 *controller, "--delta", "auto"]
         assert main(argv) == 1
         assert "needs a symmetric lossless controller" in capsys.readouterr().err
+
+    def test_lyapunov_gate_exits_two_without_traceback(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "LYAPUNOV_RTOL", 0.0)
+        assert main(["oracle", *WEAKLY_DAMPED_BANDPASS]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cfcool: numeric failure: Lyapunov residual")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0

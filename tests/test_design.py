@@ -1,5 +1,7 @@
 """Preset construction, optimal detuning, feasibility, and sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,16 @@ from cfcool import (
     Topology,
     argmax_detuning_numeric,
     bandpass_ground_state_feasible,
+    build_state_space,
     closed_loop_response,
+    is_stable,
     make_bandpass,
     make_notch,
     optimal_detuning,
     scattering_rates,
     sweep,
 )
+from cfcool import oracle
 
 
 class TestPresets:
@@ -181,6 +186,33 @@ class TestSweep:
         cfg = make_notch(10.0, 1.0, 0.1, 1.0)
         table = sweep(cfg, "delta", [-3.5, -1.0], bath=MechanicalBath(1e-5, 10.0))
         assert all(row.stable is True for row in table.rows)
+
+    @pytest.mark.parametrize("cfg", [
+        # Blue detuning antidamps the mechanics faster than gamma_m damps it,
+        # except near delta = 0, where the bath decides the flag.
+        SystemConfig(OptoCavityParams(1.0, -1.0, 0.05, 1.0), None, Topology.NONE),
+        # Strong coupling near the controller resonance destabilizes the loop.
+        make_notch(10.0, 1.0, 0.1, 1.0),
+    ])
+    def test_stability_flags_cross_the_boundary(self, cfg):
+        # Each batched flag must be the per-row oracle's verdict.
+        bath = MechanicalBath(1e-3, 10.0)
+        table = sweep(cfg, "delta", np.linspace(-3.0, 3.0, 41), bath=bath)
+        flags = [row.stable for row in table.rows]
+        assert True in flags and False in flags
+        for row in table.rows:
+            row_cfg = SystemConfig(replace(cfg.cav, delta=row.value), cfg.filt, cfg.topology)
+            assert row.stable is is_stable(build_state_space(row_cfg, bath))
+
+    def test_delayed_loop_flags_are_unknown(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("stability tested for a delayed loop")
+
+        monkeypatch.setattr(oracle, "is_hurwitz", fail)
+        cfg = replace(make_notch(10.0, 1.0, 0.1, 1.0), delay=0.1)
+        table = sweep(cfg, "delta", [-3.5, -1.0, 0.5])
+        assert [row.stable for row in table.rows] == [None, None, None]
+        assert all(row.rates is not None for row in table.rows)
 
     def test_grid_validation(self):
         cfg = make_notch(10.0, 1.0, 0.1, 1.0)

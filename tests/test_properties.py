@@ -1,8 +1,10 @@
 """Property tests over random loops: closed forms, solver, path selection,
-controller unitarity and the physicality of the state-space oracle."""
+controller unitarity, the physicality of the state-space oracle, the batched
+stability rule and the rate floor at weak coupling."""
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfcool import (
@@ -17,9 +19,13 @@ from cfcool import (
     closed_form_bandpass,
     closed_form_notch,
     closed_loop_response,
+    consistency_check,
+    drift_matrix,
     heisenberg_defect,
+    is_hurwitz,
     is_stable,
     make_notch,
+    optimal_detuning,
     phonon_number,
     reflection_sys,
     scattering,
@@ -65,6 +71,10 @@ def any_controllers(loss=st.just(0.0) | rates(1e-3, 10.0)):
         loss,
         rates(-20.0, 20.0),
     )
+
+
+def baths():
+    return st.builds(MechanicalBath, gamma_m=rates(1e-6, 0.1), n_th=rates(0.0, 1e3))
 
 
 def outcome(response, omega):
@@ -147,18 +157,53 @@ def test_lossless_elements_are_unitary(cav, filt, omega):
     topology=TOPOLOGIES,
     cav=cavities(),
     filt=any_controllers(),
-    bath=st.builds(MechanicalBath, gamma_m=rates(1e-6, 0.1), n_th=rates(0.0, 1e3)),
+    bath=baths(),
+)
+# A resonant, barely damped loop: n ~ 4.7e5 with a backward error of 1.2e-17,
+# so the Lyapunov gate must scale with ||V||, not with ||D|| alone.
+@example(
+    topology=Topology.BANDPASS,
+    cav=OptoCavityParams(kappa=1.0, delta=0.0, g=1.0, omega_m=1.0),
+    filt=FilterCavityParams.symmetric(kappa_f=1.0, delta_f=0.0),
+    bath=MechanicalBath(gamma_m=1e-6, n_th=0.0),
 )
 def test_oracle_state_is_physical(topology, cav, filt, bath):
     model = build_state_space(SystemConfig(cav, filt, topology), bath)
     assume(is_stable(model))
-    try:
-        V = steady_covariance(model)
-    except ArithmeticError as exc:
-        # The residual gate compares |AV + VA^T + D| with |D| alone, so it
-        # refuses some accurate solves whose covariance is huge (resonant
-        # drive, gamma_m -> 0); there is then no state to check.
-        assert "Lyapunov residual" in str(exc)
-        reject()
+    V = steady_covariance(model)
     phonon_number(V)  # raises NegativeOccupation below -1e-9
     assert heisenberg_defect(V) >= -1e-9
+
+
+@SETTINGS
+@given(
+    topology=TOPOLOGIES,
+    rows=st.lists(
+        st.tuples(
+            # Strong coupling and either detuning sign: many draws are unstable.
+            st.builds(OptoCavityParams, kappa=rates(0.1, 100.0), delta=rates(-20.0, 20.0),
+                      g=rates(0.0, 5.0), omega_m=rates(0.1, 10.0)),
+            any_controllers(),
+            baths(),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_batched_hurwitz_matches_per_row_oracle(topology, rows):
+    configs = [(SystemConfig(cav, filt, topology), bath) for cav, filt, bath in rows]
+    flags = is_hurwitz(np.stack([drift_matrix(cfg, bath) for cfg, bath in configs]))
+    assert flags.tolist() == [is_stable(build_state_space(cfg, bath)) for cfg, bath in configs]
+
+
+@SETTINGS
+@given(
+    kappa=rates(1.0, 20.0),
+    kappa_f=rates(0.25, 4.0),
+    g_over_kappa=rates(0.0005, 0.0025),
+)
+def test_rate_floor_reproduced_at_weak_coupling(kappa, kappa_f, g_over_kappa):
+    # Criterion 8's bath, at the notch loop's optimal detuning.
+    delta = optimal_detuning(1.0, kappa, kappa_f)
+    cfg = make_notch(kappa, 1.0, g_over_kappa * kappa, kappa_f, delta_override=delta)
+    assert consistency_check(cfg, MechanicalBath(gamma_m=1e-5, n_th=100.0)).rel_dev <= 0.05
