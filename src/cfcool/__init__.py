@@ -64,12 +64,9 @@ from .oracle import (
     steady_covariance,
 )
 from .spectra import (
-    LindbladRates,
     MechanicalBath,
     RateResult,
     Spectrum,
-    lindblad_rates,
-    n_min,
     rate_spectrum,
     scattering_rates,
     steady_phonon,

@@ -58,8 +58,6 @@ def preset_detunings(topology: Topology, omega_m: float) -> tuple[float, float |
 
 
 def _preset(kappa, omega_m, g, kappa_f, delta_override, topology):
-    if kappa <= 0 or omega_m <= 0 or kappa_f <= 0:
-        raise InvalidParam("kappa, omega_m and kappa_f must all be > 0")
     delta, delta_f = preset_detunings(topology, omega_m)
     delta = delta if delta_override is None else delta_override
     return SystemConfig(
@@ -226,7 +224,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    parameter: str
     rows: tuple[SweepRow, ...]
 
 
@@ -295,4 +292,4 @@ def sweep(
         except SingularLoop:
             rates, singular = None, True
         rows.append(SweepRow(value=value, rates=rates, stable=stable, singular=singular))
-    return SweepTable(parameter=parameter.value, rows=tuple(rows))
+    return SweepTable(rows=tuple(rows))

@@ -75,11 +75,6 @@ class OptoCavityParams:
         if self.g < 0:
             raise InvalidParam(f"g must be >= 0, got {self.g}")
 
-    @property
-    def is_sideband_resolved(self) -> bool:
-        """True when the cavity linewidth fits under the mechanical frequency."""
-        return self.kappa < self.omega_m
-
 
 @dataclass(frozen=True)
 class FilterCavityParams:

@@ -53,8 +53,6 @@ STABILITY_MARGIN = 1e-12
 #: Accepted Lyapunov backward error: residual relative to 2||A|| ||V|| + ||D||.
 LYAPUNOV_RTOL = 1e-10
 
-_LABELS = ("X_m", "P_m", "X_c", "P_c", "X_f", "P_f")
-
 
 @dataclass(frozen=True, eq=False)
 class StateSpaceModel:
@@ -62,7 +60,6 @@ class StateSpaceModel:
 
     drift: np.ndarray
     diffusion: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         a = np.asarray(self.drift, dtype=float)
@@ -72,8 +69,6 @@ class StateSpaceModel:
         n = a.shape[0]
         if n % 2 or d.shape != (n, n):
             raise InvalidParam("diffusion must match the (even-sized) drift")
-        if len(self.labels) != n:
-            raise InvalidParam("one label per quadrature required")
         if not np.allclose(d, d.T):
             raise InvalidParam("diffusion matrix must be symmetric")
         if np.linalg.eigvalsh(0.5 * (d + d.T)).min() < -1e-12 * max(np.linalg.norm(d), 1.0):
@@ -86,7 +81,6 @@ class StateSpaceModel:
 class OracleReport:
     """Outcome of one Lyapunov-vs-rate-equation comparison."""
 
-    stable: bool
     n_oracle: float
     n_rate: float
     rel_dev: float
@@ -129,17 +123,12 @@ def _optics(config: SystemConfig):
     return _mode_block(delta_eff, kappa_eff), (-math.sqrt(kappa_eff) * eye,)
 
 
-def drift_matrix(config: SystemConfig, bath: MechanicalBath) -> np.ndarray:
-    """Drift A of the configured loop at zero delay: the one assembly of the
-    mechanics block, the optics and the -2 g X_c X_m coupling.
-
-    Raises :class:`UnsupportedDelay` for config.delay > 0: a delay line is
-    infinite-dimensional and has no exact realization here.
-    """
+def _assemble(config: SystemConfig, bath: MechanicalBath):
+    # Drift and optical vacuum inputs from one _optics call; see drift_matrix.
     if config.delay > 0:
         raise UnsupportedDelay("state-space oracle supports zero loop delay only")
     cav = config.cav
-    optics, _ = _optics(config)
+    optics, inputs = _optics(config)
     n = 2 + optics.shape[0]
     A = np.zeros((n, n))
     A[0:2, 0:2] = _mode_block(-cav.omega_m, bath.gamma_m)
@@ -147,21 +136,31 @@ def drift_matrix(config: SystemConfig, bath: MechanicalBath) -> np.ndarray:
     # The full -2g X_c X_m interaction, beam-splitter and squeezing terms alike.
     A[1, 2] += 2.0 * cav.g
     A[3, 0] += 2.0 * cav.g
-    return A
+    return A, inputs
+
+
+def drift_matrix(config: SystemConfig, bath: MechanicalBath) -> np.ndarray:
+    """Drift A of the configured loop at zero delay: the one assembly of the
+    mechanics block, the optics and the -2 g X_c X_m coupling.
+
+    Raises :class:`UnsupportedDelay` for config.delay > 0: a delay line is
+    infinite-dimensional and has no exact realization here.
+    """
+    return _assemble(config, bath)[0]
 
 
 def build_state_space(config: SystemConfig, bath: MechanicalBath) -> StateSpaceModel:
     """Drift (:func:`drift_matrix`) plus vacuum and thermal diffusion of the
     configured loop at zero delay, validated as a :class:`StateSpaceModel`."""
-    A = drift_matrix(config, bath)
+    A, inputs = _assemble(config, bath)
     n = A.shape[0]
     D = np.zeros((n, n))
-    for b in _optics(config)[1]:
+    for b in inputs:
         D[2:, 2:] += 0.5 * b @ b.T
     b_mech = -math.sqrt(bath.gamma_m) * np.eye(2)
     D[0:2, 0:2] = (bath.n_th + 0.5) * b_mech @ b_mech.T
 
-    return StateSpaceModel(drift=A, diffusion=D, labels=_LABELS[:n])
+    return StateSpaceModel(drift=A, diffusion=D)
 
 
 def is_hurwitz(drift: np.ndarray) -> np.ndarray:
@@ -258,7 +257,6 @@ def consistency_check(
     n_rate = steady_phonon(rates, bath)
     rel_dev = abs(n_oracle - n_rate) / max(n_rate, 1e-12)
     return OracleReport(
-        stable=True,
         n_oracle=n_oracle,
         n_rate=n_rate,
         rel_dev=rel_dev,

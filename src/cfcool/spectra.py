@@ -60,10 +60,12 @@ class Spectrum:
 class RateResult:
     """Stokes/anti-Stokes rate pair and the cooling figures derived from it.
 
-    ``gamma_opt = a_minus - a_plus`` is the optically induced damping (may be
-    negative, meaning net heating); ``n_min = a_plus / gamma_opt`` is the
-    occupation floor in the vanishing-mechanical-damping limit, defined only
-    when gamma_opt > 0 (``None`` otherwise).
+    In the Lindblad picture ``a_minus`` multiplies the dissipator D[b] and
+    ``a_plus`` multiplies D[b^dag].  ``gamma_opt = a_minus - a_plus`` is the
+    optically induced damping (may be negative, meaning net heating);
+    ``n_min = a_plus / gamma_opt`` is the occupation floor in the
+    vanishing-mechanical-damping limit, defined only when gamma_opt > 0
+    (``None`` otherwise).
     """
 
     a_plus: float
@@ -81,14 +83,6 @@ class RateResult:
         object.__setattr__(
             self, "n_min", self.a_plus / gamma_opt if gamma_opt > 0 else None
         )
-
-
-@dataclass(frozen=True)
-class LindbladRates:
-    """Dissipator coefficients: gamma_minus multiplies D[b], gamma_plus D[b^dag]."""
-
-    gamma_minus: float
-    gamma_plus: float
 
 
 def rate_spectrum(chi_cl: ResponseFn, g: float, grid: Iterable[float]) -> Spectrum:
@@ -120,20 +114,11 @@ def scattering_rates(chi_cl: ResponseFn, g: float, omega_m: float) -> RateResult
     return RateResult(a_plus=a_plus, a_minus=a_minus)
 
 
-def n_min(r: RateResult) -> float:
-    """Occupation floor a_plus / (a_minus - a_plus) for net cooling."""
-    if r.gamma_opt <= 0:
-        raise NoNetCooling(
-            f"no net cooling: a_plus={r.a_plus!r}, a_minus={r.a_minus!r}"
-        )
-    return r.a_plus / r.gamma_opt
-
-
 def steady_phonon(r: RateResult, bath: MechanicalBath) -> float:
     """Stationary occupation (a_plus + gamma_m n_th) / (gamma_opt + gamma_m).
 
     Standard rate-equation balance of optical scattering against the
-    mechanical bath; reduces to :func:`n_min` as gamma_m -> 0.
+    mechanical bath; reduces to :attr:`RateResult.n_min` as gamma_m -> 0.
     """
     den = r.gamma_opt + bath.gamma_m
     if den <= 0:
@@ -141,12 +126,3 @@ def steady_phonon(r: RateResult, bath: MechanicalBath) -> float:
             f"rate-equation denominator {den!r} <= 0: no stationary occupation"
         )
     return (r.a_plus + bath.gamma_m * bath.n_th) / den
-
-
-def lindblad_rates(r: RateResult) -> LindbladRates:
-    """Map the scattering rates onto dissipator coefficients.
-
-    The anti-Stokes rate drives the jump-down channel D[b] and the Stokes rate
-    the jump-up channel D[b^dag].
-    """
-    return LindbladRates(gamma_minus=r.a_minus, gamma_plus=r.a_plus)

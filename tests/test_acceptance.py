@@ -33,7 +33,6 @@ from cfcool import (
     heisenberg_defect,
     is_stable,
     make_notch,
-    n_min,
     notch_network,
     optimal_detuning,
     argmax_detuning_numeric,
@@ -121,7 +120,7 @@ def test_criterion_05_uncontrolled_baseline():
         r = scattering_rates(closed_loop_response(cfg), G, OMEGA_M)
         assert rel_err(r.a_minus, 0.004) <= 1e-9
         assert rel_err(r.a_plus, 0.1 / 29.0) <= 1e-9
-        assert rel_err(n_min(r), 6.25) <= 1e-9
+        assert rel_err(r.n_min, 6.25) <= 1e-9
 
 
 def test_criterion_06_filter_unitarity_and_half_reflection():
@@ -185,7 +184,7 @@ def test_criterion_08_independent_lyapunov_oracle():
             assert report.rel_dev <= 0.05
             if expect_ground:
                 assert report.n_oracle < 1.0
-                assert not cfg.cav.is_sideband_resolved  # kappa/omega_m = 10
+                assert cfg.cav.kappa > cfg.cav.omega_m  # unresolved: kappa/omega_m = 10
 
 
 def test_criterion_09_mirror_imbalance_leaks_stokes():

@@ -372,6 +372,19 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_no_net_cooling_in_oracle_exits_two_without_traceback(self, capsys):
+        # The exact drift is Hurwitz, so the oracle solves, but the rate
+        # equation's denominator gamma_opt + gamma_m is -0.02.
+        argv = ["oracle", "--kappa", "2", "--delta", "1", "--g", "0.5",
+                "--gamma-m", "0.38", "--n-th", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cfcool: numeric failure: rate-equation denominator")
+        assert "<= 0: no stationary occupation" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
         assert "cfcool <command> --help" in capsys.readouterr().out

@@ -49,10 +49,6 @@ class TestParams:
         with pytest.raises(InvalidParam):
             FilterCavityParams(kappa1=-1.0, kappa2=2.0, delta_f=0.0)
 
-    def test_sideband_resolution_classifier(self):
-        assert not CAV.is_sideband_resolved  # kappa = 10 > omega_m = 1
-        assert OptoCavityParams(0.1, -1.0, 0.1, 1.0).is_sideband_resolved
-
     def test_symmetric_ideal_predicate(self):
         assert FILT.is_symmetric_ideal
         assert FILT.kappa_f == 1.0
