@@ -1,8 +1,11 @@
 """Frequency-domain elements and interconnection algebra for coherent-feedback
 loops around a driven cavity.
 
-Everything is evaluated pointwise at real frequencies in the rotating frame of
-the drive laser.  The frequency-domain convention is
+Everything is evaluated at real frequencies in the rotating frame of the
+drive laser, one float omega or a whole ndarray grid through the same code: a
+float call returns a scalar, an array call an array over omega's shape, and an
+element's S-matrix leads with its port axes, (n_out, n_in, *omega.shape).  The
+frequency-domain convention is
 
     x(omega) = integral x(t) exp(+i omega t) dt,   i.e.  d/dt -> -i omega,
 
@@ -16,7 +19,6 @@ omega = -delta_f on this axis.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
@@ -122,8 +124,11 @@ class FilterCavityParams:
         return self.kappa1
 
 
-def chi(cav: OptoCavityParams, omega: float) -> complex:
+def chi(cav: OptoCavityParams, omega: float | np.ndarray) -> complex | np.ndarray:
     """Intracavity response sqrt(kappa) / (i*(delta + omega) - kappa/2).
+
+    ``omega`` is a float (the result is a complex scalar) or an ndarray (an
+    array of omega's shape).
 
     Transfer gain from the field incident on the coupling mirror to the
     intracavity field (units rad^-1/2 s^1/2); its squared modulus is the
@@ -132,8 +137,9 @@ def chi(cav: OptoCavityParams, omega: float) -> complex:
     return math.sqrt(cav.kappa) / (1j * (cav.delta + omega) - cav.kappa / 2.0)
 
 
-def reflection_sys(cav: OptoCavityParams, omega: float) -> complex:
-    """Reflection off the cavity coupling mirror, 1 + sqrt(kappa)*chi(omega).
+def reflection_sys(cav: OptoCavityParams, omega: float | np.ndarray) -> complex | np.ndarray:
+    """Reflection off the cavity coupling mirror, 1 + sqrt(kappa)*chi(omega);
+    scalar for a float omega, an array of omega's shape for an array.
 
     The one-port cavity is lossless, so this has unit modulus at every real
     frequency; only the phase winds through resonance.
@@ -141,15 +147,19 @@ def reflection_sys(cav: OptoCavityParams, omega: float) -> complex:
     return 1.0 + math.sqrt(cav.kappa) * chi(cav, omega)
 
 
-def delay_response(tau: float, omega: float) -> complex:
-    """Phase factor of a propagation delay tau >= 0 (unit modulus)."""
+def delay_response(tau: float, omega: float | np.ndarray) -> complex | np.ndarray:
+    """Phase factor of a propagation delay tau >= 0 (unit modulus); scalar for
+    a float omega, an array of omega's shape for an array."""
     if not math.isfinite(tau) or tau < 0:
         raise InvalidParam(f"tau must be finite and >= 0, got {tau!r}")
-    return cmath.exp(DELAY_PHASE_SIGN * 1j * omega * tau)
+    return np.exp(DELAY_PHASE_SIGN * 1j * omega * tau)
 
 
-def scattering(f: FilterCavityParams, omega: float) -> np.ndarray:
+def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
     """2x2 port scattering [[R11, T12], [T21, R22]] of the controller cavity.
+
+    The result has shape (2, 2, *omega.shape): (2, 2) for a float omega, whose
+    entries are then complex scalars.
 
     With d(omega) = i*(omega + delta_f) - kappa_total/2:
 
@@ -168,6 +178,18 @@ def scattering(f: FilterCavityParams, omega: float) -> np.ndarray:
     )
 
 
+def _raise_if_singular(omega, den):
+    # The one singularity rule of both loop evaluators; den is a numpy scalar
+    # for a float omega, an array for a grid.  The scalar case keeps a plain
+    # truth test: np.bool_.any() costs ~3 us, 20x the whole check.
+    small = abs(den) < DEN_SINGULAR
+    if small.ndim:
+        if small.any():
+            raise SingularLoop(float(omega[small][0]))
+    elif small:
+        raise SingularLoop(omega)
+
+
 def _closed_loop(cav, f, omega, wiring, fwd, fb):
     # The loop equation chi*S_fwd / (1 - r_sys*S_fb) shared by both wirings;
     # fwd and fb pick the controller entries [R, T] on the feed and feedback paths.
@@ -177,12 +199,13 @@ def _closed_loop(cav, f, omega, wiring, fwd, fb):
         )
     s = scattering(f, omega)
     den = 1.0 - reflection_sys(cav, omega) * s[0, fb]
-    if abs(den) < DEN_SINGULAR:
-        raise SingularLoop(omega)
+    _raise_if_singular(omega, den)
     return chi(cav, omega) * s[0, fwd] / den
 
 
-def closed_form_notch(cav: OptoCavityParams, f: FilterCavityParams, omega: float) -> complex:
+def closed_form_notch(
+    cav: OptoCavityParams, f: FilterCavityParams, omega: float | np.ndarray
+) -> complex | np.ndarray:
     """Loop response chi*R / (1 - (sqrt(kappa)*chi + 1)*T) of the band-blocking wiring.
 
     Valid for symmetric lossless controllers; the controller reflection feeds
@@ -191,7 +214,9 @@ def closed_form_notch(cav: OptoCavityParams, f: FilterCavityParams, omega: float
     return _closed_loop(cav, f, omega, "band-blocking", 0, 1)
 
 
-def closed_form_bandpass(cav: OptoCavityParams, f: FilterCavityParams, omega: float) -> complex:
+def closed_form_bandpass(
+    cav: OptoCavityParams, f: FilterCavityParams, omega: float | np.ndarray
+) -> complex | np.ndarray:
     """Loop response chi*T / (1 - (sqrt(kappa)*chi + 1)*R) of the band-passing wiring.
 
     Valid for symmetric lossless controllers; only the band transmitted by the
@@ -213,10 +238,11 @@ class CavityReflection:
     n_inputs: ClassVar[int] = 1
     n_outputs: ClassVar[int] = 1
 
-    def s_matrix(self, omega: float) -> np.ndarray:
+    def s_matrix(self, omega: float | np.ndarray) -> np.ndarray:
+        """[[r_sys]], shape (1, 1, *omega.shape); (1, 1) for a float omega."""
         return np.array([[reflection_sys(self.cav, omega)]], dtype=complex)
 
-    def tap_gain(self, omega: float) -> complex:
+    def tap_gain(self, omega: float | np.ndarray) -> complex | np.ndarray:
         return chi(self.cav, omega)
 
 
@@ -228,7 +254,8 @@ class FilterTwoPort:
     n_inputs: ClassVar[int] = 2
     n_outputs: ClassVar[int] = 2
 
-    def s_matrix(self, omega: float) -> np.ndarray:
+    def s_matrix(self, omega: float | np.ndarray) -> np.ndarray:
+        """:func:`scattering`, shape (2, 2, *omega.shape); (2, 2) for a float omega."""
         return scattering(self.filt, omega)
 
 
@@ -240,7 +267,8 @@ class DelayLine:
     n_inputs: ClassVar[int] = 1
     n_outputs: ClassVar[int] = 1
 
-    def s_matrix(self, omega: float) -> np.ndarray:
+    def s_matrix(self, omega: float | np.ndarray) -> np.ndarray:
+        """[[e^{i omega tau}]], shape (1, 1, *omega.shape); (1, 1) for a float omega."""
         return np.array([[delay_response(self.tau, omega)]], dtype=complex)
 
 
@@ -310,18 +338,22 @@ class NetworkSpec:
         return self._by_name[name]
 
 
-def solve_network(net: NetworkSpec, omega: float) -> complex:
+def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.ndarray:
     """Response of the tapped intracavity field to a unit-amplitude external input.
 
     Stacks all element input signals into x, assembles x = M(omega) x + e_in,
     solves the linear system, and applies the tap cavity's internal gain
-    chi(omega) to its port signal.  Raises :class:`SingularLoop` where the
-    loop is singular, |det(I - M)| < ``DEN_SINGULAR`` (see there).
+    chi(omega) to its port signal.  A float omega returns a Python complex;
+    an ndarray grid is solved as one (*omega.shape, n, n) stack with one
+    batched det and one batched solve, and returns an array of omega's shape.
+    Raises :class:`SingularLoop` where the loop is singular,
+    |det(I - M)| < ``DEN_SINGULAR`` (see there), carrying the first such grid
+    frequency.
     """
     index = net.index
     n = len(index)
 
-    M = np.zeros((n, n), dtype=complex)
+    M = np.zeros((n, n, *np.shape(omega)), dtype=complex)
     smats = {name: el.s_matrix(omega) for name, el in net.elements}
     for (src, p_out), dst_port in net.wiring:
         row = index[dst_port]
@@ -329,14 +361,19 @@ def solve_network(net: NetworkSpec, omega: float) -> complex:
         for j in range(s.shape[1]):
             M[row, index[(src, j)]] += s[p_out, j]
 
-    b = np.zeros(n, dtype=complex)
-    b[index[net.input_port]] = 1.0
+    # b is one (n, 1) column per grid point, so A and b have the same ndim and
+    # every numpy >= 1.23 reads it as the matrix right-hand side; a 1-d b
+    # against a stacked A is a vector per point only on numpy >= 2.0.
+    b = np.zeros((*np.shape(omega), n, 1), dtype=complex)
+    b[..., index[net.input_port], 0] = 1.0
 
-    A = np.eye(n, dtype=complex) - M
-    if abs(np.linalg.det(A)) < DEN_SINGULAR:
-        raise SingularLoop(omega)
-    x = np.linalg.solve(A, b)
-    return complex(net.element(net.tap).tap_gain(omega) * x[index[(net.tap, 0)]])
+    A = np.eye(n, dtype=complex) - np.moveaxis(M, (0, 1), (-2, -1))
+    _raise_if_singular(omega, np.linalg.det(A))
+    x = np.linalg.solve(A, b)[..., 0]
+    # [()] turns the 0-d result of a float call into a scalar, keeping 0-d
+    # arrays (and their SIMD ufunc loops) out of the scalar arithmetic.
+    out = net.element(net.tap).tap_gain(omega) * x[..., index[(net.tap, 0)]][()]
+    return out if isinstance(out, np.ndarray) else complex(out)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ import numpy as np
 
 from .errors import InvalidParam, NoNetCooling
 
-ResponseFn = Callable[[float], complex]
+#: chi_cl(omega): a float omega gives a complex scalar, an ndarray grid an
+#: array of its shape (as every response in :mod:`cfcool.netalg` does).
+ResponseFn = Callable[[float | np.ndarray], complex | np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -88,13 +90,15 @@ class RateResult:
 def rate_spectrum(chi_cl: ResponseFn, g: float, grid: Iterable[float]) -> Spectrum:
     """Evaluate Sigma(omega) = g^2 |chi_cl(omega)|^2 on a frequency grid.
 
-    ``chi_cl`` may raise :class:`~cfcool.errors.SingularLoop`; the exception
-    (carrying the offending frequency) propagates unchanged.
+    ``chi_cl`` is called once, on the whole grid as a float ndarray, and must
+    return an array of its shape.  It may raise
+    :class:`~cfcool.errors.SingularLoop`; the exception (carrying the first
+    singular grid frequency) propagates unchanged.
     """
     if g < 0:
         raise InvalidParam(f"g must be >= 0, got {g}")
     omegas = np.asarray(list(grid), dtype=float)
-    values = np.array([g * g * abs(chi_cl(w)) ** 2 for w in omegas], dtype=float)
+    values = g * g * np.abs(chi_cl(omegas)) ** 2
     return Spectrum(omegas=omegas, values=values)
 
 

@@ -422,6 +422,13 @@ class TestGoldenBytes:
              "5e58b407e29539732b64ae7232558d2245c4e774466b58fe33b543d66958f93f"),
             ("design --topology notch --kappa 10 --g 0.1 --kappa-f 1",
              "cb6b1460a52c1c0987518090452bf31f3706b0bce1b3a7814a93b59778b35b8a"),
+            # Asymmetric, lossy, delayed loops: the network solver and the delay line.
+            ("rates --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
+             "--kappa-loss 0.2 --tau 0.5",
+             "4b632b95b84d1d3a9116aea1bb0f3ea063053112dd6fb8833ef91debfe160829"),
+            ("spectrum --topology bandpass --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
+             "--kappa-loss 0.2 --tau 0.5 --omega-min -3 --omega-max 3 --points 601",
+             "d86e97d1381b9e21dd4cdd68699e3cb1ab882fbabb62c80488133155e920a587"),
         ],
     )
     def test_readme_command_digest(self, capsys, command, digest):

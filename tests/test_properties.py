@@ -1,6 +1,7 @@
 """Property tests over random loops: closed forms, solver, path selection,
-controller unitarity, the physicality of the state-space oracle, the batched
-stability rule and the rate floor at weak coupling."""
+grid calls against per-point calls, controller unitarity, the physicality of
+the state-space oracle, the batched stability rule and the rate floor at weak
+coupling."""
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from cfcool import (
     SystemConfig,
     Topology,
     build_state_space,
+    chi,
     closed_form_bandpass,
     closed_form_notch,
     closed_loop_response,
     consistency_check,
+    delay_response,
     drift_matrix,
     heisenberg_defect,
     is_hurwitz,
@@ -43,6 +46,8 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 FORMS = {Topology.NOTCH: closed_form_notch, Topology.BANDPASS: closed_form_bandpass}
 #: Controller entry [R, T] on each wiring's feedback path.
 FEEDBACK = {Topology.NOTCH: 1, Topology.BANDPASS: 0}
+#: Controller output port that drives the cavity in each wiring.
+FEED = {Topology.NOTCH: 0, Topology.BANDPASS: 1}
 LOOPS = st.sampled_from(sorted(FORMS, key=lambda t: t.value))
 TOPOLOGIES = st.sampled_from(sorted(Topology, key=lambda t: t.value))
 
@@ -88,6 +93,53 @@ def outcome(response, omega):
 def rel_err(a, b):
     m = max(abs(a), abs(b))
     return abs(a - b) / m if m > 0 else 0.0
+
+
+def grids(lo=-50.0, hi=50.0):
+    """Sorted grids of 1-16 distinct frequencies."""
+    return st.lists(rates(lo, hi), min_size=1, max_size=16, unique=True).map(sorted)
+
+
+def loop_responses(cfg):
+    """The solver, and the closed form where it applies."""
+    net = network_for(cfg)
+    responses = [lambda w: solve_network(net, w)]
+    if cfg.topology in FORMS and cfg.filt.is_symmetric_ideal and cfg.delay == 0.0:
+        responses.append(lambda w: FORMS[cfg.topology](cfg.cav, cfg.filt, w))
+    return responses
+
+
+def loop_den(cfg, omega):
+    """det(I - M) of a preset loop: 1 - r_sys * e^{i omega tau} * S[feed, 1]."""
+    if cfg.topology is Topology.NONE:
+        return 1.0
+    s = scattering(cfg.filt, omega)[FEED[cfg.topology], 1]
+    return 1.0 - reflection_sys(cfg.cav, omega) * delay_response(cfg.delay, omega) * s
+
+
+def assert_grid_matches_points(response, cfg, grid):
+    """One call on the grid against one call per point: the same singular
+    verdict (raised at the first point the loop rejects), else the same values
+    to max(1e-13, 1e-14/|den|) relative to max(|value|, |chi(omega)|).
+
+    The scale is the open-loop |chi| where the value falls below it: near the
+    notch zero the value carries the rounding of R = 1 + kappa1/d, which is
+    ~eps absolute (measured on 100 000 points: 3.4e-13 relative to the value,
+    1.8e-14 relative to |chi|, and at most 8.9e-16/|den|).
+    """
+    points = [outcome(response, w) for w in grid]
+    singular = [w for w, p in zip(grid, points) if p is SingularLoop]
+    if singular:
+        with pytest.raises(SingularLoop) as exc:
+            response(np.array(grid))
+        assert exc.value.omega == singular[0]
+        return
+    values = response(np.array(grid))
+    assert isinstance(values, np.ndarray) and values.shape == (len(grid),)
+    for w, point, value in zip(grid, points, values):
+        assert isinstance(point, complex)
+        scale = max(abs(point), abs(chi(cfg.cav, w)))
+        assert abs(value - point) <= max(1e-13, 1e-14 / abs(loop_den(cfg, w))) * scale
 
 
 @SETTINGS
@@ -141,6 +193,61 @@ def test_closed_form_chosen_exactly_for_ideal_undelayed_loops(loop, cav, filt, t
     if not filt.is_symmetric_ideal:
         with pytest.raises(ClosedFormInapplicable):
             FORMS[loop](cav, filt, omega)
+
+
+@SETTINGS
+@given(
+    topology=TOPOLOGIES,
+    cav=cavities(),
+    filt=any_controllers(),
+    tau=st.just(0.0) | rates(1e-3, 3.0),
+    grid=grids(),
+)
+def test_grid_call_matches_per_point_calls(topology, cav, filt, tau, grid):
+    cfg = SystemConfig(cav, filt, topology, delay=tau)
+    for response in loop_responses(cfg):
+        assert_grid_matches_points(response, cfg, grid)
+    # A float call to the solver returns a Python complex.
+    solved = outcome(lambda w: solve_network(network_for(cfg), w), grid[0])
+    assert solved is SingularLoop or type(solved) is complex
+
+
+def test_solver_right_hand_side_reads_alike_on_numpy_1_and_2(monkeypatch):
+    # numpy < 2.0 reads b as one vector per stacked A only if b.ndim ==
+    # A.ndim - 1, numpy >= 2.0 only if b.ndim == 1; a b of A's ndim is the
+    # matrix right-hand side on both, so the declared numpy floor holds.
+    solve, seen = np.linalg.solve, []
+
+    def recording_solve(a, b):
+        seen.append((np.ndim(a), np.ndim(b)))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    cav = OptoCavityParams(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
+    filt = FilterCavityParams(kappa1=1.0, kappa2=2.0, kappa_loss=0.5, delta_f=0.3)
+    net = network_for(SystemConfig(cav, filt, Topology.BANDPASS, delay=0.5))
+    for omega in (0.3, np.linspace(-2.0, 2.0, 5), np.zeros((2, 3))):
+        assert np.shape(solve_network(net, omega)) == np.shape(omega)
+    assert len(seen) == 3 and all(a == b for a, b in seen)
+
+
+@SETTINGS
+@given(
+    kappa=rates(0.1, 100.0),
+    kappa_f=rates(0.01, 100.0),
+    delta_f=rates(-20.0, 20.0),
+    grid=grids(-25.0, 25.0),
+)
+def test_grid_with_singular_point_raises_at_first_rejected_point(kappa, kappa_f, delta_f, grid):
+    # A symmetric notch loop with delta = delta_f is singular at -delta_f:
+    # the controller reflection vanishes there and T = r_sys = -1.
+    cav = OptoCavityParams(kappa=kappa, delta=delta_f, g=0.1, omega_m=1.0)
+    cfg = SystemConfig(cav, FilterCavityParams.symmetric(kappa_f, delta_f), Topology.NOTCH)
+    grid = sorted(set(grid) | {-delta_f})
+    for response in loop_responses(cfg):
+        with pytest.raises(SingularLoop):
+            response(-delta_f)
+        assert_grid_matches_points(response, cfg, grid)
 
 
 @SETTINGS

@@ -11,9 +11,12 @@ from cfcool import (
     OptoCavityParams,
     RateResult,
     Spectrum,
+    SystemConfig,
+    Topology,
     chi,
     closed_form_bandpass,
     closed_form_notch,
+    closed_loop_response,
     rate_spectrum,
     scattering_rates,
     steady_phonon,
@@ -55,11 +58,12 @@ class TestRateSpectrum:
         with pytest.raises(InvalidParam):
             Spectrum(omegas=np.array([0.0, 2.0, 1.0]), values=np.zeros(3))
 
-    def test_singular_point_propagates_with_frequency(self):
+    @pytest.mark.parametrize("method", ["closed_form", "solver"])
+    def test_singular_point_propagates_with_frequency(self, method):
         from cfcool import SingularLoop
 
         blue = OptoCavityParams(10.0, +1.0, 0.1, 1.0)
-        chi_singular = lambda w: closed_form_notch(blue, FILT, w)
+        chi_singular = closed_loop_response(SystemConfig(blue, FILT, Topology.NOTCH), method=method)
         with pytest.raises(SingularLoop) as exc:
             rate_spectrum(chi_singular, 0.1, [-2.0, -1.0, 0.0])
         assert exc.value.omega == -1.0
