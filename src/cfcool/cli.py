@@ -20,8 +20,9 @@ or JSON table.  CSV starts with a single ``# key=value ...`` metadata line
 carrying the fully resolved parameters; parsing it back yields an equal
 RunConfig.  Floats are printed with 17 significant digits.
 
-``--delta auto`` (notch only) and ``design`` use the closed-form optimum, so
-they need a symmetric lossless controller: ``--kappa-f`` and no loss.
+``--delta auto`` and ``design`` use the closed-form optimum of the band-blocking
+loop, so they need ``--topology notch``, ``--kappa`` and a symmetric lossless
+controller: ``--kappa-f`` and no loss.
 
 Default units put omega_m = 1 ("units of omega_m"), which keeps emitted data
 dimensionless and portable; pass ``--units si`` to work in rad/s.
@@ -39,6 +40,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -78,9 +80,9 @@ class RunConfig:
 
     Field name = config key = flag (``-`` for ``_``); field order is metadata
     order.  ``delta`` is stored resolved: ``auto`` becomes the optimal
-    detuning, and ``delta_from_auto`` records the request.  Fields outside
-    equality (the output path, ``delta_from_auto``) never enter metadata, so
-    identical configurations written to different places are byte-identical.
+    detuning.  The output path is outside equality and never enters metadata,
+    so identical configurations written to different places are
+    byte-identical.
     """
 
     topology: str = _param(("notch", "bandpass", "none"), "none")
@@ -108,7 +110,6 @@ class RunConfig:
     sweep_points: int | None = _param(int, commands=("sweep",))
     format: str = _param(("csv", "json"), "csv")
     output: str | None = _param(str, aliases=("-o",), compare=False)
-    delta_from_auto: bool = field(default=False, compare=False)
 
 
 #: Parameter key -> parse metadata.  ``kappa_f`` is input-only: it resolves
@@ -163,7 +164,7 @@ def _read_config_file(path: str | Path) -> dict[str, str]:
         key, value = stripped.split("=", 1)
         key = key.strip().replace("-", "_")
         if key.startswith("_"):
-            continue  # informational keys (version, auto-detuning echo)
+            continue  # informational keys (the version)
         if key in raw:
             raise ConfigError(f"{p}:{lineno}: duplicate key {key!r} (ambiguous)")
         raw[key] = value.strip()
@@ -226,16 +227,8 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
     delta, delta_f = design.preset_detunings(topology, omega_m)
     if delta_f is not None:
         vals.setdefault("delta_f", delta_f)
-    cfg = RunConfig(**{"delta": delta, **vals}, delta_from_auto=auto)
-
-    if auto:
-        if topology is not Topology.NOTCH:
-            raise ConfigError("--delta auto is defined for the notch topology only")
-        if cfg.kappa is None:
-            raise ConfigError("missing required flag --kappa (needed to resolve --delta auto)")
-        kappa_f = _filter_from(cfg).kappa_f
-        cfg = replace(cfg, delta=design.optimal_detuning(omega_m, cfg.kappa, kappa_f))
-    return cfg
+    cfg = RunConfig(**{"delta": delta, **vals})
+    return replace(cfg, delta=_closed_form_optimum(cfg)) if auto else cfg
 
 
 def parse_config(source: str | Path | Sequence[str]) -> RunConfig:
@@ -265,11 +258,6 @@ def metadata_pairs(cfg: RunConfig) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-def emit_metadata(cfg: RunConfig) -> str:
-    """Canonical config-file text for the resolved configuration."""
-    return "".join(f"{k}={v}\n" for k, v in metadata_pairs(cfg))
-
-
 # ---------------------------------------------------------------------------
 # Model construction from a RunConfig
 # ---------------------------------------------------------------------------
@@ -293,6 +281,18 @@ def _filter_from(cfg: RunConfig) -> FilterCavityParams:
     )
 
 
+def _closed_form_optimum(cfg: RunConfig) -> float:
+    """The band-blocking loop's closed-form optimal detuning, behind ``--delta
+    auto`` and ``design``: it needs the notch topology, ``--kappa`` and a
+    symmetric lossless controller."""
+    if cfg.topology != Topology.NOTCH.value:
+        raise ConfigError(
+            "the closed-form optimum (--delta auto, design) needs --topology notch"
+        )
+    _require(cfg, "kappa")
+    return design.optimal_detuning(cfg.omega_m, cfg.kappa, _filter_from(cfg).kappa_f)
+
+
 def system_config(cfg: RunConfig) -> SystemConfig:
     """Materialize the physics objects behind a RunConfig."""
     _require(cfg, "kappa", "g", "delta")
@@ -313,6 +313,15 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 
 def _bath(cfg: RunConfig) -> spectra.MechanicalBath:
     return spectra.MechanicalBath(gamma_m=cfg.gamma_m, n_th=cfg.n_th)
+
+
+_RATE_COLUMNS = ("a_plus", "a_minus", "gamma_opt", "n_min")
+_rate_values = attrgetter(*_RATE_COLUMNS)
+
+
+def _rate_cells(rates: spectra.RateResult | None) -> tuple[float | None, ...]:
+    """The ``_RATE_COLUMNS`` cells of one row; all None for a singular row."""
+    return (None,) * len(_RATE_COLUMNS) if rates is None else _rate_values(rates)
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +378,10 @@ def cmd_rates(cfg: RunConfig) -> OutputTable:
                 cfg.kappa, config.filt.kappa_f, cfg.omega_m
             )
         )
-    row = (
-        rates.a_plus,
-        rates.a_minus,
-        rates.gamma_opt,
-        rates.n_min,
-        n_steady,
-        float(rates.gamma_opt > 0),
-        feasible,
-    )
+    row = (*_rate_cells(rates), n_steady, float(rates.gamma_opt > 0), feasible)
     return OutputTable(
         meta=metadata_pairs(cfg),
-        columns=(
-            "a_plus", "a_minus", "gamma_opt", "n_min", "n_steady",
-            "net_cooling", "bandpass_feasible",
-        ),
+        columns=(*_RATE_COLUMNS, "n_steady", "net_cooling", "bandpass_feasible"),
         rows=(row,),
     )
 
@@ -397,27 +395,19 @@ def cmd_sweep(cfg: RunConfig) -> OutputTable:
         raise ConfigError("--sweep-min must be below --sweep-max")
     grid = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
     table = design.sweep(system_config(cfg), cfg.sweep_param, grid, bath=_bath(cfg))
-    rows = []
-    for row in table.rows:
-        r = row.rates
-        rows.append(
-            (
-                row.value,
-                r.a_plus if r else None,
-                r.a_minus if r else None,
-                r.gamma_opt if r else None,
-                r.n_min if r else None,
-                None if row.stable is None else float(row.stable),
-                float(row.singular),
-            )
+    rows = tuple(
+        (
+            row.value,
+            *_rate_cells(row.rates),
+            None if row.stable is None else float(row.stable),
+            float(row.singular),
         )
+        for row in table.rows
+    )
     return OutputTable(
         meta=metadata_pairs(cfg),
-        columns=(
-            cfg.sweep_param, "a_plus", "a_minus", "gamma_opt", "n_min",
-            "stable", "singular",
-        ),
-        rows=tuple(rows),
+        columns=(cfg.sweep_param, *_RATE_COLUMNS, "stable", "singular"),
+        rows=rows,
     )
 
 
@@ -439,9 +429,8 @@ def cmd_oracle(cfg: RunConfig) -> OutputTable:
 
 def cmd_design(cfg: RunConfig) -> OutputTable:
     """Resolved optimal detuning, controller detuning, and feasibility."""
-    _require(cfg, "kappa")
+    delta_c = _closed_form_optimum(cfg)
     kappa_f = _filter_from(cfg).kappa_f
-    delta_c = design.optimal_detuning(cfg.omega_m, cfg.kappa, kappa_f)
     feasible = design.bandpass_ground_state_feasible(cfg.kappa, kappa_f, cfg.omega_m)
     row = (delta_c, cfg.delta_f, cfg.delta, float(feasible))
     return OutputTable(

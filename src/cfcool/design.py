@@ -20,7 +20,6 @@ import numpy as np
 from . import netalg
 from .errors import (
     BracketError,
-    ClosedFormInapplicable,
     InvalidParam,
     SingularLoop,
     UnsupportedDelay,
@@ -89,22 +88,17 @@ def network_for(config: SystemConfig) -> netalg.NetworkSpec:
 def closed_loop_response(config: SystemConfig, method: str = "auto") -> ResponseFn:
     """Return chi_cl(omega) for the configured loop.
 
-    ``method`` is "auto" (closed form when applicable, otherwise the network
-    solver), "closed_form", or "solver".  The closed forms require a symmetric
-    lossless controller and zero delay.
+    ``method`` is "auto" (the closed form when it applies, otherwise the
+    network solver) or "solver".  The closed forms apply to a symmetric
+    lossless controller at zero delay.
     """
-    if method not in ("auto", "closed_form", "solver"):
+    if method not in ("auto", "solver"):
         raise InvalidParam(f"unknown method {method!r}")
     if config.topology is Topology.NONE:
         cav = config.cav
         return lambda omega: netalg.chi(cav, omega)
 
-    closed_ok = config.filt.is_symmetric_ideal and config.delay == 0.0
-    if method == "closed_form" or (method == "auto" and closed_ok):
-        if not closed_ok:
-            raise ClosedFormInapplicable(
-                "closed forms need a symmetric lossless controller and zero delay"
-            )
+    if method == "auto" and config.filt.is_symmetric_ideal and config.delay == 0.0:
         form = (
             netalg.closed_form_notch
             if config.topology is Topology.NOTCH

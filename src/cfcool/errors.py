@@ -13,9 +13,9 @@ class SingularLoop(CfcoolError, ArithmeticError):
     """The loop is singular at the requested frequency: |det(I - M)|, the
     closed forms' loop denominator, is below ``netalg.DEN_SINGULAR``."""
 
-    def __init__(self, omega: float, message: str | None = None):
+    def __init__(self, omega: float):
         self.omega = omega
-        super().__init__(message or f"algebraic loop is singular at omega={omega!r}")
+        super().__init__(f"algebraic loop is singular at omega={omega!r}")
 
 
 class ClosedFormInapplicable(CfcoolError, ValueError):

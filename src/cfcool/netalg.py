@@ -294,7 +294,6 @@ class NetworkSpec:
     tap: str
     #: Row of each element input port in the solver's signal vector x.
     index: dict[Port, int] = field(init=False, repr=False, compare=False)
-    _by_name: dict[str, Element] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.elements]
@@ -332,10 +331,6 @@ class NetworkSpec:
         if self.tap not in by_name or not isinstance(by_name[self.tap], CavityReflection):
             raise InvalidParam(f"tap {self.tap!r} must name a CavityReflection element")
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_by_name", by_name)
-
-    def element(self, name: str) -> Element:
-        return self._by_name[name]
 
 
 def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.ndarray:
@@ -370,9 +365,10 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
     A = np.eye(n, dtype=complex) - np.moveaxis(M, (0, 1), (-2, -1))
     _raise_if_singular(omega, np.linalg.det(A))
     x = np.linalg.solve(A, b)[..., 0]
+    tap_gain = dict(net.elements)[net.tap].tap_gain(omega)
     # [()] turns the 0-d result of a float call into a scalar, keeping 0-d
     # arrays (and their SIMD ufunc loops) out of the scalar arithmetic.
-    out = net.element(net.tap).tap_gain(omega) * x[..., index[(net.tap, 0)]][()]
+    out = tap_gain * x[..., index[(net.tap, 0)]][()]
     return out if isinstance(out, np.ndarray) else complex(out)
 
 

@@ -3,20 +3,23 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cfcool import oracle
 from cfcool.cli import (
+    _COMMANDS,
     OutputTable,
+    build_parser,
     cmd_design,
     cmd_oracle,
     cmd_rates,
     cmd_spectrum,
     cmd_sweep,
-    emit_metadata,
     main,
     parse_config,
     render_csv,
@@ -39,7 +42,6 @@ class TestParse:
     def test_auto_detuning_resolved(self):
         cfg = parse_config(NOTCH_FLAGS + ["--delta", "auto"])
         assert cfg.delta == -3.5
-        assert cfg.delta_from_auto
 
     def test_default_detuning_is_conventional_optimum(self):
         cfg = parse_config(NOTCH_FLAGS)
@@ -98,24 +100,29 @@ class TestParse:
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
-        "flags",
+        "argv",
         [
-            NOTCH_FLAGS + ["--delta", "auto"] + GRID_FLAGS,
-            ["--topology", "bandpass", "--kappa", "10", "--g", "0.1", "--kappa-f", "1",
+            ["spectrum", *NOTCH_FLAGS, "--delta", "auto", *GRID_FLAGS],
+            ["rates", "--topology", "bandpass", "--kappa", "10", "--g", "0.1", "--kappa-f", "1",
              "--gamma-m", "1e-5", "--n-th", "100"],
-            ["--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa1", "1",
+            ["rates", "--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa1", "1",
              "--kappa2", "1.2", "--kappa-loss", "0.05", "--tau", "0.3"],
-            ["--topology", "none", "--kappa", "3.7", "--g", "0.02", "--delta", "-0.77"],
-            NOTCH_FLAGS + ["--sweep-param", "delta", "--sweep-min", "-5",
-                           "--sweep-max", "-0.5", "--sweep-points", "11"],
-            ["--element", "filter", "--kappa-f", "1", "--delta-f", "1"] + GRID_FLAGS,
+            ["rates", "--topology", "none", "--kappa", "3.7", "--g", "0.02", "--delta", "-0.77"],
+            ["sweep", *NOTCH_FLAGS, "--sweep-param", "delta", "--sweep-min", "-5",
+             "--sweep-max", "-0.5", "--sweep-points", "11"],
+            ["spectrum", "--element", "filter", "--kappa-f", "1", "--delta-f", "1", *GRID_FLAGS],
         ],
+        ids=[f"flags{i}" for i in range(6)],
     )
-    def test_metadata_reparses_to_equal_config(self, tmp_path, flags):
-        cfg = parse_config(flags)
+    def test_metadata_reparses_to_equal_config(self, tmp_path, capsys, argv):
+        # The README's claim: the pairs of a CSV's "# key=value ..." line, fed
+        # back as a config file, reproduce the same run.
+        assert main(argv) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("# ")
         path = tmp_path / "echo.cfg"
-        path.write_text(emit_metadata(cfg))
-        assert parse_config(path) == cfg
+        path.write_text("".join(pair + "\n" for pair in header[2:].split(" ")))
+        assert parse_config(path) == parse_config(argv[1:])
 
 
 class TestSpectrumCommand:
@@ -385,6 +392,21 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("topology", [["--topology", "bandpass"], []])
+    def test_design_needs_notch_topology(self, topology):
+        # design reports the band-blocking loop's closed-form optimum, which
+        # is not the optimum of any other topology (about -1.0 for this
+        # band-pass loop against -3.5).
+        argv = ["design", *topology, "--kappa", "10", "--g", "0.1", "--kappa-f", "1"]
+        proc = subprocess.run([sys.executable, "-m", "cfcool", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stdout
+        assert proc.stderr.startswith("cfcool: config error:")
+        assert "--topology notch" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
         assert "cfcool <command> --help" in capsys.readouterr().out
@@ -394,6 +416,38 @@ class TestExitCodes:
         path.write_text("points=5\nsweep_points=3\n")
         assert main(["rates", *NOTCH_FLAGS, "--config", str(path)]) == 0
         assert " points=5 " in capsys.readouterr().out
+
+
+class TestFlagLists:
+    """The per-command flag lists of ``cfcool --help`` and of the README
+    command table are the flags each command's parser accepts."""
+
+    FLAG = re.compile(r"(?<![\w-])--?[a-z][a-z0-9-]*")
+
+    @staticmethod
+    def accepted(command):
+        actions = build_parser(command)._actions
+        return {opt for a in actions for opt in a.option_strings} - {"-h", "--help"}
+
+    def expected(self):
+        common = set.intersection(*(self.accepted(c) for c in _COMMANDS))
+        return common, {c: self.accepted(c) - common for c in _COMMANDS}
+
+    def test_help_text(self, capsys):
+        assert main(["--help"]) == 0
+        text = capsys.readouterr().out
+        head, body = text.split("):\n", 1)
+        common = set(self.FLAG.findall(head.split("besides the common ones (", 1)[1]))
+        blocks = re.split(r"^  (\w+) ", body.split("\n\n", 1)[0], flags=re.M)[1:]
+        own = {name: set(self.FLAG.findall(b)) for name, b in zip(blocks[::2], blocks[1::2])}
+        assert (common, own) == self.expected()
+
+    def test_readme_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, flags=re.M)
+        own = {name: set(self.FLAG.findall(flags)) for name, flags in rows}
+        common_text = readme.split("The common flags are ", 1)[1].split("\n\n", 1)[0]
+        assert (set(self.FLAG.findall(common_text)), own) == self.expected()
 
 
 class TestGoldenBytes:

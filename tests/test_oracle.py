@@ -195,8 +195,6 @@ class TestConsistency:
     def test_uncontrolled_weak_coupling(self):
         report = consistency_check(uncontrolled(g=0.01), BATH)
         assert report.rel_dev <= 0.05
-        assert report.within_tol
-        assert not consistency_check(uncontrolled(g=0.01), BATH, rel_dev_tol=1e-9).within_tol
 
     def test_notch_at_optimum_weak_coupling(self):
         dc = optimal_detuning(1.0, 10.0, 1.0)

@@ -188,8 +188,6 @@ def test_closed_form_chosen_exactly_for_ideal_undelayed_loops(loop, cav, filt, t
         assert got == outcome(lambda w: FORMS[loop](cav, filt, w), omega)
         return
     assert got == outcome(lambda w: solve_network(network_for(cfg), w), omega)
-    with pytest.raises(ClosedFormInapplicable):
-        closed_loop_response(cfg, method="closed_form")
     if not filt.is_symmetric_ideal:
         with pytest.raises(ClosedFormInapplicable):
             FORMS[loop](cav, filt, omega)

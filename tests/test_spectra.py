@@ -58,7 +58,8 @@ class TestRateSpectrum:
         with pytest.raises(InvalidParam):
             Spectrum(omegas=np.array([0.0, 2.0, 1.0]), values=np.zeros(3))
 
-    @pytest.mark.parametrize("method", ["closed_form", "solver"])
+    # "auto" takes the closed form for this symmetric lossless, undelayed loop.
+    @pytest.mark.parametrize("method", [pytest.param("auto", id="closed_form"), "solver"])
     def test_singular_point_propagates_with_frequency(self, method):
         from cfcool import SingularLoop
 
