@@ -13,12 +13,13 @@ Commands, and the flags each takes besides the common ones (``--config``,
   oracle    Lyapunov cross-check: --gamma-m, --n-th
   design    resolved design point: none
 
-``cfcool <command> --help`` lists a command's flags; any other flag is an
-error.  A flat ``key=value`` config file (``--config``; flags override it)
-accepts the keys of every command.  Each command emits one deterministic CSV
-or JSON table.  CSV starts with a single ``# key=value ...`` metadata line
-carrying the fully resolved parameters; parsing it back yields an equal
-RunConfig.  Floats are printed with 17 significant digits.
+``cfcool <command> --help`` prints this summary.  Flags match by exact name,
+as ``--flag value`` or ``--flag=value``; the last of a repeated flag wins, and
+any other flag is an error.  A flat ``key=value`` config file (``--config``;
+flags override it) accepts the keys of every command.  Each command emits one
+deterministic CSV or JSON table.  CSV starts with a single ``# key=value ...``
+metadata line carrying the fully resolved parameters; parsing it back yields an
+equal RunConfig.  Floats are printed with 17 significant digits.
 
 ``--delta auto`` and ``design`` use the closed-form optimum of the band-blocking
 loop, so they need ``--topology notch``, ``--kappa`` and a symmetric lossless
@@ -35,7 +36,6 @@ family (e.g. a singular loop at a frequency where a rate is required).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -238,8 +238,7 @@ def parse_config(source: str | Path | Sequence[str]) -> RunConfig:
     """
     if isinstance(source, (str, Path)):
         return resolve_config(_read_config_file(source))
-    ns = build_parser().parse_args(list(source))
-    return resolve_config(_merge_namespace(ns))
+    return resolve_config(_read_flags(source))
 
 
 def metadata_pairs(cfg: RunConfig) -> tuple[tuple[str, str], ...]:
@@ -480,47 +479,45 @@ def render(table: OutputTable, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reports bad flags as a ConfigError instead of exiting with code 2."""
-
-    def error(self, message: str):
-        raise ConfigError(message)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Flag parser of ``cfcool <command>``; with no command, every flag."""
-    parser = _ArgumentParser(
-        prog="cfcool" if command is None else f"cfcool {command}",
-        description=None if command is None else _COMMANDS[command].__doc__,
-    )
-    parser.add_argument("--config", help="flat key=value file; flags override it")
+def build_parser(command: str | None = None) -> dict[str, str]:
+    """Flag -> key map of ``cfcool <command>``; with no command, every flag."""
+    flags = {"--config": "config"}
     for key, spec in _PARAMS.items():
         if command is None or spec["commands"] is None or command in spec["commands"]:
-            kind = spec["kind"]
-            choices = kind if isinstance(kind, tuple) else None
-            parser.add_argument(_flag(key), *spec["aliases"], dest=key, choices=choices)
-    return parser
+            flags.update(dict.fromkeys((_flag(key), *spec["aliases"]), key))
+    return flags
 
 
-def _merge_namespace(ns: argparse.Namespace) -> dict[str, str]:
-    raw = _read_config_file(ns.config) if ns.config else {}
-    for key, value in vars(ns).items():
-        if key != "config" and value is not None:
-            raw[key] = value
-    return raw
+def _read_flags(tokens: Sequence[str], command: str | None = None) -> dict[str, str] | None:
+    """Key -> string map of ``cfcool <command>`` flag tokens over the keys of
+    its ``--config`` file, or None if a command's tokens ask for ``--help``.
+    Values pass through unchecked: ``_parse_value`` alone checks them."""
+    flags, given = build_parser(command), {}
+    tokens = iter(tokens)
+    for token in tokens:
+        if command and token in ("-h", "--help"):
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ConfigError(f"{token!r} is not a flag of {command or 'cfcool'}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ConfigError(f"{flag}: expected a value")
+        given[flags[flag]] = value
+    config = given.pop("config", None)
+    return {**(_read_config_file(config) if config else {}), **given}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     command = argv[0] if argv else None
-    if command in ("-h", "--help"):
-        sys.stdout.write(__doc__)
-        return 0
     try:
-        if command not in _COMMANDS:
+        if command not in _COMMANDS and command not in ("-h", "--help"):
             raise ConfigError(f"expected a command: one of {', '.join(_COMMANDS)}")
-        ns = build_parser(command).parse_args(argv[1:])
-        cfg = resolve_config(_merge_namespace(ns))
+        raw = _read_flags(argv[1:], command) if command in _COMMANDS else None
+        if raw is None:
+            sys.stdout.write(__doc__)
+            return 0
+        cfg = resolve_config(raw)
         table = _COMMANDS[command](cfg)
         text = render(table, cfg.format)
         if cfg.output:

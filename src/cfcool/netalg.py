@@ -76,6 +76,8 @@ class OptoCavityParams:
             raise InvalidParam(f"omega_m must be > 0, got {self.omega_m}")
         if self.g < 0:
             raise InvalidParam(f"g must be >= 0, got {self.g}")
+        if not math.isfinite(float(self.g) * float(self.g)):  # Python floats: no overflow warning
+            raise InvalidParam(f"g * g must be finite, got g = {self.g!r}")
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,31 @@ class TestParse:
         cfg = parse_config(["--units", "si", "--kappa", "1e6", "--omega-m", "2e5"])
         assert cfg.omega_m == 2e5 and cfg.delta == -2e5
 
+    def test_negative_exponent_value_in_both_flag_forms(self):
+        # The form the metadata echoes for a small negative detuning.
+        value = "-1.0000000000000001e-05"
+        cfg = parse_config(NOTCH_FLAGS + ["--delta", value])
+        assert cfg == parse_config(NOTCH_FLAGS + [f"--delta={value}"])
+        assert cfg.delta == float(value)
+
+    def test_bad_choice_same_message_from_flag_and_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("topology=notchy\n")
+        with pytest.raises(ConfigError) as from_flag:
+            parse_config(["--topology", "notchy"])
+        with pytest.raises(ConfigError) as from_file:
+            parse_config(path)
+        assert str(from_flag.value) == str(from_file.value)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kappa"], "--kappa: expected a value"),
+        (["--kappa", "10", "--kap", "1"], "'--kap' is not a flag of cfcool"),
+        (["--help"], "'--help' is not a flag of cfcool"),
+    ], ids=["missing-value", "abbreviation", "help"])
+    def test_flag_errors(self, argv, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(argv)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -348,6 +373,8 @@ class TestExitCodes:
              "--kappa2", "2", "--kappa-loss", "0.5", "--sweep-param", "kappa_f",
              "--sweep-min", "0.5", "--sweep-max", "2", "--sweep-points", "3"],
             ["bogus"],
+            ["rates", *NOTCH_FLAGS, "--gam", "0.001"],  # flags match by exact name
+            ["spectrum", *NOTCH_FLAGS, "--omega-min", "-3", "--omega-max", "3", "--poi", "3"],
         ],
     )
     def test_bad_input_exits_one_without_traceback(self, argv):
@@ -407,9 +434,24 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_top_level_help(self, capsys):
-        assert main(["--help"]) == 0
+    @pytest.mark.parametrize("argv", [["--help"], ["rates", "--help"]], ids=["cfcool", "rates"])
+    def test_top_level_help(self, capsys, argv):
+        assert main(argv) == 0
         assert "cfcool <command> --help" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["rates"], ["spectrum", *GRID_FLAGS]], ids=["rates", "spectrum"]
+    )
+    def test_g_whose_square_overflows_exits_one(self, argv):
+        # 1e200 is finite, but the rates and the spectrum scale with g * g.
+        flags = ["--topology", "notch", "--kappa", "10", "--g", "1e200", "--kappa-f", "1"]
+        proc = subprocess.run([sys.executable, "-m", "cfcool", *argv, *flags],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("cfcool: config error: g * g must be finite")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_config_file_takes_keys_of_other_commands(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -426,8 +468,7 @@ class TestFlagLists:
 
     @staticmethod
     def accepted(command):
-        actions = build_parser(command)._actions
-        return {opt for a in actions for opt in a.option_strings} - {"-h", "--help"}
+        return set(build_parser(command))
 
     def expected(self):
         common = set.intersection(*(self.accepted(c) for c in _COMMANDS))
