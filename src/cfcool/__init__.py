@@ -9,7 +9,6 @@ and a deterministic data-emitting CLI (``cli``).
 __version__ = "0.1.0"
 
 from .design import (
-    SweepParameter,
     SweepTable,
     SystemConfig,
     Topology,

@@ -13,6 +13,12 @@ Commands, and the flags each takes besides the common ones (``--config``,
   oracle    Lyapunov cross-check: --gamma-m, --n-th
   design    resolved design point: none
 
+``--sweep-param`` is ``delta``, ``kappa`` or ``g`` (a cavity field) or
+``kappa_f``, which needs a symmetric lossless controller.  Both grids, of
+``spectrum`` (at least 2 points) and of ``sweep`` (at least 1), must be
+strictly increasing over a span of finite width; a one-point sweep evaluates
+``--sweep-min`` alone.
+
 ``cfcool <command> --help`` prints this summary.  Flags match by exact name,
 as ``--flag value`` or ``--flag=value``; the last of a repeated flag wins, and
 any other flag is an error.  A flat ``key=value`` config file (``--config``;
@@ -102,9 +108,7 @@ class RunConfig:
     omega_max: float | None = _param(float, commands=("spectrum",))
     points: int | None = _param(int, commands=("spectrum",))
     element: str = _param(("loop", "filter"), "loop", ("spectrum",), echo_default=False)
-    sweep_param: str | None = _param(
-        tuple(p.value for p in design.SweepParameter), commands=("sweep",)
-    )
+    sweep_param: str | None = _param(design.SWEEP_PARAMETERS, commands=("sweep",))
     sweep_min: float | None = _param(float, commands=("sweep",))
     sweep_max: float | None = _param(float, commands=("sweep",))
     sweep_points: int | None = _param(int, commands=("sweep",))
@@ -153,7 +157,7 @@ class OutputTable:
 def _read_config_file(path: str | Path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+        raise ConfigError(f"config file not found: {str(path)!r}")
     raw: dict[str, str] = {}
     for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
@@ -301,13 +305,23 @@ def system_config(cfg: RunConfig) -> SystemConfig:
     return SystemConfig(cav=cav, filt=filt, topology=topology, delay=cfg.tau)
 
 
-def _grid(cfg: RunConfig) -> np.ndarray:
-    _require(cfg, "omega_min", "omega_max", "points")
-    if cfg.points < 2:
-        raise ConfigError("--points must be >= 2 for spectrum commands")
-    if not cfg.omega_min < cfg.omega_max:
-        raise ConfigError("--omega-min must be below --omega-max")
-    return np.linspace(cfg.omega_min, cfg.omega_max, cfg.points)
+def _grid(cfg: RunConfig, lo: str, hi: str, n: str, fewest: int) -> np.ndarray:
+    """The grid of ``n`` points from ``lo`` to ``hi`` (keys of ``cfg``): at
+    least ``fewest`` points, over a span of finite width, strictly increasing."""
+    _require(cfg, lo, hi, n)
+    start, stop, points = getattr(cfg, lo), getattr(cfg, hi), getattr(cfg, n)
+    if points < fewest:
+        raise ConfigError(f"{_flag(n)} must be >= {fewest}")
+    if points > 1 and not start < stop:
+        raise ConfigError(f"{_flag(lo)} must be below {_flag(hi)}")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"{_flag(hi)} - {_flag(lo)} must be finite, got {stop!r} - {start!r}")
+    grid = np.linspace(start, stop, points)
+    if not np.all(np.diff(grid) > 0):
+        raise ConfigError(
+            f"the grid of {_flag(n)} {points} from {_flag(lo)} to {_flag(hi)} repeats a value"
+        )
+    return grid
 
 
 def _bath(cfg: RunConfig) -> spectra.MechanicalBath:
@@ -330,7 +344,7 @@ def _rate_cells(rates: spectra.RateResult | None) -> tuple[float | None, ...]:
 
 def cmd_spectrum(cfg: RunConfig) -> OutputTable:
     """Shaped spectrum vs the bare-cavity reference, or the filter response."""
-    grid = _grid(cfg)
+    grid = _grid(cfg, "omega_min", "omega_max", "points", fewest=2)
     meta = metadata_pairs(cfg)
 
     if cfg.element == "filter":
@@ -363,9 +377,7 @@ def cmd_spectrum(cfg: RunConfig) -> OutputTable:
 def cmd_rates(cfg: RunConfig) -> OutputTable:
     """One-row table of the sideband rates and cooling figures."""
     config, bath = system_config(cfg), _bath(cfg)
-    rates = spectra.scattering_rates(
-        design.closed_loop_response(config), cfg.g, cfg.omega_m
-    )
+    rates = design.loop_rates(config)
     try:
         n_steady = spectra.steady_phonon(rates, bath)
     except NoNetCooling:
@@ -387,12 +399,8 @@ def cmd_rates(cfg: RunConfig) -> OutputTable:
 
 def cmd_sweep(cfg: RunConfig) -> OutputTable:
     """Rates and stability along a parameter grid."""
-    _require(cfg, "sweep_param", "sweep_min", "sweep_max", "sweep_points")
-    if cfg.sweep_points < 1:
-        raise ConfigError("--sweep-points must be >= 1")
-    if cfg.sweep_points > 1 and not cfg.sweep_min < cfg.sweep_max:
-        raise ConfigError("--sweep-min must be below --sweep-max")
-    grid = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)
+    _require(cfg, "sweep_param")
+    grid = _grid(cfg, "sweep_min", "sweep_max", "sweep_points", fewest=1)
     table = design.sweep(system_config(cfg), cfg.sweep_param, grid, bath=_bath(cfg))
     rows = tuple(
         (
@@ -504,7 +512,7 @@ def _read_flags(tokens: Sequence[str], command: str | None = None) -> dict[str, 
             raise ConfigError(f"{flag}: expected a value")
         given[flags[flag]] = value
     config = given.pop("config", None)
-    return {**(_read_config_file(config) if config else {}), **given}
+    return {**(_read_config_file(config) if config is not None else {}), **given}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -111,6 +111,11 @@ def closed_loop_response(config: SystemConfig, method: str = "auto") -> Response
     return lambda omega: netalg.solve_network(net, omega)
 
 
+def loop_rates(config: SystemConfig) -> RateResult:
+    """Sideband rates of the configured loop at its own g and omega_m."""
+    return scattering_rates(closed_loop_response(config), config.cav.g, config.cav.omega_m)
+
+
 def optimal_detuning(omega_m: float, kappa: float, kappa_f: float) -> float:
     """Cavity detuning maximizing the anti-Stokes rate of the band-blocking loop:
 
@@ -154,10 +159,7 @@ def argmax_detuning_numeric(
         raise InvalidParam(f"bad bracket {(lo, hi)!r}")
 
     def objective(delta):
-        cfg = replace(config, cav=replace(config.cav, delta=delta))
-        return scattering_rates(
-            closed_loop_response(cfg), cfg.cav.g, cfg.cav.omega_m
-        ).a_minus
+        return loop_rates(_with_parameter(config, "delta", delta)).a_minus
 
     xs = np.linspace(lo, hi, _COARSE_POINTS)
     ys = np.array([objective(x) for x in xs])
@@ -197,11 +199,9 @@ def bandpass_ground_state_feasible(kappa: float, kappa_f: float, omega_m: float)
     return kappa * kappa_f / (4.0 * (kappa + kappa_f)) < omega_m
 
 
-class SweepParameter(Enum):
-    DELTA = "delta"
-    KAPPA_F = "kappa_f"
-    KAPPA = "kappa"
-    G = "g"
+#: Names ``sweep`` accepts: ``kappa_f`` (a symmetric lossless controller's
+#: linewidth) or a field of the cavity.
+SWEEP_PARAMETERS = ("delta", "kappa_f", "kappa", "g")
 
 
 @dataclass(frozen=True)
@@ -221,13 +221,9 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
 
-def _with_parameter(config: SystemConfig, parameter: SweepParameter, value: float) -> SystemConfig:
-    if parameter is SweepParameter.DELTA:
-        return replace(config, cav=replace(config.cav, delta=value))
-    if parameter is SweepParameter.KAPPA:
-        return replace(config, cav=replace(config.cav, kappa=value))
-    if parameter is SweepParameter.G:
-        return replace(config, cav=replace(config.cav, g=value))
+def _with_parameter(config: SystemConfig, name: str, value: float) -> SystemConfig:
+    if name != "kappa_f":
+        return replace(config, cav=replace(config.cav, **{name: value}))
     if config.filt is None or not config.filt.is_symmetric_ideal:
         raise InvalidParam("sweeping kappa_f needs a symmetric lossless controller")
     return replace(
@@ -238,7 +234,7 @@ def _with_parameter(config: SystemConfig, parameter: SweepParameter, value: floa
 
 def sweep(
     config: SystemConfig,
-    parameter: SweepParameter | str,
+    parameter: str,
     grid: Iterable[float],
     bath: MechanicalBath | None = None,
 ) -> SweepTable:
@@ -252,10 +248,8 @@ def sweep(
     is None: :func:`oracle.drift_matrix` refuses the first row before
     assembling anything.
     """
-    try:
-        parameter = SweepParameter(parameter)
-    except ValueError:
-        raise InvalidParam(f"unknown sweep parameter {parameter!r}") from None
+    if parameter not in SWEEP_PARAMETERS:
+        raise InvalidParam(f"unknown sweep parameter {parameter!r}")
     values = [float(v) for v in grid]
     if not values:
         raise InvalidParam("sweep grid must be nonempty")
@@ -279,10 +273,7 @@ def sweep(
     rows = []
     for value, cfg, stable in zip(values, configs, flags):
         try:
-            rates = scattering_rates(
-                closed_loop_response(cfg), cfg.cav.g, cfg.cav.omega_m
-            )
-            singular = False
+            rates, singular = loop_rates(cfg), False
         except SingularLoop:
             rates, singular = None, True
         rows.append(SweepRow(value=value, rates=rates, stable=stable, singular=singular))

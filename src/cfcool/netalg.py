@@ -318,8 +318,6 @@ class NetworkSpec:
             driven[dst] = driven.get(dst, 0) + 1
 
         check_port(self.input_port, is_output=False)
-        if self.input_port in driven:
-            raise InvalidParam(f"external input port {self.input_port!r} is also edge-driven")
         index: dict[Port, int] = {}
         for name, el in self.elements:
             for k in range(el.n_inputs):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import SystemConfig, Topology, closed_loop_response
+from .design import SystemConfig, Topology, loop_rates
 from .errors import (
     InvalidParam,
     LyapunovResidual,
@@ -45,7 +45,7 @@ from .errors import (
     UnstableModel,
     UnsupportedDelay,
 )
-from .spectra import MechanicalBath, scattering_rates, steady_phonon
+from .spectra import MechanicalBath, steady_phonon
 
 #: Stability margin: every drift eigenvalue must satisfy Re < -margin*||A||.
 STABILITY_MARGIN = 1e-12
@@ -239,9 +239,6 @@ def consistency_check(config: SystemConfig, bath: MechanicalBath) -> OracleRepor
     """
     V = steady_covariance(build_state_space(config, bath))
     n_oracle = phonon_number(V)
-    rates = scattering_rates(
-        closed_loop_response(config), config.cav.g, config.cav.omega_m
-    )
-    n_rate = steady_phonon(rates, bath)
+    n_rate = steady_phonon(loop_rates(config), bath)
     rel_dev = abs(n_oracle - n_rate) / max(n_rate, 1e-12)
     return OracleReport(n_oracle=n_oracle, n_rate=n_rate, rel_dev=rel_dev)

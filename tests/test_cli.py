@@ -375,6 +375,16 @@ class TestExitCodes:
             ["bogus"],
             ["rates", *NOTCH_FLAGS, "--gam", "0.001"],  # flags match by exact name
             ["spectrum", *NOTCH_FLAGS, "--omega-min", "-3", "--omega-max", "3", "--poi", "3"],
+            # An empty --config still names a file, which does not exist.
+            ["rates", "--config", "", "--kappa", "10", "--g", "0.1"],
+            ["rates", "--config=", "--kappa", "10", "--g", "0.1"],
+            # Grids must be strictly increasing over a span of finite width.
+            ["spectrum", *NOTCH_FLAGS, "--omega-min", "1", "--omega-max", "1.0000000000000002",
+             "--points", "5"],
+            ["spectrum", *NOTCH_FLAGS, "--omega-min", "-1e308", "--omega-max", "1e308",
+             "--points", "5"],
+            ["sweep", *NOTCH_FLAGS, "--sweep-param", "delta", "--sweep-min", "-1e308",
+             "--sweep-max", "1e308", "--sweep-points", "5"],
         ],
     )
     def test_bad_input_exits_one_without_traceback(self, argv):
@@ -382,6 +392,7 @@ class TestExitCodes:
                               capture_output=True, text=True)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("cfcool: config error:")
+        assert proc.stderr.count("\n") == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 

@@ -24,7 +24,7 @@ from cfcool import (
     scattering_rates,
     sweep,
 )
-from cfcool import oracle
+from cfcool import design, oracle
 
 
 class TestPresets:
@@ -213,6 +213,25 @@ class TestSweep:
         table = sweep(cfg, "delta", [-3.5, -1.0, 0.5])
         assert [row.stable for row in table.rows] == [None, None, None]
         assert all(row.rates is not None for row in table.rows)
+
+    @pytest.mark.parametrize("name, grid", [
+        ("delta", [-3.0, -1.0, 0.5]),
+        ("kappa_f", [0.5, 1.0, 4.0]),
+        ("kappa", [0.5, 2.0, 10.0]),
+        ("g", [0.01, 0.1, 0.5]),
+    ])
+    def test_rows_are_the_loops_with_that_value(self, name, grid):
+        cfg = make_notch(10.0, 1.0, 0.1, 1.0)
+        bath = MechanicalBath(1e-3, 10.0)
+        table = sweep(cfg, name, grid, bath=bath)
+        for value, row in zip(grid, table.rows):
+            if name == "kappa_f":
+                row_cfg = replace(cfg, filt=FilterCavityParams.symmetric(value, cfg.filt.delta_f))
+            else:
+                row_cfg = replace(cfg, cav=replace(cfg.cav, **{name: value}))
+            assert row.value == value
+            assert row.rates == design.loop_rates(row_cfg)
+            assert row.stable is is_stable(build_state_space(row_cfg, bath))
 
     def test_grid_validation(self):
         cfg = make_notch(10.0, 1.0, 0.1, 1.0)

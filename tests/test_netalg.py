@@ -289,6 +289,20 @@ class TestNetworkValidation:
                 tap="sys",
             )
 
+    def test_edge_driven_input_port_rejected(self):
+        # The external input counts as a driver, so an edge into it is a second one.
+        with pytest.raises(InvalidParam, match=r"exactly one driver, has 2"):
+            NetworkSpec(
+                elements=(("ctrl", FilterTwoPort(FILT)), ("sys", CavityReflection(CAV))),
+                wiring=(
+                    (("ctrl", 0), ("sys", 0)),
+                    (("sys", 0), ("ctrl", 1)),
+                    (("ctrl", 1), ("ctrl", 0)),
+                ),
+                input_port=("ctrl", 0),
+                tap="sys",
+            )
+
     def test_undriven_port_rejected(self):
         with pytest.raises(InvalidParam):
             NetworkSpec(
