@@ -58,7 +58,6 @@ from .errors import (
     CfcoolError,
     ConfigError,
     NoNetCooling,
-    SingularLoop,
     UnitError,
     UnstableModel,
 )
@@ -346,32 +345,25 @@ def cmd_spectrum(cfg: RunConfig) -> OutputTable:
     """Shaped spectrum vs the bare-cavity reference, or the filter response."""
     grid = _grid(cfg, "omega_min", "omega_max", "points", fewest=2)
     meta = metadata_pairs(cfg)
-
-    if cfg.element == "filter":
-        filt = _filter_from(cfg)
-        rows = []
-        for w in grid:
-            s = netalg.scattering(filt, w)
-            rows.append((float(w), abs(s[0, 0]) ** 2, abs(s[1, 0]) ** 2))
-        return OutputTable(meta=meta, columns=("omega", "R2", "T2"), rows=tuple(rows))
-
-    config = system_config(cfg)
-    chi_cl = design.closed_loop_response(config)
-    # Reference curve: the same cavity without feedback at the preset
-    # detuning, the baseline the shaped spectra are judged by.
-    bare = replace(config.cav, delta=design.preset_detunings(Topology.NONE, cfg.omega_m)[0])
-    g = cfg.g
-    rows = []
-    for w in grid:
-        unc = g * g * abs(netalg.chi(bare, w)) ** 2
-        try:
-            sigma = g * g * abs(chi_cl(w)) ** 2
-        except SingularLoop:
-            sigma = None  # flagged row: frequency kept, value left empty
-        rows.append((float(w), sigma, unc))
-    return OutputTable(
-        meta=meta, columns=("omega", "Sigma", "Sigma_uncontrolled"), rows=tuple(rows)
-    )
+    # Frequencies that overflow run into inf or NaN without a numpy warning,
+    # as Python floats do; the table refuses those cells.
+    with np.errstate(all="ignore"):
+        if cfg.element == "filter":
+            s = netalg.scattering(_filter_from(cfg), grid)
+            columns = ("omega", "R2", "T2")
+            cells = [netalg.abs2(s[0, 0]).tolist(), netalg.abs2(s[1, 0]).tolist()]
+        else:
+            config = system_config(cfg)
+            # Reference curve: the same cavity without feedback at the preset
+            # detuning, the baseline the shaped spectra are judged by.
+            bare = replace(config.cav, delta=design.preset_detunings(Topology.NONE, cfg.omega_m)[0])
+            response, singular = design.response_on_grid(config, grid)
+            sigma = spectra.sigma(cfg.g, response).tolist()
+            for i in np.flatnonzero(singular).tolist():
+                sigma[i] = None  # flagged row: frequency kept, value left empty
+            columns = ("omega", "Sigma", "Sigma_uncontrolled")
+            cells = [sigma, spectra.sigma(cfg.g, netalg.chi(bare, grid)).tolist()]
+    return OutputTable(meta=meta, columns=columns, rows=tuple(zip(grid.tolist(), *cells)))
 
 
 def cmd_rates(cfg: RunConfig) -> OutputTable:
@@ -462,11 +454,20 @@ _COMMANDS = {
 
 
 def render_csv(table: OutputTable) -> str:
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in table.meta)]
-    lines.append(",".join(table.columns))
+    """The metadata line, the header, then every cell in one ``%`` operation:
+    each row's template holds a "%.17g" field (:func:`fmt17`) per cell and
+    nothing for an empty one."""
+    full = ",".join(["%.17g"] * len(table.columns)) + "\n"
+    templates, cells = [], []
     for row in table.rows:
-        lines.append(",".join("" if c is None else fmt17(c) for c in row))
-    return "\n".join(lines) + "\n"
+        if None in row:
+            templates.append(",".join("" if c is None else "%.17g" for c in row) + "\n")
+            cells += [c for c in row if c is not None]
+        else:
+            templates.append(full)
+            cells += row
+    head = "# " + " ".join(f"{k}={v}" for k, v in table.meta) + "\n" + ",".join(table.columns)
+    return head + "\n" + "".join(templates) % tuple(cells)
 
 
 def render_json(table: OutputTable) -> str:

@@ -2,9 +2,13 @@
 loops around a driven cavity.
 
 Everything is evaluated at real frequencies in the rotating frame of the
-drive laser, one float omega or a whole ndarray grid through the same code: a
-float call returns a scalar, an array call an array over omega's shape, and an
-element's S-matrix leads with its port axes, (n_out, n_in, *omega.shape).  The
+drive laser, at one float omega or on a whole ndarray grid: a float call
+returns a scalar, an array call an array over omega's shape, and an element's
+S-matrix leads with its port axes, (n_out, n_in, *omega.shape).  The array
+calls of ``chi``, ``scattering`` and the two closed forms give every grid
+point the bits of the float call at that point (see "Array kernels" below);
+the solver's grid call matches its per-point calls to
+max(1e-13, 1e-14/|den|) relative to max(|chi_cl|, |chi|).  The
 frequency-domain convention is
 
     x(omega) = integral x(t) exp(+i omega t) dt,   i.e.  d/dt -> -i omega,
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import ClassVar, Union
 
 import numpy as np
@@ -136,6 +141,8 @@ def chi(cav: OptoCavityParams, omega: float | np.ndarray) -> complex | np.ndarra
     intracavity field (units rad^-1/2 s^1/2); its squared modulus is the
     Lorentzian kappa / ((delta + omega)^2 + kappa^2/4).
     """
+    if isinstance(omega, np.ndarray):
+        return _complex(*_py_quot(math.sqrt(cav.kappa), *_detuned(cav.delta + omega, cav.kappa)))
     return math.sqrt(cav.kappa) / (1j * (cav.delta + omega) - cav.kappa / 2.0)
 
 
@@ -173,6 +180,12 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
     The internal-loss channel enters only through kappa_total; its vacuum
     input and outgoing field are not part of the 2x2 block.
     """
+    if isinstance(omega, np.ndarray):
+        # kappa1/d, sqrt(kappa1*kappa2)/d and kappa2/d in one broadcast division.
+        a = np.array([f.kappa1, math.sqrt(f.kappa1 * f.kappa2), f.kappa2])
+        d = _detuned(omega + f.delta_f, f.kappa_total)
+        q = _complex(*_py_quot(a.reshape((3,) + (1,) * omega.ndim), *d))
+        return np.array([[1.0 + q[0], q[1]], [q[1], 1.0 + q[2]]])
     d = 1j * (omega + f.delta_f) - f.kappa_total / 2.0
     t = math.sqrt(f.kappa1 * f.kappa2) / d
     return np.array(
@@ -180,16 +193,73 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
     )
 
 
-def _raise_if_singular(omega, den):
-    # The one singularity rule of both loop evaluators; den is a numpy scalar
-    # for a float omega, an array for a grid.  The scalar case keeps a plain
-    # truth test: np.bool_.any() costs ~3 us, 20x the whole check.
-    small = abs(den) < DEN_SINGULAR
-    if small.ndim:
-        if small.any():
-            raise SingularLoop(float(omega[small][0]))
-    elif small:
-        raise SingularLoop(omega)
+# ---------------------------------------------------------------------------
+# Array kernels
+#
+# An array call of chi, scattering or a closed form gives, at every grid point,
+# the bits of the call at that point.  A float call runs on Python complex and
+# numpy complex128 scalars; the array branch repeats that arithmetic on float
+# arrays of real and imaginary parts, one IEEE operation per ufunc call and in
+# the scalar code's order, so neither complex SIMD loops nor fused
+# multiply-adds can round differently.  The two complex divisions differ:
+# ``float / complex`` is CPython's, ``complex128 / complex128`` numpy's.
+# ---------------------------------------------------------------------------
+
+
+def _complex(re, im):
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _detuned(x, kappa):
+    # (re, im) of 1j*x - kappa/2: 1j*x is complex(0*x - 0, 0 + x).
+    return 0.0 * x - kappa / 2.0, 0.0 + x
+
+
+def _py_quot(a, br, bi):
+    """CPython's ``a / complex(br, bi)`` for a real a, elementwise: Smith's
+    method with true divisions (``_Py_c_quot``), with the terms of a.imag = 0
+    written out so that even the signs of zeros match.  Returns the (re, im)
+    arrays."""
+    m = abs(br) >= abs(bi)
+    big, small = np.where(m, br, bi), np.where(m, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    q, z = a * ratio, 0.0 * ratio
+    re = np.where(m, a + z, q + 0.0)
+    im = np.where(m, 0.0 - q, z - a)
+    return re / denom, im / denom
+
+
+def _np_quot(ar, ai, br, bi):
+    """numpy's complex128 division (ar + i*ai) / (br + i*bi), elementwise:
+    Smith's method with a reciprocal scale (``CDOUBLE_divide``).  Returns the
+    (re, im) arrays; the caller keeps br = bi = 0 out."""
+    m = abs(br) >= abs(bi)
+    big, small = np.where(m, br, bi), np.where(m, bi, br)
+    p, q = np.where(m, ar, ai), np.where(m, ai, ar)
+    ratio = small / big
+    scale = 1.0 / (big + small * ratio)
+    pr = p * ratio
+    return (p + q * ratio) * scale, np.where(m, q - pr, pr - q) * scale
+
+
+def _prod(a, b):
+    # (re, im) of the complex product a*b, as both CPython and numpy form it.
+    return a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+
+
+def abs2(z: complex | np.ndarray) -> float | np.ndarray:
+    """|z|^2 as the scalar ``abs(z) ** 2`` computes it: hypot(re, im), then
+    libm ``pow(|z|, 2.0)``, element by element for an array.  An array's
+    ``** 2`` squares by multiplication instead, which moves the last bit of
+    about one value in a thousand."""
+    if isinstance(z, np.ndarray):
+        mags = np.hypot(z.real, z.imag)
+        squares = map(math.pow, mags.ravel().tolist(), repeat(2.0))
+        return np.fromiter(squares, dtype=float, count=mags.size).reshape(mags.shape)
+    return math.pow(abs(z), 2.0)
 
 
 def _closed_loop(cav, f, omega, wiring, fwd, fb):
@@ -200,8 +270,20 @@ def _closed_loop(cav, f, omega, wiring, fwd, fb):
             f"the {wiring} closed form assumes kappa1 == kappa2 and no loss"
         )
     s = scattering(f, omega)
+    if isinstance(omega, np.ndarray):
+        c = chi(cav, omega)
+        root = math.sqrt(cav.kappa)
+        # reflection_sys as a float call forms it: 1.0 + root*chi.
+        r_sys = _complex(1.0 + root * c.real, 0.0 + root * c.imag)
+        loop_r, loop_i = _prod(r_sys, s[0, fb])
+        den_r, den_i = 1.0 - loop_r, 0.0 - loop_i
+        small = np.hypot(den_r, den_i) < DEN_SINGULAR
+        if small.any():
+            raise SingularLoop(float(omega[small][0]))
+        return _complex(*_np_quot(*_prod(c, s[0, fwd]), den_r, den_i))
     den = 1.0 - reflection_sys(cav, omega) * s[0, fb]
-    _raise_if_singular(omega, den)
+    if abs(den) < DEN_SINGULAR:
+        raise SingularLoop(omega)
     return chi(cav, omega) * s[0, fwd] / den
 
 
@@ -363,7 +445,9 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
     b[..., index[net.input_port], 0] = 1.0
 
     A = np.eye(n, dtype=complex) - np.moveaxis(M, (0, 1), (-2, -1))
-    _raise_if_singular(omega, np.linalg.det(A))
+    small = abs(np.linalg.det(A)) < DEN_SINGULAR
+    if small.any():
+        raise SingularLoop(float(np.asarray(omega)[small][0]))
     x = np.linalg.solve(A, b)[..., 0]
     tap_gain = dict(net.elements)[net.tap].tap_gain(omega)
     # [()] turns the 0-d result of a float call into a scalar, keeping 0-d

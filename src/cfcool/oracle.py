@@ -25,9 +25,12 @@ cancellation of the loop transfer function) to one effective optical mode with
     kappa_eff = kappa*(kappa1 + kappa_loss)/(kappa + kappa2),
     delta_eff = (kappa2*delta + kappa*delta_f)/(kappa + kappa2),
 
-which is what gets assembled.  Vacuum diffusion is normalized so that every
-optical mode relaxes to covariance I/2 at g = 0; the mechanical bath
-contributes gamma_m*(n_th + 1/2) per quadrature.
+which is what gets assembled.  The loop equation there forces
+sqrt(kappa)*a_c + sqrt(kappa2)*a_f = 0, so the cavity field is only the part
+a_c = alpha*c of the effective mode c, alpha = sqrt(kappa2/(kappa + kappa2)),
+and the mechanics couples to c with g*alpha.  Vacuum diffusion is normalized
+so that every optical mode relaxes to covariance I/2 at g = 0; the mechanical
+bath contributes gamma_m*(n_th + 1/2) per quadrature.
 """
 
 from __future__ import annotations
@@ -92,8 +95,9 @@ def _mode_block(detuning: float, decay: float) -> np.ndarray:
 
 
 def _optics(config: SystemConfig):
-    """Optical drift block and one input matrix per independent vacuum: the
-    only part of the model the topology changes."""
+    """Optical drift block, one input matrix per independent vacuum, and the
+    share alpha of the cavity field in the first optical mode: the only part
+    of the model the topology changes."""
     cav = config.cav
     eye = np.eye(2)
     if config.topology is Topology.NOTCH:
@@ -112,14 +116,16 @@ def _optics(config: SystemConfig):
         shared[0:2] = -math.sqrt(cav.kappa) * eye
         shared[2:4] = -(math.sqrt(f.kappa1) + math.sqrt(f.kappa2)) * eye
         loss[2:4] = -math.sqrt(f.kappa_loss) * eye
-        return A, (shared, loss)
+        return A, (shared, loss), 1.0
+    alpha = 1.0
     if config.topology is Topology.BANDPASS:
         f = config.filt
         kappa_eff = cav.kappa * (f.kappa1 + f.kappa_loss) / (cav.kappa + f.kappa2)
         delta_eff = (f.kappa2 * cav.delta + cav.kappa * f.delta_f) / (cav.kappa + f.kappa2)
+        alpha = math.sqrt(f.kappa2 / (cav.kappa + f.kappa2))
     else:
         kappa_eff, delta_eff = cav.kappa, cav.delta
-    return _mode_block(delta_eff, kappa_eff), (-math.sqrt(kappa_eff) * eye,)
+    return _mode_block(delta_eff, kappa_eff), (-math.sqrt(kappa_eff) * eye,), alpha
 
 
 def _assemble(config: SystemConfig, bath: MechanicalBath):
@@ -127,20 +133,21 @@ def _assemble(config: SystemConfig, bath: MechanicalBath):
     if config.delay > 0:
         raise UnsupportedDelay("state-space oracle supports zero loop delay only")
     cav = config.cav
-    optics, inputs = _optics(config)
+    optics, inputs, alpha = _optics(config)
     n = 2 + optics.shape[0]
     A = np.zeros((n, n))
     A[0:2, 0:2] = _mode_block(-cav.omega_m, bath.gamma_m)
     A[2:, 2:] = optics
     # The full -2g X_c X_m interaction, beam-splitter and squeezing terms alike.
-    A[1, 2] += 2.0 * cav.g
-    A[3, 0] += 2.0 * cav.g
+    A[1, 2] += 2.0 * cav.g * alpha
+    A[3, 0] += 2.0 * cav.g * alpha
     return A, inputs
 
 
 def drift_matrix(config: SystemConfig, bath: MechanicalBath) -> np.ndarray:
     """Drift A of the configured loop at zero delay: the one assembly of the
-    mechanics block, the optics and the -2 g X_c X_m coupling.
+    mechanics block, the optics and the -2 g X_c X_m coupling (g*alpha to
+    the band-passing loop's effective mode).
 
     Raises :class:`UnsupportedDelay` for config.delay > 0: a delay line is
     infinite-dimensional and has no exact realization here.

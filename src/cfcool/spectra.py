@@ -16,6 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import netalg
 from .errors import InvalidParam, NoNetCooling
 
 #: chi_cl(omega): a float omega gives a complex scalar, an ndarray grid an
@@ -102,6 +103,28 @@ def rate_spectrum(chi_cl: ResponseFn, g: float, grid: Iterable[float]) -> Spectr
     return Spectrum(omegas=omegas, values=values)
 
 
+def sigma(g: float, response: complex | np.ndarray) -> float | np.ndarray:
+    """Sigma = g^2 |chi_cl|^2 of one response value or an array of them.
+
+    Each value has the bits of the scalar ``g * g * abs(chi_cl) ** 2`` (see
+    :func:`netalg.abs2`).  Raises :class:`InvalidParam`, naming g, where
+    Sigma overflows.
+    """
+    try:
+        if isinstance(response, np.ndarray):
+            with np.errstate(over="ignore"):
+                values = g * g * netalg.abs2(response)
+            overflow = np.isinf(values).any()
+        else:
+            values = g * g * netalg.abs2(response)
+            overflow = math.isinf(values)
+    except OverflowError:  # |chi_cl|^2 itself
+        overflow = True
+    if overflow:
+        raise InvalidParam(f"Sigma = g * g * |chi_cl|^2 overflows at g = {g!r}")
+    return values
+
+
 def scattering_rates(chi_cl: ResponseFn, g: float, omega_m: float) -> RateResult:
     """Sideband rates from the loop response.
 
@@ -113,9 +136,7 @@ def scattering_rates(chi_cl: ResponseFn, g: float, omega_m: float) -> RateResult
         raise InvalidParam(f"omega_m must be > 0, got {omega_m}")
     if g < 0:
         raise InvalidParam(f"g must be >= 0, got {g}")
-    a_plus = g * g * abs(chi_cl(-omega_m)) ** 2
-    a_minus = g * g * abs(chi_cl(+omega_m)) ** 2
-    return RateResult(a_plus=a_plus, a_minus=a_minus)
+    return RateResult(a_plus=sigma(g, chi_cl(-omega_m)), a_minus=sigma(g, chi_cl(+omega_m)))
 
 
 def steady_phonon(r: RateResult, bath: MechanicalBath) -> float:

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cfcool import oracle
@@ -20,6 +22,7 @@ from cfcool.cli import (
     cmd_rates,
     cmd_spectrum,
     cmd_sweep,
+    fmt17,
     main,
     parse_config,
     render_csv,
@@ -287,6 +290,13 @@ class TestDesignCommand:
         assert row["bandpass_feasible"] == 1.0
 
 
+def per_cell_csv(table):
+    """CSV rendered one ``fmt17`` call per cell."""
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in table.meta), ",".join(table.columns)]
+    lines += [",".join("" if c is None else fmt17(c) for c in row) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
 class TestRendering:
     def test_csv_layout(self):
         table = OutputTable(
@@ -301,6 +311,29 @@ class TestRendering:
         assert lines[2] == "1,"
         assert lines[3] == "0.5,2"
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1.0, None, 0.1), (None, None, 2.5e-300), (-0.0, 1.0 / 3.0, None)),
+            ((math.pi, 1e308, -5e-324),),
+            # Numpy floats, as the spectrum columns held them before.
+            tuple((np.float64(w), np.float64(w) ** 2, None) for w in np.linspace(-1.0, 1.0, 7)),
+        ],
+        ids=["empty-cells", "one-row", "numpy-floats"],
+    )
+    def test_one_pass_render_matches_per_cell_format(self, rows):
+        columns = ("a", "b", "c")
+        table = OutputTable(meta=(("k", "v"),), columns=columns, rows=rows)
+        assert render_csv(table) == per_cell_csv(table)
+
+    def test_one_pass_render_of_a_sweep_table(self):
+        # Seven columns; the row at delta = +1 is singular (empty rate cells).
+        cfg = parse_config(NOTCH_FLAGS + ["--sweep-param", "delta", "--sweep-min", "-1",
+                                          "--sweep-max", "1", "--sweep-points", "3"])
+        table = cmd_sweep(cfg)
+        assert len(table.columns) == 7 and None in table.rows[2]
+        assert render_csv(table) == per_cell_csv(table)
 
     def test_json_layout(self):
         table = OutputTable(meta=(("k", "v"),), columns=("c",), rows=((None,),))
@@ -462,6 +495,33 @@ class TestExitCodes:
         assert proc.stderr.startswith("cfcool: config error: g * g must be finite")
         assert len(proc.stderr.splitlines()) == 1
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "--topology", "none"],
+            ["rates", "--topology", "notch", "--kappa-f", "1"],
+            ["rates", "--topology", "notch", "--kappa1", "1", "--kappa2", "1.2"],
+            ["spectrum", "--topology", "none", *GRID_FLAGS],
+            ["spectrum", "--topology", "bandpass", "--kappa-f", "1", *GRID_FLAGS],
+            ["spectrum", "--topology", "notch", "--kappa1", "1", "--kappa2", "1.2", *GRID_FLAGS],
+        ],
+        ids=["rates-none", "rates-closed-form", "rates-solver",
+             "spectrum-none", "spectrum-closed-form", "spectrum-solver"],
+    )
+    def test_overflowing_sigma_names_g(self, argv):
+        # g * g = 1e308 is finite, but at kappa = 0.5, delta = -1 the bare
+        # cavity's |chi(omega_m)|^2 is 8, so Sigma and the rates overflow.
+        # As in CI, a numpy RuntimeWarning would end the run with a traceback.
+        flags = ["--kappa", "0.5", "--g", "1e154", "--delta", "-1"]
+        proc = subprocess.run([sys.executable, "-m", "cfcool", *argv, *flags],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (
+            "cfcool: config error: Sigma = g * g * |chi_cl|^2 overflows at g = 1e+154\n"
+        )
         assert proc.stdout == ""
 
     def test_config_file_takes_keys_of_other_commands(self, tmp_path, capsys):

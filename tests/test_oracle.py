@@ -216,11 +216,12 @@ class TestConsistency:
         assert all(dev <= 0.05 for dev in deviations)
 
     def test_bandpass_matches_rate_floor_in_cold_damping_limit(self):
-        # The zero-delay band-passing loop is one effective optical mode
-        # carrying the full vacuum noise of its linewidth, while the rate
-        # picture refers only to the noise entering at the loop input.  Both
-        # agree on the occupation floor, so the comparison converges as the
-        # mechanical bath decouples.
+        # The zero-delay band-passing loop is one effective optical mode, to
+        # which the mechanics couples with g*alpha, alpha^2 = kappa2/(kappa +
+        # kappa2) = 1/11 here.  As the mechanical bath decouples the
+        # occupation tends to the floor A+/(A- - A+), which does not depend
+        # on the scale of the rates: this test cannot see a wrong alpha, and
+        # test_oracle_matches_rates_at_weak_coupling checks it.
         cfg = make_bandpass(10.0, 1.0, 0.01, 1.0)
         report = consistency_check(cfg, MechanicalBath(1e-10, 100.0))
         assert report.rel_dev <= 0.05
