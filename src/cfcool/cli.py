@@ -46,6 +46,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import product
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -323,6 +324,20 @@ def _grid(cfg: RunConfig, lo: str, hi: str, n: str, fewest: int) -> np.ndarray:
     return grid
 
 
+def _check_sums(cfg: RunConfig, omegas: dict | None = None, deltas: dict | None = None) -> None:
+    """Refuse a frequency plus a detuning that overflows (an element would
+    turn it into NaN), naming both flags.  ``omegas`` (default: +-omega_m)
+    and ``deltas`` (default: --delta; --delta-f joins with a controller) map
+    flags to extreme values: grids are monotone, so their ends bound every sum."""
+    omegas = omegas or {"--omega-m": cfg.omega_m, "-(--omega-m)": -cfg.omega_m}
+    deltas = dict(deltas or {"--delta": cfg.delta})
+    if cfg.topology != Topology.NONE.value:
+        deltas["--delta-f"] = cfg.delta_f
+    for (w_flag, w), (d_flag, d) in product(omegas.items(), deltas.items()):
+        if not math.isfinite(w + d):
+            raise ConfigError(f"{w_flag} + {d_flag} overflows: {w!r} + {d!r}")
+
+
 def _bath(cfg: RunConfig) -> spectra.MechanicalBath:
     return spectra.MechanicalBath(gamma_m=cfg.gamma_m, n_th=cfg.n_th)
 
@@ -344,12 +359,15 @@ def _rate_cells(rates: spectra.RateResult | None) -> tuple[float | None, ...]:
 def cmd_spectrum(cfg: RunConfig) -> OutputTable:
     """Shaped spectrum vs the bare-cavity reference, or the filter response."""
     grid = _grid(cfg, "omega_min", "omega_max", "points", fewest=2)
+    ends = {"--omega-min": cfg.omega_min, "--omega-max": cfg.omega_max}
     meta = metadata_pairs(cfg)
-    # Frequencies that overflow run into inf or NaN without a numpy warning,
-    # as Python floats do; the table refuses those cells.
+    # A phase omega*tau or a rate that overflows runs into inf or NaN without
+    # a numpy warning, as Python floats do; the table refuses those cells.
     with np.errstate(all="ignore"):
         if cfg.element == "filter":
-            s = netalg.scattering(_filter_from(cfg), grid)
+            filt = _filter_from(cfg)
+            _check_sums(cfg, ends, {"--delta-f": filt.delta_f})
+            s = netalg.scattering(filt, grid)
             columns = ("omega", "R2", "T2")
             cells = [netalg.abs2(s[0, 0]).tolist(), netalg.abs2(s[1, 0]).tolist()]
         else:
@@ -357,6 +375,7 @@ def cmd_spectrum(cfg: RunConfig) -> OutputTable:
             # Reference curve: the same cavity without feedback at the preset
             # detuning, the baseline the shaped spectra are judged by.
             bare = replace(config.cav, delta=design.preset_detunings(Topology.NONE, cfg.omega_m)[0])
+            _check_sums(cfg, ends, {"--delta": cfg.delta, "-(--omega-m)": bare.delta})
             response, singular = design.response_on_grid(config, grid)
             sigma = spectra.sigma(cfg.g, response).tolist()
             for i in np.flatnonzero(singular).tolist():
@@ -369,6 +388,7 @@ def cmd_spectrum(cfg: RunConfig) -> OutputTable:
 def cmd_rates(cfg: RunConfig) -> OutputTable:
     """One-row table of the sideband rates and cooling figures."""
     config, bath = system_config(cfg), _bath(cfg)
+    _check_sums(cfg)
     rates = design.loop_rates(config)
     try:
         n_steady = spectra.steady_phonon(rates, bath)
@@ -393,6 +413,8 @@ def cmd_sweep(cfg: RunConfig) -> OutputTable:
     """Rates and stability along a parameter grid."""
     _require(cfg, "sweep_param")
     grid = _grid(cfg, "sweep_min", "sweep_max", "sweep_points", fewest=1)
+    swept = dict(zip(("--sweep-min", "--sweep-max"), grid[[0, -1]].tolist()))
+    _check_sums(cfg, deltas=swept if cfg.sweep_param == "delta" else None)
     table = design.sweep(system_config(cfg), cfg.sweep_param, grid, bath=_bath(cfg))
     rows = tuple(
         (
@@ -413,6 +435,7 @@ def cmd_sweep(cfg: RunConfig) -> OutputTable:
 def cmd_oracle(cfg: RunConfig) -> OutputTable:
     """Lyapunov cross-check of the rate-equation occupation."""
     config = system_config(cfg)
+    _check_sums(cfg)
     bath = _bath(cfg)
     try:
         report = oracle.consistency_check(config, bath)

@@ -98,7 +98,7 @@ def closed_loop_response(config: SystemConfig, method: str = "auto") -> Response
         cav = config.cav
         return lambda omega: netalg.chi(cav, omega)
 
-    if method == "auto" and _has_closed_form(config):
+    if method == "auto" and config.filt.is_symmetric_ideal and config.delay == 0.0:
         form = (
             netalg.closed_form_notch
             if config.topology is Topology.NOTCH
@@ -111,34 +111,23 @@ def closed_loop_response(config: SystemConfig, method: str = "auto") -> Response
     return lambda omega: netalg.solve_network(net, omega)
 
 
-def _has_closed_form(config: SystemConfig) -> bool:
-    return config.topology is Topology.NONE or (
-        config.filt.is_symmetric_ideal and config.delay == 0.0
-    )
-
-
 def response_on_grid(config: SystemConfig, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chi_cl at every point of a frequency grid, and a mask of the points
     where the loop is singular (their values are 0).
 
-    Each value has the bits of the call at that point.  A closed form takes
-    the grid in one array call; the network solver, whose batched call moves
-    the last digits, and a grid with a singular point go point by point.
+    One array call gives every value the bits of the call at that point; each
+    singular point it raises on is flagged and the rest of the grid evaluated
+    again, so k singular points cost k + 1 calls.
     """
     chi_cl = closed_loop_response(config)
-    if _has_closed_form(config):
-        try:
-            return chi_cl(grid), np.zeros(grid.shape, dtype=bool)
-        except SingularLoop:
-            pass  # flag the singular points one by one
     values = np.zeros(grid.shape, dtype=complex)
     singular = np.zeros(grid.shape, dtype=bool)
-    for i, omega in enumerate(grid.tolist()):
+    while True:
         try:
-            values[i] = chi_cl(omega)
-        except SingularLoop:
-            singular[i] = True
-    return values, singular
+            values[~singular] = chi_cl(grid[~singular])
+            return values, singular
+        except SingularLoop as exc:
+            singular[grid == exc.omega] = True
 
 
 def loop_rates(config: SystemConfig) -> RateResult:

@@ -4,12 +4,9 @@ loops around a driven cavity.
 Everything is evaluated at real frequencies in the rotating frame of the
 drive laser, at one float omega or on a whole ndarray grid: a float call
 returns a scalar, an array call an array over omega's shape, and an element's
-S-matrix leads with its port axes, (n_out, n_in, *omega.shape).  The array
-calls of ``chi``, ``scattering`` and the two closed forms give every grid
-point the bits of the float call at that point (see "Array kernels" below);
-the solver's grid call matches its per-point calls to
-max(1e-13, 1e-14/|den|) relative to max(|chi_cl|, |chi|).  The
-frequency-domain convention is
+S-matrix leads with its port axes, (n_out, n_in, *omega.shape).  Every array
+call, the solver's included, gives each grid point the bits of the float call
+at that point (see "Array kernels" below).  The frequency-domain convention is
 
     x(omega) = integral x(t) exp(+i omega t) dt,   i.e.  d/dt -> -i omega,
 
@@ -196,12 +193,13 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Array kernels
 #
-# An array call of chi, scattering or a closed form gives, at every grid point,
-# the bits of the call at that point.  A float call runs on Python complex and
-# numpy complex128 scalars; the array branch repeats that arithmetic on float
-# arrays of real and imaginary parts, one IEEE operation per ufunc call and in
-# the scalar code's order, so neither complex SIMD loops nor fused
-# multiply-adds can round differently.  The two complex divisions differ:
+# An array call of chi, scattering, a closed form or the solver gives, at every
+# grid point, the bits of the call at that point.  A float call runs on Python
+# complex and numpy complex128 scalars; the array branch repeats that
+# arithmetic on float arrays of real and imaginary parts, one IEEE operation
+# per ufunc call and in the scalar code's order, so neither complex SIMD loops
+# nor fused multiply-adds can round differently (the solver's batched det and
+# solve factor each matrix alone).  The two complex divisions differ:
 # ``float / complex`` is CPython's, ``complex128 / complex128`` numpy's.
 # ---------------------------------------------------------------------------
 
@@ -422,10 +420,10 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
     solves the linear system, and applies the tap cavity's internal gain
     chi(omega) to its port signal.  A float omega returns a Python complex;
     an ndarray grid is solved as one (*omega.shape, n, n) stack with one
-    batched det and one batched solve, and returns an array of omega's shape.
-    Raises :class:`SingularLoop` where the loop is singular,
-    |det(I - M)| < ``DEN_SINGULAR`` (see there), carrying the first such grid
-    frequency.
+    batched det and one batched solve, and returns an array of omega's shape
+    whose every value has the bits of the float call at that point.  Raises
+    :class:`SingularLoop` where |det(I - M)| < ``DEN_SINGULAR`` (see there),
+    carrying the first such grid frequency.
     """
     index = net.index
     n = len(index)
@@ -450,9 +448,9 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
         raise SingularLoop(float(np.asarray(omega)[small][0]))
     x = np.linalg.solve(A, b)[..., 0]
     tap_gain = dict(net.elements)[net.tap].tap_gain(omega)
-    # [()] turns the 0-d result of a float call into a scalar, keeping 0-d
-    # arrays (and their SIMD ufunc loops) out of the scalar arithmetic.
-    out = tap_gain * x[..., index[(net.tap, 0)]][()]
+    # _prod, not a complex multiply, whose SIMD loops may fuse or reorder on
+    # a grid; [()] turns the 0-d result of a float call into a scalar.
+    out = _complex(*_prod(tap_gain, x[..., index[(net.tap, 0)]]))[()]
     return out if isinstance(out, np.ndarray) else complex(out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,28 +88,28 @@ class RateResult:
         )
 
 
-def rate_spectrum(chi_cl: ResponseFn, g: float, grid: Iterable[float]) -> Spectrum:
+def rate_spectrum(chi_cl: ResponseFn, g: float, grid: Sequence[float] | np.ndarray) -> Spectrum:
     """Evaluate Sigma(omega) = g^2 |chi_cl(omega)|^2 on a frequency grid.
 
     ``chi_cl`` is called once, on the whole grid as a float ndarray, and must
-    return an array of its shape.  It may raise
+    return an array of its shape; :func:`sigma` squares it, so each value has
+    the bits of the per-point Sigma.  ``chi_cl`` may raise
     :class:`~cfcool.errors.SingularLoop`; the exception (carrying the first
     singular grid frequency) propagates unchanged.
     """
-    if g < 0:
-        raise InvalidParam(f"g must be >= 0, got {g}")
-    omegas = np.asarray(list(grid), dtype=float)
-    values = g * g * np.abs(chi_cl(omegas)) ** 2
-    return Spectrum(omegas=omegas, values=values)
+    omegas = np.asarray(grid, dtype=float)
+    return Spectrum(omegas=omegas, values=sigma(g, chi_cl(omegas)))
 
 
 def sigma(g: float, response: complex | np.ndarray) -> float | np.ndarray:
     """Sigma = g^2 |chi_cl|^2 of one response value or an array of them.
 
     Each value has the bits of the scalar ``g * g * abs(chi_cl) ** 2`` (see
-    :func:`netalg.abs2`).  Raises :class:`InvalidParam`, naming g, where
-    Sigma overflows.
+    :func:`netalg.abs2`).  Raises :class:`InvalidParam` for g < 0 and,
+    naming g, where Sigma overflows.
     """
+    if g < 0:
+        raise InvalidParam(f"g must be >= 0, got {g}")
     try:
         if isinstance(response, np.ndarray):
             with np.errstate(over="ignore"):
@@ -134,8 +134,6 @@ def scattering_rates(chi_cl: ResponseFn, g: float, omega_m: float) -> RateResult
     """
     if omega_m <= 0:
         raise InvalidParam(f"omega_m must be > 0, got {omega_m}")
-    if g < 0:
-        raise InvalidParam(f"g must be >= 0, got {g}")
     return RateResult(a_plus=sigma(g, chi_cl(-omega_m)), a_minus=sigma(g, chi_cl(+omega_m)))
 
 

@@ -35,6 +35,9 @@ NOTCH_FLAGS = ["--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa-f"
 WEAKLY_DAMPED_BANDPASS = ["--topology", "bandpass", "--kappa", "1", "--delta", "0", "--g", "1",
                           "--kappa-f", "1", "--delta-f", "0", "--gamma-m", "1e-6", "--n-th", "0"]
 GRID_FLAGS = ["--omega-min", "-3", "--omega-max", "3", "--points", "601"]
+#: A notch loop whose sideband frequency +omega_m plus delta_f = omega_m overflows.
+OVERFLOW_FLAGS = ["--topology", "notch", "--kappa", "1", "--g", "0.1", "--delta", "1",
+                  "--units", "si", "--omega-m", "1e308"]
 
 
 def spectrum_cfg(extra=()):
@@ -522,6 +525,48 @@ class TestExitCodes:
         assert proc.stderr == (
             "cfcool: config error: Sigma = g * g * |chi_cl|^2 overflows at g = 1e+154\n"
         )
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, sum_",
+        [
+            (["spectrum", "--topology", "none", "--kappa", "1", "--g", "0.1", "--delta", "1e308",
+              "--omega-min", "1e308", "--omega-max", "1.5e308", "--points", "3"],
+             "--omega-min + --delta overflows: 1e+308 + 1e+308"),
+            (["spectrum", "--topology", "none", "--kappa", "1", "--g", "0.1", "--delta", "1",
+              "--units", "si", "--omega-m", "1e308", "--omega-min", "-1e308",
+              "--omega-max", "-1e307", "--points", "3"],
+             "--omega-min + -(--omega-m) overflows: -1e+308 + -1e+308"),
+            (["spectrum", "--element", "filter", "--kappa-f", "1", "--delta-f", "1e308",
+              "--omega-min", "1e308", "--omega-max", "1.5e308", "--points", "3"],
+             "--omega-min + --delta-f overflows: 1e+308 + 1e+308"),
+            (["rates", *OVERFLOW_FLAGS, "--kappa1", "1", "--kappa2", "2"],
+             "--omega-m + --delta-f overflows: 1e+308 + 1e+308"),
+            (["rates", *OVERFLOW_FLAGS, "--kappa-f", "1"],
+             "--omega-m + --delta-f overflows: 1e+308 + 1e+308"),
+            (["sweep", *OVERFLOW_FLAGS, "--kappa1", "1", "--kappa2", "2", "--sweep-param",
+              "delta", "--sweep-min", "1", "--sweep-max", "2", "--sweep-points", "2"],
+             "--omega-m + --delta-f overflows: 1e+308 + 1e+308"),
+            # The swept detuning's endpoints replace --delta.
+            (["sweep", "--topology", "none", "--kappa", "1", "--g", "0.1", "--units", "si",
+              "--omega-m", "1e308", "--sweep-param", "delta", "--sweep-min", "1e307",
+              "--sweep-max", "1e308", "--sweep-points", "2"],
+             "--omega-m + --sweep-max overflows: 1e+308 + 1e+308"),
+            (["oracle", *OVERFLOW_FLAGS, "--kappa-f", "1"],
+             "--omega-m + --delta-f overflows: 1e+308 + 1e+308"),
+        ],
+        ids=["spectrum-delta", "spectrum-reference", "spectrum-filter", "rates-solver",
+             "rates-closed-form", "sweep", "sweep-delta", "oracle"],
+    )
+    def test_overflowing_frequency_sum_names_flags(self, argv, sum_):
+        # Every value is finite, but a frequency plus a detuning is not; the
+        # notch preset puts delta_f at omega_m.  As in CI, a numpy
+        # RuntimeWarning would end the run with a traceback.
+        proc = subprocess.run([sys.executable, "-m", "cfcool", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"cfcool: config error: {sum_}\n"
         assert proc.stdout == ""
 
     def test_config_file_takes_keys_of_other_commands(self, tmp_path, capsys):

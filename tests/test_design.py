@@ -11,6 +11,7 @@ from cfcool import (
     InvalidParam,
     MechanicalBath,
     OptoCavityParams,
+    SingularLoop,
     SystemConfig,
     Topology,
     argmax_detuning_numeric,
@@ -143,6 +144,58 @@ class TestFeasibility:
 
     def test_deeply_resolved_true(self):
         assert bandpass_ground_state_feasible(0.1, 0.1, 1.0)
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+class TestResponseOnGrid:
+    # A symmetric notch loop with delta = delta_f = 1 is singular at
+    # omega = -1: the controller reflection vanishes there and T = r_sys = -1.
+    CAV = OptoCavityParams(kappa=10.0, delta=1.0, g=0.1, omega_m=1.0)
+    FILT = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=1.0)
+    GRID = np.array(sorted({*np.linspace(-3.0, 3.0, 61).tolist(), -1.0,
+                            np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0),
+                            -1.0 - 4e-14, -1.0 + 4e-14}))
+
+    @pytest.mark.parametrize("tau, grid", [
+        pytest.param(0.0, GRID, id="closed-form"),
+        # e^{i omega tau} = 1 at omega = -1: |det(I - M)| is about 2.4e-16 there.
+        pytest.param(2.0 * np.pi, GRID, id="solver"),
+        pytest.param(0.0, np.array([-1.0]), id="only-point-singular"),
+    ])
+    def test_singular_points_flagged_and_the_rest_per_point(self, monkeypatch, tau, grid):
+        config = SystemConfig(self.CAV, self.FILT, Topology.NOTCH, delay=tau)
+        chi_cl = closed_loop_response(config)
+        points = []
+        for w in grid.tolist():
+            try:
+                points.append(chi_cl(w))
+            except SingularLoop:
+                points.append(None)
+        expected = np.array([p is None for p in points])
+        assert expected[grid == -1.0].all()
+
+        calls = []
+
+        def recording(cfg):
+            response = closed_loop_response(cfg)
+
+            def call(omega):
+                calls.append(omega)
+                return response(omega)
+
+            return call
+
+        monkeypatch.setattr(design, "closed_loop_response", recording)
+        values, singular = design.response_on_grid(config, grid)
+        assert np.array_equal(singular, expected)
+        assert np.all(values[singular] == 0.0)
+        assert np.array_equal(bits(values[~singular]), bits([p for p in points if p is not None]))
+        # One array call, plus one more per singular point.
+        assert all(isinstance(omega, np.ndarray) for omega in calls)
+        assert len(calls) == expected.sum() + 1
 
 
 class TestSweep:

@@ -1,5 +1,7 @@
 """Rate spectra, scattering rates, cooling limits, and the dissipator map."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from cfcool import (
     scattering_rates,
     steady_phonon,
 )
+from cfcool.cli import cmd_spectrum, parse_config, system_config
+from cfcool.spectra import sigma
 
 CAV = OptoCavityParams(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
 FILT = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=1.0)
@@ -68,6 +72,29 @@ class TestRateSpectrum:
         with pytest.raises(SingularLoop) as exc:
             rate_spectrum(chi_singular, 0.1, [-2.0, -1.0, 0.0])
         assert exc.value.omega == -1.0
+
+    def test_grid_values_are_the_per_point_sigma_and_the_spectrum_column(self):
+        # A lossy, imbalanced, delayed band-pass loop: the network solver.
+        argv = ["--topology", "bandpass", "--kappa", "10", "--g", "0.1", "--kappa1", "1",
+                "--kappa2", "1.3", "--kappa-loss", "0.2", "--tau", "0.5",
+                "--omega-min", "-3", "--omega-max", "3", "--points", "601"]
+        cfg = parse_config(argv)
+        config = system_config(cfg)
+        chi_cl = closed_loop_response(config)
+        grid = np.linspace(-3.0, 3.0, 601)
+        values = rate_spectrum(chi_cl, cfg.g, grid).values
+        points = [sigma(cfg.g, chi_cl(w)) for w in grid.tolist()]
+        column = [row[1] for row in cmd_spectrum(cfg).rows]
+        assert np.array_equal(values.view(np.int64), np.array(points).view(np.int64))
+        assert np.array_equal(values.view(np.int64), np.array(column).view(np.int64))
+
+    def test_overflowing_sigma_names_g(self):
+        # g * g = 1e308 is finite, but |chi|^2 reaches 8 on this grid.
+        cav = OptoCavityParams(kappa=0.5, delta=-1.0, g=0.1, omega_m=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParam, match=r"overflows at g = 1e\+154"):
+                rate_spectrum(lambda w: chi(cav, w), 1e154, np.linspace(-2.0, 2.0, 5))
 
 
 class TestScatteringRates:
