@@ -293,7 +293,17 @@ def _closed_form_optimum(cfg: RunConfig) -> float:
             "the closed-form optimum (--delta auto, design) needs --topology notch"
         )
     _require(cfg, "kappa")
-    return design.optimal_detuning(cfg.omega_m, cfg.kappa, _filter_from(cfg).kappa_f)
+    kappa_f = _filter_from(cfg).kappa_f
+    try:  # Python floats: omega_m**2 raises OverflowError, a product gives inf
+        delta = design.optimal_detuning(cfg.omega_m, cfg.kappa, kappa_f)
+    except OverflowError:
+        delta = math.inf
+    if not math.isfinite(delta):
+        raise ConfigError(
+            f"the closed-form optimum overflows at --omega-m {cfg.omega_m!r}, "
+            f"--kappa {cfg.kappa!r}, --kappa-f {kappa_f!r}"
+        )
+    return delta
 
 
 def system_config(cfg: RunConfig) -> SystemConfig:
@@ -326,9 +336,11 @@ def _grid(cfg: RunConfig, lo: str, hi: str, n: str, fewest: int) -> np.ndarray:
 
 def _check_sums(cfg: RunConfig, omegas: dict | None = None, deltas: dict | None = None) -> None:
     """Refuse a frequency plus a detuning that overflows (an element would
-    turn it into NaN), naming both flags.  ``omegas`` (default: +-omega_m)
-    and ``deltas`` (default: --delta; --delta-f joins with a controller) map
-    flags to extreme values: grids are monotone, so their ends bound every sum."""
+    turn it into NaN), naming both flags, and, where the loop has a delay
+    line, a phase frequency * --tau that overflows.  ``omegas`` (default:
+    +-omega_m) and ``deltas`` (default: --delta; --delta-f joins with a
+    controller) map flags to extreme values: grids are monotone, so their ends
+    bound every sum and phase."""
     omegas = omegas or {"--omega-m": cfg.omega_m, "-(--omega-m)": -cfg.omega_m}
     deltas = dict(deltas or {"--delta": cfg.delta})
     if cfg.topology != Topology.NONE.value:
@@ -336,6 +348,37 @@ def _check_sums(cfg: RunConfig, omegas: dict | None = None, deltas: dict | None 
     for (w_flag, w), (d_flag, d) in product(omegas.items(), deltas.items()):
         if not math.isfinite(w + d):
             raise ConfigError(f"{w_flag} + {d_flag} overflows: {w!r} + {d!r}")
+    if cfg.tau > 0 and cfg.topology != Topology.NONE.value and cfg.element == "loop":
+        for w_flag, w in omegas.items():
+            if not math.isfinite(w * cfg.tau):
+                raise ConfigError(f"{w_flag} * --tau overflows: {w!r} * {cfg.tau!r}")
+
+
+def _check_rates(cfg: RunConfig, ends: dict | None = None) -> None:
+    """Refuse controller and cavity rates whose sums or products overflow,
+    naming the flags: the controller's kappa1 + kappa2 + kappa_loss and
+    kappa1 * kappa2, and the oracle's kappa * kappa1 and kappa * kappa2
+    (kappa + kappa2 overflows only where kappa * kappa2 does).  ``ends`` maps
+    the grid-end flags of a ``kappa`` or ``kappa_f`` sweep to their values:
+    every term grows with each rate, so the ends of a monotone grid bound it."""
+    if cfg.topology == Topology.NONE.value:
+        return
+    kappas, kappa1s, kappa2s = {"--kappa": cfg.kappa}, {"--kappa1": cfg.kappa1}, {"--kappa2": cfg.kappa2}
+    if ends and cfg.sweep_param == "kappa":
+        kappas = ends
+    if ends and cfg.sweep_param == "kappa_f":
+        kappa1s = kappa2s = ends
+    loss = ("--kappa-loss", cfg.kappa_loss)
+    for k, k1, k2 in product(kappas.items(), kappa1s.items(), kappa2s.items()):
+        for op, combine, terms in (
+            (" + ", sum, (k1, k2, loss)),
+            (" * ", math.prod, (k1, k2)),
+            (" * ", math.prod, (k, k1)),
+            (" * ", math.prod, (k, k2)),
+        ):
+            flags, values = zip(*terms)
+            if not math.isfinite(combine(values)):
+                raise ConfigError(f"{op.join(flags)} overflows: {op.join(map(repr, values))}")
 
 
 def _bath(cfg: RunConfig) -> spectra.MechanicalBath:
@@ -376,6 +419,7 @@ def cmd_spectrum(cfg: RunConfig) -> OutputTable:
             # detuning, the baseline the shaped spectra are judged by.
             bare = replace(config.cav, delta=design.preset_detunings(Topology.NONE, cfg.omega_m)[0])
             _check_sums(cfg, ends, {"--delta": cfg.delta, "-(--omega-m)": bare.delta})
+            _check_rates(cfg)
             response, singular = design.response_on_grid(config, grid)
             sigma = spectra.sigma(cfg.g, response).tolist()
             for i in np.flatnonzero(singular).tolist():
@@ -389,6 +433,7 @@ def cmd_rates(cfg: RunConfig) -> OutputTable:
     """One-row table of the sideband rates and cooling figures."""
     config, bath = system_config(cfg), _bath(cfg)
     _check_sums(cfg)
+    _check_rates(cfg)
     rates = design.loop_rates(config)
     try:
         n_steady = spectra.steady_phonon(rates, bath)
@@ -415,7 +460,9 @@ def cmd_sweep(cfg: RunConfig) -> OutputTable:
     grid = _grid(cfg, "sweep_min", "sweep_max", "sweep_points", fewest=1)
     swept = dict(zip(("--sweep-min", "--sweep-max"), grid[[0, -1]].tolist()))
     _check_sums(cfg, deltas=swept if cfg.sweep_param == "delta" else None)
-    table = design.sweep(system_config(cfg), cfg.sweep_param, grid, bath=_bath(cfg))
+    config = system_config(cfg)
+    _check_rates(cfg, swept)
+    table = design.sweep(config, cfg.sweep_param, grid, bath=_bath(cfg))
     rows = tuple(
         (
             row.value,
@@ -436,6 +483,7 @@ def cmd_oracle(cfg: RunConfig) -> OutputTable:
     """Lyapunov cross-check of the rate-equation occupation."""
     config = system_config(cfg)
     _check_sums(cfg)
+    _check_rates(cfg)
     bath = _bath(cfg)
     try:
         report = oracle.consistency_check(config, bath)

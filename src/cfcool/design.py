@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import netalg
+from . import netalg, spectra
 from .errors import (
     BracketError,
     InvalidParam,
@@ -111,6 +111,22 @@ def closed_loop_response(config: SystemConfig, method: str = "auto") -> Response
     return lambda omega: netalg.solve_network(net, omega)
 
 
+def _flagging_rows(evaluate, rows: int, width: int = 1):
+    """Call ``evaluate(keep)`` on the indices ``keep`` of the rows still
+    kept, each row ``width`` grid points.  Each row holding a point it raises
+    :class:`SingularLoop` on (told by the exception's flat index, not by its
+    frequency) is flagged and the rest evaluated again, so k singular rows
+    cost k + 1 calls.  Returns the last result and the mask of the singular
+    rows."""
+    singular = np.zeros(rows, dtype=bool)
+    while True:
+        keep = np.flatnonzero(~singular)
+        try:
+            return evaluate(keep), singular
+        except SingularLoop as exc:
+            singular[keep[exc.index // width]] = True
+
+
 def response_on_grid(config: SystemConfig, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chi_cl at every point of a frequency grid, and a mask of the points
     where the loop is singular (their values are 0).
@@ -120,19 +136,28 @@ def response_on_grid(config: SystemConfig, grid: np.ndarray) -> tuple[np.ndarray
     again, so k singular points cost k + 1 calls.
     """
     chi_cl = closed_loop_response(config)
+    kept, singular = _flagging_rows(lambda keep: chi_cl(grid[keep]), grid.size)
     values = np.zeros(grid.shape, dtype=complex)
-    singular = np.zeros(grid.shape, dtype=bool)
-    while True:
-        try:
-            values[~singular] = chi_cl(grid[~singular])
-            return values, singular
-        except SingularLoop as exc:
-            singular[grid == exc.omega] = True
+    values[~singular] = kept
+    return values, singular
 
 
 def loop_rates(config: SystemConfig) -> RateResult:
     """Sideband rates of the configured loop at its own g and omega_m."""
     return scattering_rates(closed_loop_response(config), config.cav.g, config.cav.omega_m)
+
+
+def _sideband_sigmas(config: SystemConfig, name: str, values: np.ndarray) -> np.ndarray:
+    """Sigma at (-omega_m, +omega_m) of the loop at each value of parameter
+    ``name``, a (rows, 2) array from one array call: the parameter holds the
+    values as a column, and the frequencies are the full (rows, 2) grid.
+    Each value has the bits of :func:`loop_rates` (a_plus, a_minus) of that
+    row's float config.  Raises :class:`SingularLoop` with the flat index of
+    the first singular point."""
+    cfg = _with_parameter(config, name, values[:, None])
+    omega_m = cfg.cav.omega_m
+    omegas = np.tile([-omega_m, +omega_m], (values.size, 1))
+    return spectra.sigma(cfg.cav.g, closed_loop_response(cfg)(omegas))
 
 
 def optimal_detuning(omega_m: float, kappa: float, kappa_f: float) -> float:
@@ -167,9 +192,10 @@ def argmax_detuning_numeric(
 ) -> float:
     """Maximize the anti-Stokes rate over the cavity detuning by bracketed search.
 
-    A coarse scan localizes the maximum (raising :class:`BracketError` when the
-    objective is flat or monotone over the bracket, e.g. g = 0), then a
-    golden-section refinement narrows it to width ``tol``.
+    A coarse scan, one array call over 65 detunings, localizes the maximum
+    (raising :class:`BracketError` when the objective is flat or monotone
+    over the bracket, e.g. g = 0), then a golden-section refinement narrows
+    it to width ``tol``.
     """
     if tol <= 0:
         raise InvalidParam(f"tol must be > 0, got {tol}")
@@ -181,7 +207,7 @@ def argmax_detuning_numeric(
         return loop_rates(_with_parameter(config, "delta", delta)).a_minus
 
     xs = np.linspace(lo, hi, _COARSE_POINTS)
-    ys = np.array([objective(x) for x in xs])
+    ys = _sideband_sigmas(config, "delta", xs)[:, 1]
     best = int(np.argmax(ys))
     if ys.max() == ys.min():
         raise BracketError("objective is flat over the bracket (zero coupling?)")
@@ -240,7 +266,7 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
 
-def _with_parameter(config: SystemConfig, name: str, value: float) -> SystemConfig:
+def _with_parameter(config: SystemConfig, name: str, value: float | np.ndarray) -> SystemConfig:
     if name != "kappa_f":
         return replace(config, cav=replace(config.cav, **{name: value}))
     if config.filt is None or not config.filt.is_symmetric_ideal:
@@ -260,40 +286,42 @@ def sweep(
     """Evaluate scattering rates and stability along a parameter grid.
 
     Rows come back in grid order; singular-loop points are flagged rather than
-    dropped or propagated.  ``bath`` (default: no mechanical damping) enters
-    only the stability flag: the rows' drift matrices are stacked and tested
-    by one :func:`oracle.is_hurwitz` call, the same rule as
-    :func:`oracle.is_stable` on each row's model.  At nonzero delay every flag
-    is None: :func:`oracle.drift_matrix` refuses the first row before
-    assembling anything.
+    dropped or propagated.  One config whose swept field holds the grid gives
+    every row: its rates come from one array call at (-omega_m, +omega_m) per
+    row (plus one more per singular row), each with the bits of
+    :func:`loop_rates` on that row's config.  ``bath`` (default: no
+    mechanical damping) enters only the stability flag: the rows' drift
+    matrices, one stack from :func:`oracle.drift_matrix`, are tested by one
+    :func:`oracle.is_hurwitz` call, the same rule as :func:`oracle.is_stable`
+    on each row's model.  At nonzero delay every flag is None: the drift
+    assembly refuses before building anything.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise InvalidParam(f"unknown sweep parameter {parameter!r}")
-    values = [float(v) for v in grid]
-    if not values:
+    values = np.array([float(v) for v in grid])
+    if not values.size:
         raise InvalidParam("sweep grid must be nonempty")
     diffs = np.diff(values)
-    if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+    if values.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise InvalidParam("sweep grid must be strictly monotone")
     if bath is None:
         bath = MechanicalBath(gamma_m=0.0, n_th=0.0)
 
     from . import oracle  # deferred: oracle depends on this module's types
 
-    configs = [_with_parameter(config, parameter, value) for value in values]
     try:
-        drifts = np.stack([oracle.drift_matrix(cfg, bath) for cfg in configs])
+        drifts = oracle.drift_matrix(_with_parameter(config, parameter, values), bath)
     except UnsupportedDelay:
         # Nonzero delay has no finite-dimensional state space; record the
         # flags as unknown instead of failing the whole table.
-        flags = [None] * len(configs)
+        flags = [None] * values.size
     else:
         flags = oracle.is_hurwitz(drifts).tolist()
-    rows = []
-    for value, cfg, stable in zip(values, configs, flags):
-        try:
-            rates, singular = loop_rates(cfg), False
-        except SingularLoop:
-            rates, singular = None, True
-        rows.append(SweepRow(value=value, rates=rates, stable=stable, singular=singular))
-    return SweepTable(rows=tuple(rows))
+    sigmas, singular = _flagging_rows(
+        lambda keep: _sideband_sigmas(config, parameter, values[keep]), values.size, width=2
+    )
+    rates = (RateResult(a_plus, a_minus) for a_plus, a_minus in sigmas.tolist())
+    return SweepTable(rows=tuple(
+        SweepRow(value=value, rates=None if flagged else next(rates), stable=stable, singular=flagged)
+        for value, stable, flagged in zip(values.tolist(), flags, singular.tolist())
+    ))

@@ -11,10 +11,15 @@ class InvalidParam(CfcoolError, ValueError):
 
 class SingularLoop(CfcoolError, ArithmeticError):
     """The loop is singular at the requested frequency: |det(I - M)|, the
-    closed forms' loop denominator, is below ``netalg.DEN_SINGULAR``."""
+    closed forms' loop denominator, is below ``netalg.DEN_SINGULAR``.
 
-    def __init__(self, omega: float):
+    ``omega`` is the frequency; ``index`` is the flat index of the first such
+    point of a grid call (None for a float call), which tells a grid row apart
+    even where every row samples the same frequency."""
+
+    def __init__(self, omega: float, index: int | None = None):
         self.omega = omega
+        self.index = index
         super().__init__(f"algebraic loop is singular at omega={omega!r}")
 
 

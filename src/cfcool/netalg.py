@@ -4,9 +4,11 @@ loops around a driven cavity.
 Everything is evaluated at real frequencies in the rotating frame of the
 drive laser, at one float omega or on a whole ndarray grid: a float call
 returns a scalar, an array call an array over omega's shape, and an element's
-S-matrix leads with its port axes, (n_out, n_in, *omega.shape).  Every array
-call, the solver's included, gives each grid point the bits of the float call
-at that point (see "Array kernels" below).  The frequency-domain convention is
+S-matrix leads with its port axes, (n_out, n_in, *omega.shape).  A parameter
+field may hold an ndarray too, one value per grid point: it broadcasts
+against an omega of the full grid shape.  Every array call, the solver's
+included, gives each grid point the bits of the float call at that point (see
+"Array kernels" below).  The frequency-domain convention is
 
     x(omega) = integral x(t) exp(+i omega t) dt,   i.e.  d/dt -> -i omega,
 
@@ -49,12 +51,36 @@ def _check_finite(obj, names):
             raise InvalidParam(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
+def _check_values(obj, names, checks):
+    """The float checks of a params object whose fields hold ndarrays: each
+    field must be finite, then each (value, refused mask, message) of
+    ``checks`` in order raises its message, formatted with the first refused
+    value, where the mask refuses any."""
+    finite = [
+        (value, ~np.isfinite(value), f"{type(obj).__name__}.{name} must be finite, got {{!r}}")
+        for name in names
+        for value in [getattr(obj, name)]
+    ]
+    for value, refused, message in finite + checks:
+        bad = np.broadcast_to(value, np.shape(refused))[refused]
+        if bad.size:
+            raise InvalidParam(message.format(bad[0].item()))
+
+
+def _all(truth) -> bool:
+    # A comparison of float fields, or of ndarray fields at every value.
+    return truth if isinstance(truth, bool) else bool(np.all(truth))
+
+
 @dataclass(frozen=True)
 class OptoCavityParams:
     """Drive-referenced one-port optomechanical cavity.
 
     Attributes
     ----------
+    Each field is a float, or an ndarray of values (see the module docstring),
+    checked at every value.
+
     kappa : float
         Decay rate through the coupling mirror (rad/s, > 0).
     delta : float
@@ -71,15 +97,27 @@ class OptoCavityParams:
     omega_m: float
 
     def __post_init__(self):
-        _check_finite(self, ("kappa", "delta", "g", "omega_m"))
-        if self.kappa <= 0:
-            raise InvalidParam(f"kappa must be > 0, got {self.kappa}")
-        if self.omega_m <= 0:
-            raise InvalidParam(f"omega_m must be > 0, got {self.omega_m}")
-        if self.g < 0:
-            raise InvalidParam(f"g must be >= 0, got {self.g}")
-        if not math.isfinite(float(self.g) * float(self.g)):  # Python floats: no overflow warning
-            raise InvalidParam(f"g * g must be finite, got g = {self.g!r}")
+        names = ("kappa", "delta", "g", "omega_m")
+        kappa, omega_m, g = self.kappa, self.omega_m, self.g
+        if np.ndarray in (type(kappa), type(self.delta), type(g), type(omega_m)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                overflow = np.isinf(g * g)
+            _check_values(self, names, [
+                (kappa, kappa <= 0, "kappa must be > 0, got {}"),
+                (omega_m, omega_m <= 0, "omega_m must be > 0, got {}"),
+                (g, g < 0, "g must be >= 0, got {}"),
+                (g, overflow, "g * g must be finite, got g = {!r}"),
+            ])
+            return
+        _check_finite(self, names)
+        if kappa <= 0:
+            raise InvalidParam(f"kappa must be > 0, got {kappa}")
+        if omega_m <= 0:
+            raise InvalidParam(f"omega_m must be > 0, got {omega_m}")
+        if g < 0:
+            raise InvalidParam(f"g must be >= 0, got {g}")
+        if not math.isfinite(float(g) * float(g)):  # Python floats: no overflow warning
+            raise InvalidParam(f"g * g must be finite, got g = {g!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +128,8 @@ class FilterCavityParams:
     an internal loss rate, and ``delta_f = omega_L - omega_f`` the detuning of
     the controller resonance from the drive.  The symmetric lossless case
     (kappa1 == kappa2, kappa_loss == 0) is the ideal two-sided cavity with
-    per-mirror rate ``kappa_f`` and total linewidth 2*kappa_f.
+    per-mirror rate ``kappa_f`` and total linewidth 2*kappa_f.  Like the
+    cavity's, each field may hold an ndarray of values.
     """
 
     kappa1: float
@@ -99,10 +138,19 @@ class FilterCavityParams:
     delta_f: float = 0.0
 
     def __post_init__(self):
-        _check_finite(self, ("kappa1", "kappa2", "kappa_loss", "delta_f"))
-        if self.kappa1 < 0 or self.kappa2 < 0 or self.kappa_loss < 0:
+        names = ("kappa1", "kappa2", "kappa_loss", "delta_f")
+        k1, k2, loss = self.kappa1, self.kappa2, self.kappa_loss
+        if np.ndarray in (type(k1), type(k2), type(loss), type(self.delta_f)):
+            _check_values(self, names, [
+                (k1, (k1 < 0) | (k2 < 0) | (loss < 0), "mirror and loss rates must be >= 0"),
+                # kappa1 + kappa2 > 0 for rates >= 0, without an overflow warning
+                (k1, (k1 <= 0) & (k2 <= 0), "at least one mirror must couple (kappa1 + kappa2 > 0)"),
+            ])
+            return
+        _check_finite(self, names)
+        if k1 < 0 or k2 < 0 or loss < 0:
             raise InvalidParam("mirror and loss rates must be >= 0")
-        if self.kappa1 + self.kappa2 <= 0:
+        if k1 + k2 <= 0:
             raise InvalidParam("at least one mirror must couple (kappa1 + kappa2 > 0)")
 
     @classmethod
@@ -116,7 +164,8 @@ class FilterCavityParams:
 
     @property
     def is_symmetric_ideal(self) -> bool:
-        return self.kappa1 == self.kappa2 and self.kappa_loss == 0.0
+        """kappa1 == kappa2 and no loss, at every value of an array field."""
+        return _all(self.kappa1 == self.kappa2) and _all(self.kappa_loss == 0.0)
 
     @property
     def kappa_f(self) -> float:
@@ -139,7 +188,7 @@ def chi(cav: OptoCavityParams, omega: float | np.ndarray) -> complex | np.ndarra
     Lorentzian kappa / ((delta + omega)^2 + kappa^2/4).
     """
     if isinstance(omega, np.ndarray):
-        return _complex(*_py_quot(math.sqrt(cav.kappa), *_detuned(cav.delta + omega, cav.kappa)))
+        return _complex(*_py_quot(np.sqrt(cav.kappa), *_detuned(cav.delta + omega, cav.kappa)))
     return math.sqrt(cav.kappa) / (1j * (cav.delta + omega) - cav.kappa / 2.0)
 
 
@@ -150,7 +199,8 @@ def reflection_sys(cav: OptoCavityParams, omega: float | np.ndarray) -> complex 
     The one-port cavity is lossless, so this has unit modulus at every real
     frequency; only the phase winds through resonance.
     """
-    return 1.0 + math.sqrt(cav.kappa) * chi(cav, omega)
+    root = np.sqrt(cav.kappa) if isinstance(omega, np.ndarray) else math.sqrt(cav.kappa)
+    return 1.0 + root * chi(cav, omega)
 
 
 def delay_response(tau: float, omega: float | np.ndarray) -> complex | np.ndarray:
@@ -179,9 +229,13 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
     """
     if isinstance(omega, np.ndarray):
         # kappa1/d, sqrt(kappa1*kappa2)/d and kappa2/d in one broadcast division.
-        a = np.array([f.kappa1, math.sqrt(f.kappa1 * f.kappa2), f.kappa2])
+        k1, k2 = f.kappa1, f.kappa2
+        root = np.sqrt(k1 * k2)
+        # The leading axis of three, then the parameters' axes against omega's shape.
+        a = np.empty((3,) + (1,) * (omega.ndim - root.ndim) + root.shape)
+        a[0], a[1], a[2] = k1, root, k2
         d = _detuned(omega + f.delta_f, f.kappa_total)
-        q = _complex(*_py_quot(a.reshape((3,) + (1,) * omega.ndim), *d))
+        q = _complex(*_py_quot(a, *d))
         return np.array([[1.0 + q[0], q[1]], [q[1], 1.0 + q[2]]])
     d = 1j * (omega + f.delta_f) - f.kappa_total / 2.0
     t = math.sqrt(f.kappa1 * f.kappa2) / d
@@ -201,6 +255,9 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
 # nor fused multiply-adds can round differently (the solver's batched det and
 # solve factor each matrix alone).  The two complex divisions differ:
 # ``float / complex`` is CPython's, ``complex128 / complex128`` numpy's.
+# Parameters broadcast the same way: a field holding one value per grid row
+# enters the same elementwise operations (``np.sqrt`` for ``math.sqrt``, both
+# correctly rounded), so each point has the bits of its row's float call.
 # ---------------------------------------------------------------------------
 
 
@@ -243,6 +300,14 @@ def _np_quot(ar, ai, br, bi):
     return (p + q * ratio) * scale, np.where(m, q - pr, pr - q) * scale
 
 
+def _singular(omega, small):
+    # SingularLoop at the first point of a float or grid call that ``small`` flags.
+    if not isinstance(omega, np.ndarray):
+        return SingularLoop(omega)
+    index = int(np.flatnonzero(small)[0])
+    return SingularLoop(omega.flat[index].item(), index)
+
+
 def _prod(a, b):
     # (re, im) of the complex product a*b, as both CPython and numpy form it.
     return a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
@@ -270,14 +335,14 @@ def _closed_loop(cav, f, omega, wiring, fwd, fb):
     s = scattering(f, omega)
     if isinstance(omega, np.ndarray):
         c = chi(cav, omega)
-        root = math.sqrt(cav.kappa)
+        root = np.sqrt(cav.kappa)
         # reflection_sys as a float call forms it: 1.0 + root*chi.
         r_sys = _complex(1.0 + root * c.real, 0.0 + root * c.imag)
         loop_r, loop_i = _prod(r_sys, s[0, fb])
         den_r, den_i = 1.0 - loop_r, 0.0 - loop_i
         small = np.hypot(den_r, den_i) < DEN_SINGULAR
         if small.any():
-            raise SingularLoop(float(omega[small][0]))
+            raise _singular(omega, small)
         return _complex(*_np_quot(*_prod(c, s[0, fwd]), den_r, den_i))
     den = 1.0 - reflection_sys(cav, omega) * s[0, fb]
     if abs(den) < DEN_SINGULAR:
@@ -423,7 +488,7 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
     batched det and one batched solve, and returns an array of omega's shape
     whose every value has the bits of the float call at that point.  Raises
     :class:`SingularLoop` where |det(I - M)| < ``DEN_SINGULAR`` (see there),
-    carrying the first such grid frequency.
+    carrying the first such grid point's frequency and index.
     """
     index = net.index
     n = len(index)
@@ -445,7 +510,7 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
     A = np.eye(n, dtype=complex) - np.moveaxis(M, (0, 1), (-2, -1))
     small = abs(np.linalg.det(A)) < DEN_SINGULAR
     if small.any():
-        raise SingularLoop(float(np.asarray(omega)[small][0]))
+        raise _singular(omega, small)
     x = np.linalg.solve(A, b)[..., 0]
     tap_gain = dict(net.elements)[net.tap].tap_gain(omega)
     # _prod, not a complex multiply, whose SIMD loops may fuse or reorder on

@@ -89,43 +89,42 @@ class OracleReport:
     rel_dev: float
 
 
-def _mode_block(detuning: float, decay: float) -> np.ndarray:
-    # adot = (i*detuning - decay/2) a  in quadratures.
-    return np.array([[-decay / 2.0, -detuning], [detuning, -decay / 2.0]])
+def _mode_block(A, k, detuning, decay):
+    # adot = (i*detuning - decay/2) a  in quadratures, in rows and columns k, k+1.
+    A[..., k, k] = A[..., k + 1, k + 1] = -decay / 2.0
+    A[..., k, k + 1] = -detuning
+    A[..., k + 1, k] = detuning
 
 
-def _optics(config: SystemConfig):
-    """Optical drift block, one input matrix per independent vacuum, and the
-    share alpha of the cavity field in the first optical mode: the only part
-    of the model the topology changes."""
+def _optics(config: SystemConfig, A: np.ndarray):
+    """Fill the optical drift block A[..., 2:, 2:]; return the vacuum inputs,
+    one tuple per independent vacuum of its coefficient on each optical mode,
+    and the share alpha of the cavity field in the first optical mode: the
+    only part of the model the topology changes."""
     cav = config.cav
-    eye = np.eye(2)
     if config.topology is Topology.NOTCH:
         f = config.filt
-        A = np.zeros((4, 4))
-        A[0:2, 0:2] = _mode_block(cav.delta, cav.kappa)
+        _mode_block(A, 2, cav.delta, cav.kappa)
         # Cascade widens the controller linewidth by the mirror-to-mirror
         # feedthrough 2*sqrt(kappa1*kappa2) and couples the optical modes
         # one-way in each direction with distinct rates.
-        A[2:4, 2:4] = _mode_block(f.delta_f, f.kappa_total + 2.0 * math.sqrt(f.kappa1 * f.kappa2))
-        A[0, 2] = A[1, 3] = -math.sqrt(cav.kappa * f.kappa1)
-        A[2, 0] = A[3, 1] = -math.sqrt(cav.kappa * f.kappa2)
+        _mode_block(A, 4, f.delta_f, f.kappa_total + 2.0 * np.sqrt(f.kappa1 * f.kappa2))
+        A[..., 2, 4] = A[..., 3, 5] = -np.sqrt(cav.kappa * f.kappa1)
+        A[..., 4, 2] = A[..., 5, 3] = -np.sqrt(cav.kappa * f.kappa2)
         # One shared vacuum drives cavity and controller coherently; the loss
         # port brings its own independent vacuum.
-        shared, loss = np.zeros((4, 2)), np.zeros((4, 2))
-        shared[0:2] = -math.sqrt(cav.kappa) * eye
-        shared[2:4] = -(math.sqrt(f.kappa1) + math.sqrt(f.kappa2)) * eye
-        loss[2:4] = -math.sqrt(f.kappa_loss) * eye
-        return A, (shared, loss), 1.0
+        shared = (-np.sqrt(cav.kappa), -(np.sqrt(f.kappa1) + np.sqrt(f.kappa2)))
+        return (shared, (0.0, -np.sqrt(f.kappa_loss))), 1.0
     alpha = 1.0
     if config.topology is Topology.BANDPASS:
         f = config.filt
         kappa_eff = cav.kappa * (f.kappa1 + f.kappa_loss) / (cav.kappa + f.kappa2)
         delta_eff = (f.kappa2 * cav.delta + cav.kappa * f.delta_f) / (cav.kappa + f.kappa2)
-        alpha = math.sqrt(f.kappa2 / (cav.kappa + f.kappa2))
+        alpha = np.sqrt(f.kappa2 / (cav.kappa + f.kappa2))
     else:
         kappa_eff, delta_eff = cav.kappa, cav.delta
-    return _mode_block(delta_eff, kappa_eff), (-math.sqrt(kappa_eff) * eye,), alpha
+    _mode_block(A, 2, delta_eff, kappa_eff)
+    return ((-np.sqrt(kappa_eff),),), alpha
 
 
 def _assemble(config: SystemConfig, bath: MechanicalBath):
@@ -133,14 +132,15 @@ def _assemble(config: SystemConfig, bath: MechanicalBath):
     if config.delay > 0:
         raise UnsupportedDelay("state-space oracle supports zero loop delay only")
     cav = config.cav
-    optics, inputs, alpha = _optics(config)
-    n = 2 + optics.shape[0]
-    A = np.zeros((n, n))
-    A[0:2, 0:2] = _mode_block(-cav.omega_m, bath.gamma_m)
-    A[2:, 2:] = optics
+    # One drift per value of the fields that hold ndarrays.
+    fields = [*vars(cav).values(), *(vars(config.filt).values() if config.filt else ())]
+    n = 6 if config.topology is Topology.NOTCH else 4
+    A = np.zeros((*np.broadcast(*fields).shape, n, n))
+    _mode_block(A, 0, -cav.omega_m, bath.gamma_m)
+    inputs, alpha = _optics(config, A)
     # The full -2g X_c X_m interaction, beam-splitter and squeezing terms alike.
-    A[1, 2] += 2.0 * cav.g * alpha
-    A[3, 0] += 2.0 * cav.g * alpha
+    A[..., 1, 2] += 2.0 * cav.g * alpha
+    A[..., 3, 0] += 2.0 * cav.g * alpha
     return A, inputs
 
 
@@ -149,6 +149,8 @@ def drift_matrix(config: SystemConfig, bath: MechanicalBath) -> np.ndarray:
     mechanics block, the optics and the -2 g X_c X_m coupling (g*alpha to
     the band-passing loop's effective mode).
 
+    A config whose fields hold ndarrays of one shape gives the stack of its
+    drifts, (*shape, n, n), with the bits of each row's float config.
     Raises :class:`UnsupportedDelay` for config.delay > 0: a delay line is
     infinite-dimensional and has no exact realization here.
     """
@@ -161,7 +163,9 @@ def build_state_space(config: SystemConfig, bath: MechanicalBath) -> StateSpaceM
     A, inputs = _assemble(config, bath)
     n = A.shape[0]
     D = np.zeros((n, n))
-    for b in inputs:
+    eye = np.eye(2)
+    for coefficients in inputs:
+        b = np.vstack([c * eye for c in coefficients])
         D[2:, 2:] += 0.5 * b @ b.T
     b_mech = -math.sqrt(bath.gamma_m) * np.eye(2)
     D[0:2, 0:2] = (bath.n_th + 0.5) * b_mech @ b_mech.T

@@ -101,26 +101,35 @@ def rate_spectrum(chi_cl: ResponseFn, g: float, grid: Sequence[float] | np.ndarr
     return Spectrum(omegas=omegas, values=sigma(g, chi_cl(omegas)))
 
 
-def sigma(g: float, response: complex | np.ndarray) -> float | np.ndarray:
-    """Sigma = g^2 |chi_cl|^2 of one response value or an array of them.
+def sigma(g: float | np.ndarray, response: complex | np.ndarray) -> float | np.ndarray:
+    """Sigma = g^2 |chi_cl|^2 of one response value or an array of them; an
+    array g (one value per row) broadcasts against the array.
 
     Each value has the bits of the scalar ``g * g * abs(chi_cl) ** 2`` (see
     :func:`netalg.abs2`).  Raises :class:`InvalidParam` for g < 0 and,
-    naming g, where Sigma overflows.
+    naming the g of the first overflowing value, where Sigma overflows.
     """
-    if g < 0:
-        raise InvalidParam(f"g must be >= 0, got {g}")
-    try:
-        if isinstance(response, np.ndarray):
-            with np.errstate(over="ignore"):
-                values = g * g * netalg.abs2(response)
-            overflow = np.isinf(values).any()
-        else:
+    if not isinstance(response, np.ndarray):
+        if g < 0:
+            raise InvalidParam(f"g must be >= 0, got {g}")
+        try:
+            value = g * g * netalg.abs2(response)
+        except OverflowError:  # |chi_cl|^2 itself
+            value = math.inf
+        if math.isinf(value):
+            raise InvalidParam(f"Sigma = g * g * |chi_cl|^2 overflows at g = {g!r}")
+        return value
+    negative = np.less(g, 0)
+    if negative.any():
+        raise InvalidParam(f"g must be >= 0, got {np.asarray(g)[negative][0]}")
+    with np.errstate(over="ignore"):
+        try:
             values = g * g * netalg.abs2(response)
-            overflow = math.isinf(values)
-    except OverflowError:  # |chi_cl|^2 itself
-        overflow = True
-    if overflow:
+        except OverflowError:  # |chi_cl|^2 itself: locate it by the product
+            values = g * g * np.square(np.hypot(response.real, response.imag))
+    overflow = np.isinf(values)
+    if overflow.any():
+        g = np.broadcast_to(g, values.shape)[overflow][0].item()
         raise InvalidParam(f"Sigma = g * g * |chi_cl|^2 overflows at g = {g!r}")
     return values
 

@@ -38,10 +38,28 @@ GRID_FLAGS = ["--omega-min", "-3", "--omega-max", "3", "--points", "601"]
 #: A notch loop whose sideband frequency +omega_m plus delta_f = omega_m overflows.
 OVERFLOW_FLAGS = ["--topology", "notch", "--kappa", "1", "--g", "0.1", "--delta", "1",
                   "--units", "si", "--omega-m", "1e308"]
+#: A symmetric notch loop for the closed-form optimum, short of --omega-m.
+OPTIMUM_FLAGS = ["--topology", "notch", "--kappa", "1", "--g", "0.1", "--kappa-f", "1",
+                 "--units", "si"]
+#: A delayed notch loop whose phase omega_m * tau overflows, every sum finite.
+DELAYED_FLAGS = ["--topology", "notch", "--kappa", "1", "--g", "0.1", "--kappa-f", "1",
+                 "--delta", "1", "--delta-f", "1", "--omega-m", "1e307", "--units", "si",
+                 "--tau", "100"]
 
 
 def spectrum_cfg(extra=()):
     return parse_config(NOTCH_FLAGS + GRID_FLAGS + list(extra))
+
+
+def refusal(argv):
+    """stderr of ``python -m cfcool`` on argv, which must exit 1 with no
+    output.  As in CI, a numpy RuntimeWarning ends the run with a traceback."""
+    proc = subprocess.run([sys.executable, "-m", "cfcool", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    return proc.stderr
 
 
 class TestParse:
@@ -568,6 +586,80 @@ class TestExitCodes:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == f"cfcool: config error: {sum_}\n"
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # omega_m**2 overflows in Python floats (an OverflowError).
+            (["design", *OPTIMUM_FLAGS, "--omega-m", "1e308"],
+             "the closed-form optimum overflows at --omega-m 1e+308, --kappa 1.0, --kappa-f 1.0"),
+            (["rates", *OPTIMUM_FLAGS, "--omega-m", "1e308", "--delta", "auto"],
+             "the closed-form optimum overflows at --omega-m 1e+308, --kappa 1.0, --kappa-f 1.0"),
+            # Every square is finite, but omega_m * kappa_f * kappa is not.
+            (["design", *OPTIMUM_FLAGS, "--omega-m", "1e154", "--kappa", "1e300"],
+             "the closed-form optimum overflows at --omega-m 1e+154, --kappa 1e+300, --kappa-f 1.0"),
+        ],
+        ids=["design", "rates-auto", "design-product"],
+    )
+    def test_overflowing_optimum_names_flags(self, argv, message):
+        assert refusal(argv) == f"cfcool: config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, phase",
+        [
+            (["rates", *DELAYED_FLAGS], "--omega-m * --tau overflows: 1e+307 * 100.0"),
+            (["oracle", *DELAYED_FLAGS], "--omega-m * --tau overflows: 1e+307 * 100.0"),
+            (["sweep", *DELAYED_FLAGS, "--sweep-param", "g", "--sweep-min", "0.1",
+              "--sweep-max", "0.2", "--sweep-points", "2"],
+             "--omega-m * --tau overflows: 1e+307 * 100.0"),
+            (["spectrum", *DELAYED_FLAGS, "--omega-min", "1e306", "--omega-max", "1e307",
+              "--points", "3"],
+             "--omega-max * --tau overflows: 1e+307 * 100.0"),
+        ],
+        ids=["rates", "oracle", "sweep", "spectrum"],
+    )
+    def test_overflowing_delay_phase_names_flags(self, argv, phase):
+        # Every frequency and sum is finite, but the delay line's phase
+        # omega * tau is not; it would turn into NaN in exp(i omega tau).
+        assert refusal(argv) == f"cfcool: config error: {phase}\n"
+
+    @pytest.mark.parametrize(
+        "argv, term",
+        [
+            (["rates", "--topology", "notch", "--kappa", "1e308", "--g", "0.1",
+              "--kappa1", "1e308", "--kappa2", "1e308"],
+             "--kappa1 + --kappa2 + --kappa-loss overflows: 1e+308 + 1e+308 + 0.0"),
+            (["rates", "--topology", "bandpass", "--kappa", "1", "--g", "0.1",
+              "--kappa1", "1e308", "--kappa2", "1", "--kappa-loss", "1e308"],
+             "--kappa1 + --kappa2 + --kappa-loss overflows: 1e+308 + 1.0 + 1e+308"),
+            (["rates", "--topology", "notch", "--kappa", "1", "--g", "0.1", "--kappa-f", "1e200"],
+             "--kappa1 * --kappa2 overflows: 1e+200 * 1e+200"),
+            (["oracle", "--topology", "notch", "--kappa", "1e300", "--g", "0.1",
+              "--kappa-f", "1e10", "--delta", "-1"],
+             "--kappa * --kappa1 overflows: 1e+300 * 10000000000.0"),
+            (["oracle", "--topology", "bandpass", "--kappa", "1e300", "--g", "0.1",
+              "--kappa1", "1e-10", "--kappa2", "1e10", "--delta", "-1"],
+             "--kappa * --kappa2 overflows: 1e+300 * 10000000000.0"),
+            # A kappa_f sweep moves both mirror rates; its grid ends bound them.
+            (["sweep", "--topology", "notch", "--kappa", "1", "--g", "0.1", "--kappa-f", "1",
+              "--sweep-param", "kappa_f", "--sweep-min", "1", "--sweep-max", "1e308",
+              "--sweep-points", "3"],
+             "--sweep-max + --sweep-max + --kappa-loss overflows: 1e+308 + 1e+308 + 0.0"),
+            (["sweep", "--topology", "bandpass", "--kappa", "1", "--g", "0.1", "--kappa-f", "1e10",
+              "--sweep-param", "kappa", "--sweep-min", "1", "--sweep-max", "1e300",
+              "--sweep-points", "3"],
+             "--sweep-max * --kappa1 overflows: 1e+300 * 10000000000.0"),
+            (["spectrum", "--topology", "notch", "--kappa", "1", "--g", "0.1", "--kappa-f", "1e200",
+              "--omega-min", "-3", "--omega-max", "3", "--points", "3"],
+             "--kappa1 * --kappa2 overflows: 1e+200 * 1e+200"),
+        ],
+        ids=["rates-linewidth", "rates-loss", "rates-mirrors", "oracle-notch", "oracle-bandpass",
+             "sweep-kappa-f", "sweep-kappa", "spectrum"],
+    )
+    def test_overflowing_rates_name_flags(self, argv, term):
+        # Every rate is finite, but a sum or product the controller or the
+        # oracle forms from them is not.
+        assert refusal(argv) == f"cfcool: config error: {term}\n"
 
     def test_config_file_takes_keys_of_other_commands(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

@@ -1,8 +1,10 @@
 """Property tests over random loops: closed forms, solver, path selection,
-grid calls against per-point calls, the bits of the array kernels, controller
-unitarity, the physicality of the state-space oracle, the batched stability
-rule and the rate floor at weak coupling."""
+grid calls against per-point calls, the bits of the array kernels, sweeps and
+the argmax scan against per-row calls, controller unitarity, the physicality
+of the state-space oracle, the batched stability rule and the rate floor at
+weak coupling."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -36,8 +38,10 @@ from cfcool import (
     scattering_rates,
     solve_network,
     steady_covariance,
+    sweep,
 )
-from cfcool.design import network_for, preset_detunings
+from cfcool import design
+from cfcool.design import default_detuning_bracket, loop_rates, network_for, preset_detunings
 from cfcool.netalg import DEN_SINGULAR, abs2
 from cfcool.spectra import sigma
 
@@ -271,6 +275,97 @@ def test_array_kernels_give_the_scalar_bits(loop, cav, filt, grid, on_singular_p
     assert np.array_equal(bits(got), bits(expected))
     g = cav.g
     assert np.array_equal(bits(sigma(g, got)), bits([g * g * abs(v) ** 2 for v in expected]))
+
+
+#: Values each swept parameter is drawn from.
+SWEPT = {
+    "delta": rates(-20.0, 20.0),
+    "kappa": rates(0.1, 100.0),
+    "g": rates(0.0, 1.0),
+    "kappa_f": rates(0.01, 100.0),
+}
+
+
+def row_config(cfg, name, value):
+    """The float config of one sweep row, built apart from the sweep."""
+    if name == "kappa_f":
+        return replace(cfg, filt=FilterCavityParams.symmetric(value, cfg.filt.delta_f))
+    return replace(cfg, cav=replace(cfg.cav, **{name: value}))
+
+
+def rate_bits(rates):
+    """The bits of a_plus, a_minus, gamma_opt and n_min (None if undefined)."""
+    return bits([rates.a_plus, rates.a_minus, rates.gamma_opt]).tolist(), (
+        None if rates.n_min is None else bits([rates.n_min]).tolist()
+    )
+
+
+@st.composite
+def sweep_cases(draw):
+    """A loop, a swept parameter and a monotone grid of 1-8 values; a
+    ``kappa_f`` sweep gets a symmetric lossless controller.  One case in four
+    is a notch loop whose detuning sweep crosses delta = delta_f = -+omega_m,
+    where the loop is singular at the sideband frequency -delta_f."""
+    name = draw(st.sampled_from(sorted(SWEPT)))
+    topology = draw(TOPOLOGIES if name != "kappa_f" else LOOPS)
+    cav, bath = draw(cavities()), draw(baths())
+    filt = draw(any_controllers() if name != "kappa_f" else ideal_controllers())
+    tau = draw(st.just(0.0) | rates(1e-3, 3.0))
+    grid = draw(st.lists(SWEPT[name], min_size=1, max_size=8, unique=True).map(sorted))
+    if draw(st.integers(0, 3)) == 0:
+        # e^{i omega tau} = 1 at omega = +-1 keeps the delayed loop singular.
+        name, topology, tau = "delta", Topology.NOTCH, draw(st.sampled_from([0.0, 2.0 * math.pi]))
+        filt = FilterCavityParams.symmetric(filt.kappa1, draw(st.sampled_from([-1.0, 1.0])))
+        grid = sorted(set(grid) | {filt.delta_f})
+    if draw(st.booleans()):
+        grid = grid[::-1]
+    return SystemConfig(cav, filt, topology, delay=tau), name, grid, bath
+
+
+@SETTINGS
+@given(case=sweep_cases())
+def test_sweep_rows_are_the_per_row_loops(case):
+    # One array pass over the grid: each row has the bits of loop_rates on
+    # that row's float config, the singular marker where it raises, and the
+    # flag of is_stable on its state-space model (None with a delay line).
+    cfg, name, grid, bath = case
+    table = sweep(cfg, name, grid, bath=bath)
+    assert [row.value for row in table.rows] == grid
+    for value, row in zip(grid, table.rows):
+        row_cfg = row_config(cfg, name, value)
+        try:
+            expected = loop_rates(row_cfg)
+        except SingularLoop:
+            expected = None
+        assert row.singular is (expected is None)
+        if expected is None:
+            assert row.rates is None
+        else:
+            assert rate_bits(row.rates) == rate_bits(expected)
+        flag = None if cfg.delay > 0 else is_stable(build_state_space(row_cfg, bath))
+        assert row.stable is flag
+    if cfg.delay == 0:
+        # The drift stack of the one config that holds the grid is the
+        # stack of the rows' drifts, byte for byte.
+        stack = drift_matrix(row_config(cfg, name, np.array(grid)), bath)
+        rows = [drift_matrix(row_config(cfg, name, value), bath) for value in grid]
+        assert np.array_equal(bits(stack), bits(rows))
+
+
+@SETTINGS
+@given(topology=TOPOLOGIES, cav=cavities(), filt=any_controllers(), tau=st.just(0.0) | rates(1e-3, 3.0))
+def test_argmax_coarse_scan_is_the_per_point_objective(topology, cav, filt, tau):
+    # The argmax's scan over the default bracket, one array call, against
+    # its objective loop_rates(...).a_minus at each detuning.
+    cfg = SystemConfig(cav, filt, topology, delay=tau)
+    xs = np.linspace(*default_detuning_bracket(cfg), design._COARSE_POINTS)
+    points = [outcome(lambda x: loop_rates(row_config(cfg, "delta", x)), x) for x in xs]
+    if SingularLoop in points:
+        with pytest.raises(SingularLoop):
+            design._sideband_sigmas(cfg, "delta", xs)
+        return
+    scan = design._sideband_sigmas(cfg, "delta", xs)[:, 1]
+    assert np.array_equal(bits(scan), bits([p.a_minus for p in points]))
 
 
 @SETTINGS
