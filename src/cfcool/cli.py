@@ -463,19 +463,27 @@ def cmd_sweep(cfg: RunConfig) -> OutputTable:
     config = system_config(cfg)
     _check_rates(cfg, swept)
     table = design.sweep(config, cfg.sweep_param, grid, bath=_bath(cfg))
-    rows = tuple(
-        (
-            row.value,
-            *_rate_cells(row.rates),
-            None if row.stable is None else float(row.stable),
-            float(row.singular),
-        )
-        for row in table.rows
-    )
+    # RateResult's gamma_opt and n_min, the same IEEE operations per row; an
+    # n_min that overflows is refused below as a non-finite cell.
+    gamma_opt = table.a_minus - table.a_plus
+    cooling = gamma_opt > 0
+    with np.errstate(over="ignore"):
+        n_min = np.divide(table.a_plus, gamma_opt, out=np.zeros_like(gamma_opt), where=cooling)
+    rates = [
+        np.where(table.singular, None, column).tolist()
+        for column in (table.a_plus, table.a_minus, gamma_opt)
+    ]
+    stable = [None] * grid.size if table.stable is None else table.stable.astype(float).tolist()
     return OutputTable(
         meta=metadata_pairs(cfg),
         columns=(cfg.sweep_param, *_RATE_COLUMNS, "stable", "singular"),
-        rows=rows,
+        rows=tuple(zip(
+            table.value.tolist(),
+            *rates,
+            np.where(cooling, n_min, None).tolist(),
+            stable,
+            table.singular.astype(float).tolist(),
+        )),
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -261,9 +262,35 @@ class SweepRow:
     singular: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    rows: tuple[SweepRow, ...]
+    """A sweep as columns, one entry per grid point in grid order: the swept
+    ``value``, the rates ``a_plus`` and ``a_minus`` (NaN where the loop was
+    singular), the strict-Hurwitz flags ``stable`` (None when no state-space
+    model exists, e.g. nonzero delay) and the ``singular`` mask.  ``rows``
+    is the same table as :class:`SweepRow` objects, built on first access."""
+
+    value: np.ndarray
+    a_plus: np.ndarray
+    a_minus: np.ndarray
+    stable: np.ndarray | None
+    singular: np.ndarray
+
+    @cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        flags = [None] * self.value.size if self.stable is None else self.stable.tolist()
+        return tuple(
+            SweepRow(
+                value=value,
+                rates=None if flagged else RateResult(a_plus, a_minus),
+                stable=stable,
+                singular=flagged,
+            )
+            for value, a_plus, a_minus, stable, flagged in zip(
+                self.value.tolist(), self.a_plus.tolist(), self.a_minus.tolist(),
+                flags, self.singular.tolist(),
+            )
+        )
 
 
 def _with_parameter(config: SystemConfig, name: str, value: float | np.ndarray) -> SystemConfig:
@@ -285,16 +312,18 @@ def sweep(
 ) -> SweepTable:
     """Evaluate scattering rates and stability along a parameter grid.
 
-    Rows come back in grid order; singular-loop points are flagged rather than
-    dropped or propagated.  One config whose swept field holds the grid gives
-    every row: its rates come from one array call at (-omega_m, +omega_m) per
-    row (plus one more per singular row), each with the bits of
-    :func:`loop_rates` on that row's config.  ``bath`` (default: no
-    mechanical damping) enters only the stability flag: the rows' drift
-    matrices, one stack from :func:`oracle.drift_matrix`, are tested by one
-    :func:`oracle.is_hurwitz` call, the same rule as :func:`oracle.is_stable`
-    on each row's model.  At nonzero delay every flag is None: the drift
-    assembly refuses before building anything.
+    The :class:`SweepTable` columns come back in grid order; singular-loop
+    points are flagged rather than dropped or propagated.  One config whose
+    swept field holds the grid gives every row: its rates come from one array
+    call at (-omega_m, +omega_m) per row (plus one more per singular row),
+    each with the bits of :func:`loop_rates` on that row's config; a rate
+    that is not finite and >= 0 is refused as :class:`RateResult` refuses
+    it.  ``bath`` (default: no mechanical damping) enters only the stability
+    flag: the rows' drift matrices, one stack from :func:`oracle.drift_matrix`,
+    are tested by one :func:`oracle.is_hurwitz` call, the same rule as
+    :func:`oracle.is_stable` on each row's model.  At nonzero delay the
+    ``stable`` column is None: the drift assembly refuses before building
+    anything.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise InvalidParam(f"unknown sweep parameter {parameter!r}")
@@ -314,14 +343,15 @@ def sweep(
     except UnsupportedDelay:
         # Nonzero delay has no finite-dimensional state space; record the
         # flags as unknown instead of failing the whole table.
-        flags = [None] * values.size
+        flags = None
     else:
-        flags = oracle.is_hurwitz(drifts).tolist()
-    sigmas, singular = _flagging_rows(
+        flags = oracle.is_hurwitz(drifts)
+    kept, singular = _flagging_rows(
         lambda keep: _sideband_sigmas(config, parameter, values[keep]), values.size, width=2
     )
-    rates = (RateResult(a_plus, a_minus) for a_plus, a_minus in sigmas.tolist())
-    return SweepTable(rows=tuple(
-        SweepRow(value=value, rates=None if flagged else next(rates), stable=stable, singular=flagged)
-        for value, stable, flagged in zip(values.tolist(), flags, singular.tolist())
-    ))
+    refused = ~np.all(np.isfinite(kept) & (kept >= 0), axis=1)
+    if refused.any():
+        RateResult(*kept[refused.argmax()].tolist())  # raises, naming that rate
+    sigmas = np.full((values.size, 2), np.nan)
+    sigmas[~singular] = kept
+    return SweepTable(values, sigmas[:, 0], sigmas[:, 1], flags, singular)

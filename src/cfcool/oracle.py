@@ -50,11 +50,22 @@ from .errors import (
 )
 from .spectra import MechanicalBath, steady_phonon
 
-#: Stability margin: every drift eigenvalue must satisfy Re < -margin*||A||.
+#: Stability margin: every drift eigenvalue must satisfy Re < -margin*||A||_2.
 STABILITY_MARGIN = 1e-12
 
 #: Accepted Lyapunov backward error: residual relative to 2||A|| ||V|| + ||D||.
 LYAPUNOV_RTOL = 1e-10
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F with x scaled before squaring by the power of two at or below
+    max|x_ij|, so that no square overflows; a power of two keeps the bits of
+    ``np.linalg.norm(x)`` wherever that is finite."""
+    top = float(np.abs(x).max())
+    if top == 0.0:
+        return 0.0
+    power = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    return power * float(np.linalg.norm(x / power))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +85,7 @@ class StateSpaceModel:
             raise InvalidParam("diffusion must match the (even-sized) drift")
         if not np.allclose(d, d.T):
             raise InvalidParam("diffusion matrix must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (d + d.T)).min() < -1e-12 * max(np.linalg.norm(d), 1.0):
+        if np.linalg.eigvalsh(0.5 * (d + d.T)).min() < -1e-12 * max(_frobenius(d), 1.0):
             raise InvalidParam("diffusion matrix must be positive semidefinite")
         object.__setattr__(self, "drift", a)
         object.__setattr__(self, "diffusion", d)
@@ -177,11 +188,24 @@ def is_hurwitz(drift: np.ndarray) -> np.ndarray:
     """Strict Hurwitz test over a stack of drift matrices (..., n, n): one flag
     per matrix, True when every eigenvalue has Re < -STABILITY_MARGIN*||A||_2.
 
-    This is the one stability rule; a single model is the size-1 stack.
+    This is the one stability rule; a single model is the size-1 stack.  One
+    ``eigvals`` call gives each matrix its largest real part w.  The bounds
+    M <= ||A||_2 <= n*M, M = max|a_ij| (Golub & Van Loan, Matrix
+    Computations, 2.3), each widened twofold so that the rounding of a
+    computed ||A||_2 cannot matter, settle w < -m*2n*M (stable) and
+    w >= -m*M/2 (unstable), m = STABILITY_MARGIN, without a norm; only the
+    matrices in between take ||A||_2, one SVD each.
     """
-    eigs = np.linalg.eigvals(drift)
-    margin = STABILITY_MARGIN * np.linalg.norm(drift, 2, axis=(-2, -1))
-    return np.all(eigs.real < -margin[..., None], axis=-1)
+    drift = np.asarray(drift)
+    n = drift.shape[-1]
+    w = np.asarray(np.linalg.eigvals(drift).real.max(axis=-1))
+    scale = np.abs(drift).max(axis=(-2, -1))
+    stable = np.asarray(w < -(STABILITY_MARGIN * 2 * n) * scale)
+    band = ~stable & (w < -(STABILITY_MARGIN / 2) * scale)
+    if band.any():
+        margin = STABILITY_MARGIN * np.linalg.norm(drift[band], 2, axis=(-2, -1))
+        stable[band] = w[band] < -margin
+    return stable
 
 
 def is_stable(m: StateSpaceModel) -> bool:
@@ -208,8 +232,8 @@ def steady_covariance(m: StateSpaceModel) -> np.ndarray:
     v = np.linalg.solve(K, -D.flatten(order="F"))
     V = v.reshape((n, n), order="F")
     V = 0.5 * (V + V.T)
-    residual = np.linalg.norm(A @ V + V @ A.T + D)
-    scale = 2.0 * np.linalg.norm(A) * np.linalg.norm(V) + np.linalg.norm(D)
+    residual = _frobenius(A @ V + V @ A.T + D)
+    scale = 2.0 * _frobenius(A) * _frobenius(V) + _frobenius(D)
     if residual > LYAPUNOV_RTOL * scale:
         raise LyapunovResidual(
             f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RTOL:g}*{scale:.3e}; "

@@ -301,6 +301,38 @@ class TestOracleCommand:
         assert row[0] == "1"
         assert math.isfinite(float(row[1])) and float(row[1]) > 0
 
+    @pytest.mark.parametrize(
+        "argv, meta, row",
+        [
+            (["--topology", "none", "--kappa", "1e160", "--g", "0.1", "--gamma-m", "1e-3"],
+             "topology=none units=omega_m kappa=1e+160 omega_m=1 g=0.10000000000000001 "
+             "delta=-1 kappa_loss=0 gamma_m=0.001",
+             "0,,,"),
+            (["--topology", "notch", "--kappa", "1e160", "--g", "0.1", "--kappa-f", "1",
+              "--gamma-m", "1e-3"],
+             "topology=notch units=omega_m kappa=1e+160 omega_m=1 g=0.10000000000000001 "
+             "delta=-1 kappa1=1 kappa2=1 kappa_loss=0 delta_f=1 gamma_m=0.001",
+             "0,,,"),
+            # Stable: the Lyapunov gate's norms see entries of 1e160 too.
+            (["--topology", "none", "--kappa", "1e160", "--g", "1e79", "--gamma-m", "1e150"],
+             "topology=none units=omega_m kappa=1e+160 omega_m=1 g=9.9999999999999997e+78 "
+             "delta=-1 kappa_loss=0 gamma_m=9.9999999999999998e+149",
+             "1,0,4.0000000000000003e-152,4.0000000000000004e-140"),
+        ],
+        ids=["none", "notch", "stable"],
+    )
+    def test_huge_rates_do_not_overflow_the_norms(self, argv, meta, row):
+        # The squares of entries of 1e160 overflow; the oracle's Frobenius
+        # norms scale before squaring.  As in CI, a numpy RuntimeWarning
+        # would end the run with a traceback.
+        proc = subprocess.run([sys.executable, "-m", "cfcool", "oracle", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == (f"# _version=0.1.0 {meta} n_th=0 tau=0 format=csv\n"
+                               f"stable,n_oracle,n_rate,rel_dev\n{row}\n")
+
 
 class TestDesignCommand:
     def test_resolved_design_point(self):
@@ -732,6 +764,19 @@ class TestGoldenBytes:
             ("spectrum --topology bandpass --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
              "--kappa-loss 0.2 --tau 0.5 --omega-min -3 --omega-max 3 --points 601",
              "d86e97d1381b9e21dd4cdd68699e3cb1ab882fbabb62c80488133155e920a587"),
+            # Sweeps whose empty cells come from the columns: a singular,
+            # unstable last row (JSON nulls in the second), and a delayed
+            # lossy loop with no stability flags and a heating row.
+            ("sweep --topology notch --kappa 10 --g 0.1 --kappa-f 1 "
+             "--sweep-param delta --sweep-min -3 --sweep-max 1 --sweep-points 5",
+             "849f92a4e213403b4b6f8491520a785100512ab5b595ddc74c628b8d092fa9aa"),
+            ("sweep --topology notch --kappa 10 --g 0.1 --kappa-f 1 "
+             "--sweep-param delta --sweep-min -3 --sweep-max 1 --sweep-points 5 --format json",
+             "8c9dc49e3990ed0dfabb2e17d6a0ff6d844e764fa5dd9020b19ad4dc46de128c"),
+            ("sweep --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
+             "--kappa-loss 0.2 --tau 6.283185307179586 --delta-f 1 "
+             "--sweep-param delta --sweep-min -3 --sweep-max 1 --sweep-points 5",
+             "78191f6e5b2574ee4457e3b89ebd5ab66c080a09753f52a20dfa12340a0d0d78"),
         ],
     )
     def test_readme_command_digest(self, capsys, command, digest):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cfcool import oracle
 from cfcool import (
     MechanicalBath,
     NegativeOccupation,
@@ -107,6 +108,51 @@ class TestStability:
         flags = is_hurwitz(stack)
         assert flags.tolist() == [True, True]
         assert flags.tolist() == [bool(is_hurwitz(a)) for a in stack]
+
+
+def two_norm_rule(stack):
+    """The strict Hurwitz rule, matrix by matrix, with ||A||_2 itself."""
+    return [
+        bool(np.all(np.linalg.eigvals(a).real < -oracle.STABILITY_MARGIN * np.linalg.norm(a, 2)))
+        for a in stack
+    ]
+
+
+class TestHurwitz:
+    # The first four 4x4 matrices have M = max|a_ij| = 1, so the bounds
+    # settle w = max Re(eig) < -8e-12 (stable) and w >= -5e-13 (unstable);
+    # in between ||A||_2 = 1 decides, where ||A||_F = sqrt(3) would not.
+    STACK = np.stack([
+        np.diag([-1.0, -2.0, -0.5, -1.0]),           # proven stable
+        np.diag([1e-3, -1.0, -1.0, -1.0]),           # proven unstable
+        np.diag([-1.4e-12, -1.0, -1.0, -1.0]),       # in band, stable by ||A||_2
+        np.diag([-0.7e-12, -1.0, -1.0, -1.0]),       # in band, unstable
+        np.diag([-1e200] * 4),                       # ||A||_F overflows
+        np.zeros((4, 4)),                            # w = 0 and M = 0
+    ])
+
+    def test_flags_are_the_two_norm_rule(self, monkeypatch):
+        norms = []
+
+        def spy(x, *args, **kwargs):
+            norms.append((np.array(x), args, kwargs))
+            return norm(x, *args, **kwargs)
+
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        flags = is_hurwitz(self.STACK)
+        monkeypatch.undo()
+        assert flags.tolist() == two_norm_rule(self.STACK)
+        assert flags.tolist() == [True, False, True, False, True, False]
+        # ||A||_2 was taken once, for the two in-band matrices only.
+        [(band, args, kwargs)] = norms
+        assert np.array_equal(band, self.STACK[2:4])
+        assert args == (2,) and kwargs == {"axis": (-2, -1)}
+
+    def test_empty_stack_and_single_matrix(self):
+        assert is_hurwitz(np.zeros((0, 4, 4))).tolist() == []
+        for a in self.STACK:
+            assert bool(is_hurwitz(a)) == two_norm_rule([a])[0]
 
 
 class TestCovariance:
