@@ -206,9 +206,13 @@ def reflection_sys(cav: OptoCavityParams, omega: float | np.ndarray) -> complex 
 def delay_response(tau: float, omega: float | np.ndarray) -> complex | np.ndarray:
     """Phase factor of a propagation delay tau >= 0 (unit modulus); scalar for
     a float omega, an array of omega's shape for an array."""
+    _check_tau(tau)
+    return np.exp(DELAY_PHASE_SIGN * 1j * omega * tau)
+
+
+def _check_tau(tau):
     if not math.isfinite(tau) or tau < 0:
         raise InvalidParam(f"tau must be finite and >= 0, got {tau!r}")
-    return np.exp(DELAY_PHASE_SIGN * 1j * omega * tau)
 
 
 def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
@@ -252,8 +256,9 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
 # complex and numpy complex128 scalars; the array branch repeats that
 # arithmetic on float arrays of real and imaginary parts, one IEEE operation
 # per ufunc call and in the scalar code's order, so neither complex SIMD loops
-# nor fused multiply-adds can round differently (the solver's batched det and
-# solve factor each matrix alone).  The two complex divisions differ:
+# nor fused multiply-adds can round differently.  The solver runs one code on
+# Python floats or on such arrays, so no BLAS kernel decides its bits (see
+# ``solve_network``).  The two complex divisions differ:
 # ``float / complex`` is CPython's, ``complex128 / complex128`` numpy's.
 # Parameters broadcast the same way: a field holding one value per grid row
 # enters the same elementwise operations (``np.sqrt`` for ``math.sqrt``, both
@@ -308,9 +313,14 @@ def _singular(omega, small):
     return SingularLoop(omega.flat[index].item(), index)
 
 
+def _mul(ar, ai, br, bi):
+    # (re, im) of the complex product (ar + i*ai)*(br + i*bi), as both CPython
+    # and numpy form it.
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _prod(a, b):
-    # (re, im) of the complex product a*b, as both CPython and numpy form it.
-    return a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    return _mul(a.real, a.imag, b.real, b.imag)
 
 
 def abs2(z: complex | np.ndarray) -> float | np.ndarray:
@@ -414,6 +424,9 @@ class DelayLine:
     n_inputs: ClassVar[int] = 1
     n_outputs: ClassVar[int] = 1
 
+    def __post_init__(self):
+        _check_tau(self.tau)
+
     def s_matrix(self, omega: float | np.ndarray) -> np.ndarray:
         """[[e^{i omega tau}]], shape (1, 1, *omega.shape); (1, 1) for a float omega."""
         return np.array([[delay_response(self.tau, omega)]], dtype=complex)
@@ -478,45 +491,136 @@ class NetworkSpec:
         object.__setattr__(self, "index", index)
 
 
+#: The (re, im) of an entry that no edge wires, where arithmetic needs a value.
+_ZERO = (0.0, 0.0)
+
+
 def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.ndarray:
     """Response of the tapped intracavity field to a unit-amplitude external input.
 
-    Stacks all element input signals into x, assembles x = M(omega) x + e_in,
-    solves the linear system, and applies the tap cavity's internal gain
-    chi(omega) to its port signal.  A float omega returns a Python complex;
-    an ndarray grid is solved as one (*omega.shape, n, n) stack with one
-    batched det and one batched solve, and returns an array of omega's shape
-    whose every value has the bits of the float call at that point.  Raises
-    :class:`SingularLoop` where |det(I - M)| < ``DEN_SINGULAR`` (see there),
-    carrying the first such grid point's frequency and index.
+    Stacks all element input signals into x, assembles x = M(omega) x + e_in
+    and solves (I - M) x = e_in by one Gaussian elimination with partial
+    pivoting (:func:`_eliminate`), which also yields det(I - M).  The tap
+    cavity's internal gain chi(omega) is applied to its port signal.  A float
+    omega runs on Python floats and returns a Python complex; an ndarray grid
+    runs the same code on arrays and returns an array of omega's shape whose
+    every value has the bits of the float call at that point.  Raises
+    :class:`SingularLoop` where |det(I - M)| < ``DEN_SINGULAR`` or is NaN (see
+    there), carrying the first such grid point's frequency and index.
     """
     index = net.index
     n = len(index)
+    grid = isinstance(omega, np.ndarray)
+    parts = {}
+    for name, el in net.elements:
+        s = el.s_matrix(omega)
+        parts[name] = (s.real, s.imag) if grid else (s.real.tolist(), s.imag.tolist())
 
-    M = np.zeros((n, n, *np.shape(omega)), dtype=complex)
-    smats = {name: el.s_matrix(omega) for name, el in net.elements}
-    for (src, p_out), dst_port in net.wiring:
-        row = index[dst_port]
-        s = smats[src]
-        for j in range(s.shape[1]):
-            M[row, index[(src, j)]] += s[p_out, j]
+    # (I - M | e_in): row i is the identity's, minus the S-matrix row of the
+    # output that drives port i; the input port has no driver, so its row is
+    # e_in's.  None marks an entry that no edge wires.
+    rows = [[(1.0, 0.0) if j == i else None for j in range(n + 1)] for i in range(n)]
+    rows[index[net.input_port]][n] = (1.0, 0.0)
+    for (src, p_out), dst in net.wiring:
+        row = rows[index[dst]]
+        re, im = parts[src]
+        for j in range(len(re[p_out])):
+            col = index[(src, j)]
+            ar, ai = row[col] or _ZERO
+            row[col] = (ar - re[p_out][j], ai - im[p_out][j])
 
-    # b is one (n, 1) column per grid point, so A and b have the same ndim and
-    # every numpy >= 1.23 reads it as the matrix right-hand side; a 1-d b
-    # against a stacked A is a vector per point only on numpy >= 2.0.
-    b = np.zeros((*np.shape(omega), n, 1), dtype=complex)
-    b[..., index[net.input_port], 0] = 1.0
+    with np.errstate(all="ignore"):  # a grid's singular points, refused below
+        try:
+            det, [(xr, xi)] = _eliminate(rows, index[(net.tap, 0)])
+        except ZeroDivisionError:  # an exactly zero pivot of a float call
+            raise _singular(omega, True) from None
+        regular = np.hypot(*det) >= DEN_SINGULAR
+    if not regular.all():
+        raise _singular(omega, ~regular)
+    gain = dict(net.elements)[net.tap].tap_gain(omega)
+    # _mul, not a complex multiply, whose SIMD loops may fuse or reorder on a grid.
+    out = _mul(gain.real, gain.imag, xr, xi)
+    return _complex(*out) if grid else complex(*out)
 
-    A = np.eye(n, dtype=complex) - np.moveaxis(M, (0, 1), (-2, -1))
-    small = abs(np.linalg.det(A)) < DEN_SINGULAR
-    if small.any():
-        raise _singular(omega, small)
-    x = np.linalg.solve(A, b)[..., 0]
-    tap_gain = dict(net.elements)[net.tap].tap_gain(omega)
-    # _prod, not a complex multiply, whose SIMD loops may fuse or reorder on
-    # a grid; [()] turns the 0-d result of a float call into a scalar.
-    out = _complex(*_prod(tap_gain, x[..., index[(net.tap, 0)]]))[()]
-    return out if isinstance(out, np.ndarray) else complex(out)
+
+def _pick(mask, a, b):
+    """``a`` where ``mask`` holds, else ``b``: every per-point choice of
+    :func:`_eliminate`.  A float call's mask is a Python bool, so it picks
+    one Python value; a grid's mask is an array, picked from elementwise."""
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
+
+
+def _abs1(z):
+    # LAPACK's pivot size |re| + |im| (izamax).
+    return abs(z[0]) + abs(z[1])
+
+
+def _reciprocal(br, bi):
+    # (re, im) of 1 / (br + i*bi) by Smith's method; on Python floats a zero
+    # pivot raises ZeroDivisionError.
+    m = abs(br) >= abs(bi)
+    big, small = _pick(m, br, bi), _pick(m, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    return _pick(m, 1.0, ratio) / denom, _pick(m, -ratio, -1.0) / denom
+
+
+def _eliminate(rows, t):
+    """Gaussian elimination with partial pivoting on ``rows``, an n x n matrix
+    followed by right-hand-side columns, whose entries are (re, im) pairs of
+    floats or grid arrays, or None where structurally zero.
+
+    Returns (re, im) of the product of the pivots, which is det up to the
+    sign the row swaps give (only |det| is read), and a list with entry
+    ``t`` of the solution for each right-hand-side column.  Pivots follow
+    LAPACK's rule: the largest |re| + |im| in the column, the first maximum
+    winning, chosen per grid point.  ``rows`` is overwritten.
+    """
+    n, width = len(rows), len(rows[0])
+    det, reciprocals = None, []
+    for k in range(n):
+        below = [i for i in range(k + 1, n) if rows[i][k] is not None]
+        p, best = k, _abs1(rows[k][k])
+        for i in below:
+            size = _abs1(rows[i][k])
+            more = size > best
+            p, best = _pick(more, i, p), _pick(more, size, best)
+        for i in below:
+            swap = p == i
+            for j in range(k, width):
+                a, b = rows[k][j], rows[i][j]
+                if a is not None or b is not None:
+                    (ar, ai), (br, bi) = a or _ZERO, b or _ZERO
+                    rows[k][j] = (_pick(swap, br, ar), _pick(swap, bi, ai))
+                    rows[i][j] = (_pick(swap, ar, br), _pick(swap, ai, bi))
+
+        pivot = rows[k][k]
+        det = pivot if det is None else _mul(*det, *pivot)
+        r = _reciprocal(*pivot)
+        reciprocals.append(r)
+        for i in below:
+            lr, li = _mul(*rows[i][k], *r)
+            for j in range(k + 1, width):
+                if rows[k][j] is not None:
+                    ur, ui = rows[k][j]
+                    ar, ai = rows[i][j] or _ZERO
+                    tr, ti = _mul(lr, li, ur, ui)
+                    rows[i][j] = (ar - tr, ai - ti)
+
+    solutions = []
+    for c in range(n, width):
+        x = {}
+        for j in range(n - 1, t - 1, -1):
+            sr, si = rows[j][c] or _ZERO
+            for m in range(j + 1, n):
+                if rows[j][m] is not None:
+                    tr, ti = _mul(*rows[j][m], *x[m])
+                    sr, si = sr - tr, si - ti
+            x[j] = _mul(sr, si, *reciprocals[j])
+        solutions.append(x[t])
+    return det, solutions
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +644,7 @@ def _loop_network(cav, filt, tau, feed_output):
     # (transmission side) passes only that band.
     elements = [("ctrl", FilterTwoPort(filt)), ("sys", CavityReflection(cav))]
     wiring = [(("ctrl", feed_output), ("sys", 0))]
-    if tau > 0:
+    if tau != 0.0:  # a NaN, negative or infinite tau: DelayLine refuses it
         elements.append(("lag", DelayLine(tau)))
         wiring += [(("sys", 0), ("lag", 0)), (("lag", 0), ("ctrl", 1))]
     else:

@@ -734,8 +734,9 @@ class TestFlagLists:
 class TestGoldenBytes:
     """SHA-256 of the full output of the README commands.
 
-    Their values come from scalar float arithmetic (the sweep's stability flag
-    only thresholds eigenvalues), so the bytes are the same on every platform.
+    Their values come from IEEE float arithmetic in a fixed order, the network
+    solver's included, and the sweep's stability flag only thresholds
+    eigenvalues, so no BLAS kernel or SIMD level moves the bytes.
     """
 
     @pytest.mark.parametrize(
@@ -763,7 +764,7 @@ class TestGoldenBytes:
              "4b632b95b84d1d3a9116aea1bb0f3ea063053112dd6fb8833ef91debfe160829"),
             ("spectrum --topology bandpass --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
              "--kappa-loss 0.2 --tau 0.5 --omega-min -3 --omega-max 3 --points 601",
-             "d86e97d1381b9e21dd4cdd68699e3cb1ab882fbabb62c80488133155e920a587"),
+             "4907ee391f24a8d8891270a4b85aa63c43f931bcf00e562798057dba1ccff1e9"),
             # Sweeps whose empty cells come from the columns: a singular,
             # unstable last row (JSON nulls in the second), and a delayed
             # lossy loop with no stability flags and a heating row.
@@ -776,7 +777,7 @@ class TestGoldenBytes:
             ("sweep --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
              "--kappa-loss 0.2 --tau 6.283185307179586 --delta-f 1 "
              "--sweep-param delta --sweep-min -3 --sweep-max 1 --sweep-points 5",
-             "78191f6e5b2574ee4457e3b89ebd5ab66c080a09753f52a20dfa12340a0d0d78"),
+             "0b37b3aed5a16b36bea23855ee5192e3f0858c4138ac3a02810d95affd454217"),
         ],
     )
     def test_readme_command_digest(self, capsys, command, digest):

@@ -1,6 +1,7 @@
 """Element responses, closed forms, and the interconnection solver."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from cfcool import (
     single_cavity_network,
     solve_network,
 )
-from cfcool.netalg import CavityReflection, FilterTwoPort
+from cfcool.netalg import DEN_SINGULAR, CavityReflection, DelayLine, FilterTwoPort
 
 CAV = OptoCavityParams(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
 FILT = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=1.0)
@@ -116,6 +117,20 @@ class TestDelay:
     def test_negative_delay_rejected(self):
         with pytest.raises(InvalidParam):
             delay_response(-1.0, 1.0)
+
+    @pytest.mark.parametrize("tau", [-0.5, math.nan, -math.inf, math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tau: notch_network(CAV, FILT, tau=tau),
+            lambda tau: bandpass_network(CAV, FILT_BP, tau=tau),
+            DelayLine,
+        ],
+        ids=["notch_network", "bandpass_network", "DelayLine"],
+    )
+    def test_bad_delay_refused_at_construction(self, build, tau):
+        with pytest.raises(InvalidParam, match=r"tau must be finite and >= 0"):
+            build(tau)
 
 
 class TestScattering:
@@ -273,6 +288,145 @@ class TestSolver:
         asym = FilterCavityParams(1.0, 1.2, 0.0, 1.0)
         got = solve_network(notch_network(CAV, asym), -1.0)
         assert abs(got) > 0.0  # imbalance leaks the blocked sideband
+
+
+@dataclass(frozen=True)
+class Constant:
+    """An element with a frequency-independent S-matrix (rows: outputs).  It
+    need not be passive, so it can put an exact zero on the diagonal of I - M."""
+
+    s: tuple
+
+    @property
+    def n_inputs(self):
+        return len(self.s[0])
+
+    @property
+    def n_outputs(self):
+        return len(self.s)
+
+    def s_matrix(self, omega):
+        s = np.array(self.s, dtype=complex)
+        return s if np.ndim(omega) == 0 else s[..., None] * np.ones_like(omega)
+
+
+def dense_system(net, omega):
+    """I - M and the input column of ``net`` at a float omega, as dense arrays."""
+    n = len(net.index)
+    a, b = np.eye(n, dtype=complex), np.zeros(n, dtype=complex)
+    elements = dict(net.elements)
+    for (src, p_out), dst in net.wiring:
+        s = elements[src].s_matrix(omega)
+        for j in range(s.shape[1]):
+            a[net.index[dst], net.index[(src, j)]] -= s[p_out, j]
+    b[net.index[net.input_port]] = 1.0
+    return a, b
+
+
+def dense_response(net, omega):
+    """The tap response by np.linalg.solve on the dense system."""
+    a, b = dense_system(net, omega)
+    x = np.linalg.solve(a, b)[net.index[(net.tap, 0)]]
+    return dict(net.elements)[net.tap].tap_gain(omega) * x
+
+
+def series_network(rng):
+    """Two random lossy controllers in series, a cavity, a delay back to the
+    first controller, and a feed-forward branch from the first controller's
+    second output into the second's second input, in a shuffled port order."""
+    def controller():
+        return FilterTwoPort(FilterCavityParams(
+            rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0), rng.uniform(0.0, 1.0), rng.uniform(-3.0, 3.0)
+        ))
+
+    cav = OptoCavityParams(rng.uniform(1.0, 20.0), rng.uniform(-5.0, 5.0), 0.1, 1.0)
+    elements = [
+        ("c1", controller()), ("c2", controller()),
+        ("sys", CavityReflection(cav)), ("lag", DelayLine(rng.uniform(0.01, 3.0))),
+    ]
+    return NetworkSpec(
+        elements=tuple(elements[i] for i in rng.permutation(len(elements))),
+        wiring=(
+            (("c1", 0), ("c2", 0)),
+            (("c2", 0), ("sys", 0)),
+            (("sys", 0), ("lag", 0)),
+            (("lag", 0), ("c1", 1)),
+            (("c1", 1), ("c2", 1)),
+        ),
+        input_port=("c1", 0),
+        tap="sys",
+    )
+
+
+class TestSolverKernel:
+    def test_zero_first_pivot_swaps_rows(self):
+        # amp's output 0 drives its own input 0 with gain 1, so the first
+        # pivot of I - M is 0; elimination must swap in the row of the
+        # cavity, which amp's output 1 drives.
+        amp = Constant(((1.0, 0.5j, 0.2), (0.7, 0.1 - 0.3j, 0.4j)))
+        net = NetworkSpec(
+            elements=(("amp", amp), ("sys", CavityReflection(CAV))),
+            wiring=(
+                (("amp", 0), ("amp", 0)),
+                (("sys", 0), ("amp", 1)),
+                (("amp", 1), ("sys", 0)),
+            ),
+            input_port=("amp", 2),
+            tap="sys",
+        )
+        grid = np.linspace(-3.0, 3.0, 7)
+        a, _ = dense_system(net, 0.0)
+        assert a[0, 0] == 0.0 and a[3, 0] == -0.7
+        values = solve_network(net, grid)
+        for w, value in zip(grid, values):
+            ref = dense_response(net, w)
+            assert rel_err(solve_network(net, float(w)), ref) <= 1e-12
+            assert rel_err(value, ref) <= 1e-12
+
+    def test_random_networks_match_dense_solve(self):
+        rng = np.random.default_rng(18)
+        grid = np.linspace(-6.0, 6.0, 97)
+        checked = 0
+        for _ in range(40):
+            net = series_network(rng)
+            assert type(solve_network(net, 0.3)) is complex
+            values = solve_network(net, grid)
+            for w, value in zip(grid, values):
+                a, _ = dense_system(net, w)
+                if abs(np.linalg.det(a)) >= 1e-4:
+                    assert rel_err(value, dense_response(net, w)) <= 1e-12
+                    checked += 1
+        assert checked > 3000
+
+    def test_singular_verdict_is_the_dense_determinants(self):
+        # Blue-detuned notch loops, with and without a delay of 2*pi, whose
+        # loop hits +1 at omega = -delta_f; points approach it from both
+        # sides, so |det| sweeps through DEN_SINGULAR.
+        # The random networks add regular points.
+        rng = np.random.default_rng(180)
+        cases = [(series_network(rng), 0.5) for _ in range(4)]
+        for kappa_f, delta_f in ((1.0, 1.0), (0.3, -1.0), (2.0, 1.0)):
+            blue = OptoCavityParams(10.0, delta_f, 0.1, 1.0)
+            f = FilterCavityParams.symmetric(kappa_f, delta_f)
+            for tau in (0.0, 2.0 * math.pi):
+                cases.append((notch_network(blue, f, tau=tau), -delta_f))
+        offsets = np.concatenate([[0.0], np.logspace(-16.0, -8.0, 33)])
+        verdicts = {True: 0, False: 0}
+        for net, w0 in cases:
+            for w in np.concatenate([w0 - offsets, w0 + offsets]):
+                a, _ = dense_system(net, w)
+                det = abs(np.linalg.det(a))
+                if 0.5e-13 <= det <= 2e-13:
+                    continue
+                try:
+                    solve_network(net, float(w))
+                    singular = False
+                except SingularLoop as exc:
+                    assert exc.omega == w
+                    singular = True
+                assert singular == (det < DEN_SINGULAR), (w, det)
+                verdicts[singular] += 1
+        assert min(verdicts.values()) >= 20
 
 
 class TestNetworkValidation:
