@@ -53,6 +53,10 @@ from .spectra import MechanicalBath, steady_phonon
 #: Stability margin: every drift eigenvalue must satisfy Re < -margin*||A||_2.
 STABILITY_MARGIN = 1e-12
 
+#: Routh-Hurwitz certification shift tau: a stack row is stable without
+#: ``eigvals`` when its eigenvalues all lie tau*max|a_ij| left of the axis.
+CERTIFICATION_SHIFT = 1e-6
+
 #: Accepted Lyapunov backward error: residual relative to 2||A|| ||V|| + ||D||.
 LYAPUNOV_RTOL = 1e-10
 
@@ -147,11 +151,19 @@ def _assemble(config: SystemConfig, bath: MechanicalBath):
     fields = [*vars(cav).values(), *(vars(config.filt).values() if config.filt else ())]
     n = 6 if config.topology is Topology.NOTCH else 4
     A = np.zeros((*np.broadcast(*fields).shape, n, n))
-    _mode_block(A, 0, -cav.omega_m, bath.gamma_m)
-    inputs, alpha = _optics(config, A)
-    # The full -2g X_c X_m interaction, beam-splitter and squeezing terms alike.
-    A[..., 1, 2] += 2.0 * cav.g * alpha
-    A[..., 3, 0] += 2.0 * cav.g * alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        _mode_block(A, 0, -cav.omega_m, bath.gamma_m)
+        inputs, alpha = _optics(config, A)
+        # The full -2g X_c X_m interaction, beam-splitter and squeezing terms alike.
+        A[..., 1, 2] += 2.0 * cav.g * alpha
+        A[..., 3, 0] += 2.0 * cav.g * alpha
+    # The band-passing loop's effective rate and detuning are products of the
+    # inputs, which can overflow where every input is finite.
+    if not np.isfinite(A).all():
+        raise InvalidParam(
+            "the state-space drift is not finite: a product of the loop's rates "
+            "or detunings overflows"
+        )
     return A, inputs
 
 
@@ -184,19 +196,90 @@ def build_state_space(config: SystemConfig, bath: MechanicalBath) -> StateSpaceM
     return StateSpaceModel(drift=A, diffusion=D)
 
 
+def _certified_stable(drift: np.ndarray) -> np.ndarray:
+    # Rows of a stack (k, n, n) that B + tau*I Hurwitz proves stable; see
+    # is_hurwitz.
+    k, n = drift.shape[0], drift.shape[-1]
+    scale = np.abs(drift).reshape(k, n * n).max(axis=-1, initial=0.0)
+    rows = np.isfinite(scale) & (scale > 0)
+    # A power of two scales exactly: B = A / 2^e has max|b_ij| in [1/2, 1).
+    b = np.ldexp(drift[rows], -np.frexp(scale[rows])[1][:, None, None])
+    # Power sums p_k = tr(B^k) from B, ..., B^h, h = ceil(n/2): the traces,
+    # then tr(B^h B^j) = sum(B^h o (B^j)^T) for j = 1, ..., n - h.
+    powers = [b]
+    while 2 * len(powers) < n:
+        powers.append(powers[-1] @ b)
+    sums = np.array(
+        [np.einsum("kii->k", p) for p in powers]
+        + [np.einsum("kij,kji->k", powers[-1], p) for p in powers[: n - len(powers)]]
+    )
+    # Newton's identities: det(xI - B) = sum_k c_k x^(n-k), c_0 = 1.
+    c = np.ones((n + 1, b.shape[0]))
+    for j in range(1, n + 1):
+        c[j] = np.einsum("ik,ik->k", c[j - 1 :: -1], sums[:j]) / -j
+    # Taylor shift to p(x - tau), the polynomial of B + tau*I: n(n+1)/2
+    # multiply-adds.
+    for i in range(n):
+        for j in range(1, n - i + 1):
+            c[j] -= CERTIFICATION_SHIFT * c[j - 1]
+    # Routh array: the polynomial is Hurwitz iff the first column of its
+    # Routh array is positive; an entry that is not finite proves nothing.
+    hurwitz = np.ones(b.shape[0], dtype=bool)
+    upper, lower = list(c[0::2]), list(c[1::2])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(n):
+            hurwitz &= (lower[0] > 0) & (lower[0] < np.inf)
+            ratio = upper[0] / lower[0]
+            upper, lower = lower, [u - ratio * v for u, v in zip(upper[1:], lower[1:] + [0.0])]
+    stable = np.zeros(k, dtype=bool)
+    stable[rows] = hurwitz
+    return stable
+
+
 def is_hurwitz(drift: np.ndarray) -> np.ndarray:
     """Strict Hurwitz test over a stack of drift matrices (..., n, n): one flag
     per matrix, True when every eigenvalue has Re < -STABILITY_MARGIN*||A||_2.
 
-    This is the one stability rule; a single model is the size-1 stack.  One
-    ``eigvals`` call gives each matrix its largest real part w.  The bounds
-    M <= ||A||_2 <= n*M, M = max|a_ij| (Golub & Van Loan, Matrix
-    Computations, 2.3), each widened twofold so that the rounding of a
-    computed ||A||_2 cannot matter, settle w < -m*2n*M (stable) and
-    w >= -m*M/2 (unstable), m = STABILITY_MARGIN, without a norm; only the
-    matrices in between take ||A||_2, one SVD each.
+    This is the one stability rule.  One ``eigvals`` call gives each matrix
+    its largest real part w.  The bounds M <= ||A||_2 <= n*M, M = max|a_ij|
+    (Golub & Van Loan, Matrix Computations, 2.3), each widened twofold so
+    that the rounding of a computed ||A||_2 cannot matter, settle
+    w < -m*2n*M (stable) and w >= -m*M/2 (unstable), m = STABILITY_MARGIN,
+    without a norm; only the matrices in between take ||A||_2, one SVD each.
+
+    A stack first passes a Routh-Hurwitz certification (Gantmacher, The
+    Theory of Matrices, vol. 2, ch. XV), which needs no eigen-decomposition.
+    With B = A/2^e, 2^(e-1) <= M < 2^e, the characteristic polynomial of B
+    comes from the power sums tr(B^k) by Newton's identities, and a Taylor
+    shift gives that of B + tau*I, tau = CERTIFICATION_SHIFT.  If its Routh
+    array proves it Hurwitz, w < -tau*2^e < -tau*M, far below the rule's
+    band: tau exceeds m*2n some 10^4-10^6 times.  Coefficient rounding moves
+    a simple root by far less than tau*M.  It spreads a cluster of m roots
+    by about (1e-16)^(1/m)*M, which exceeds tau*M for m >= 3, but keeps the
+    cluster's mean: some root of the spread cluster lies at or right of the
+    mean, so a cluster at or right of the axis never looks stable.  The same
+    spread can make a stable cluster look unstable, so instability is not
+    certified.  Only the rows left open (not certified, not finite, or all
+    zero) reach ``eigvals`` and the rule.  A single 2-D drift skips the
+    certification, which costs more than the rule for one matrix.  At a
+    defective cluster of three or more eigenvalues within about 1e-5*M of
+    the axis, ``eigvals`` itself moves the roots past the axis, and a
+    certified stable row can be one that a 2-D call calls unstable.
     """
     drift = np.asarray(drift)
+    if drift.ndim == 2:
+        return _margin_rule(drift)
+    n = drift.shape[-1]
+    flat = drift.reshape(-1, n, n)
+    stable = _certified_stable(flat)
+    open_rows = ~stable
+    if open_rows.any():
+        stable[open_rows] = _margin_rule(flat[open_rows])
+    return stable.reshape(drift.shape[:-2])
+
+
+def _margin_rule(drift: np.ndarray) -> np.ndarray:
+    # The rule of is_hurwitz itself, from eigvals and max|a_ij| bounds.
     n = drift.shape[-1]
     w = np.asarray(np.linalg.eigvals(drift).real.max(axis=-1))
     scale = np.abs(drift).max(axis=(-2, -1))

@@ -36,6 +36,12 @@ class MechanicalBath:
             raise InvalidParam(f"gamma_m must be finite and >= 0, got {self.gamma_m!r}")
         if not (math.isfinite(self.n_th) and self.n_th >= 0):
             raise InvalidParam(f"n_th must be finite and >= 0, got {self.n_th!r}")
+        # The thermal load of the oracle's diffusion and of steady_phonon.
+        if not math.isfinite(self.gamma_m * (self.n_th + 0.5)):
+            raise InvalidParam(
+                f"gamma_m * (n_th + 0.5) overflows at gamma_m = {self.gamma_m!r}, "
+                f"n_th = {self.n_th!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -123,10 +129,7 @@ def sigma(g: float | np.ndarray, response: complex | np.ndarray) -> float | np.n
     if negative.any():
         raise InvalidParam(f"g must be >= 0, got {np.asarray(g)[negative][0]}")
     with np.errstate(over="ignore"):
-        try:
-            values = g * g * netalg.abs2(response)
-        except OverflowError:  # |chi_cl|^2 itself: locate it by the product
-            values = g * g * np.square(np.hypot(response.real, response.imag))
+        values = g * g * netalg.abs2(response)
     overflow = np.isinf(values)
     if overflow.any():
         g = np.broadcast_to(g, values.shape)[overflow][0].item()

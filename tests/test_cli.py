@@ -693,6 +693,42 @@ class TestExitCodes:
         # oracle forms from them is not.
         assert refusal(argv) == f"cfcool: config error: {term}\n"
 
+    @pytest.mark.parametrize(
+        "command",
+        [["oracle"], ["sweep", "--sweep-param", "g", "--sweep-min", "0.1", "--sweep-max", "0.2",
+                      "--sweep-points", "3"]],
+        ids=["oracle", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "loop",
+        [["--kappa", "1e200", "--kappa1", "1", "--kappa2", "1", "--kappa-loss", "1e200"],
+         ["--kappa", "1", "--kappa1", "1", "--kappa2", "1e200", "--delta", "-1e200"]],
+        ids=["kappa-eff", "delta-eff"],
+    )
+    def test_non_finite_bandpass_drift_exits_one(self, command, loop):
+        # Every rate, sum and checked product is finite, but the band-passing
+        # loop's effective rate kappa*(kappa1 + kappa_loss)/(kappa + kappa2)
+        # or detuning (kappa2*delta + kappa*delta_f)/(kappa + kappa2) is not.
+        argv = [*command, "--topology", "bandpass", "--g", "0.1", *loop]
+        assert refusal(argv) == (
+            "cfcool: config error: the state-space drift is not finite: a product of "
+            "the loop's rates or detunings overflows\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["oracle", "--gamma-m", "1e10", "--n-th", "1e300"],
+         ["oracle", "--gamma-m", "1e300", "--n-th", "1e300"],
+         ["rates", "--gamma-m", "1e300", "--n-th", "1e300"]],
+        ids=["oracle", "oracle-both-huge", "rates"],
+    )
+    def test_overflowing_thermal_load_names_the_bath(self, argv):
+        # gamma_m and n_th are finite, but the thermal load gamma_m*(n_th + 1/2)
+        # of the oracle's diffusion and of the rate-equation occupation is not.
+        stderr = refusal([*argv, "--kappa", "10", "--g", "0.1"])
+        assert stderr.startswith("cfcool: config error: gamma_m * (n_th + 0.5) overflows at ")
+        assert len(stderr.splitlines()) == 1 and "gamma_m = " in stderr
+
     def test_config_file_takes_keys_of_other_commands(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("points=5\nsweep_points=3\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cfcool import oracle
+from cfcool import design, oracle
 from cfcool import (
     MechanicalBath,
     NegativeOccupation,
@@ -15,6 +15,7 @@ from cfcool import (
     UnsupportedDelay,
     build_state_space,
     consistency_check,
+    drift_matrix,
     heisenberg_defect,
     is_hurwitz,
     is_stable,
@@ -153,6 +154,75 @@ class TestHurwitz:
         assert is_hurwitz(np.zeros((0, 4, 4))).tolist() == []
         for a in self.STACK:
             assert bool(is_hurwitz(a)) == two_norm_rule([a])[0]
+
+    @staticmethod
+    def defective_pair(rng, n, w0):
+        # A Jordan block of the complex pair w0 +- ib, the rest well damped,
+        # rotated: its computed coefficients keep only about half their digits.
+        a = np.zeros((n, n))
+        a[0:2, 0:2] = a[2:4, 2:4] = [[w0, -0.5], [0.5, w0]]
+        a[0:2, 2:4] = np.eye(2)
+        a[range(4, n), range(4, n)] = -rng.uniform(0.1, 1.0, n - 4)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        return q @ a @ q.T
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_certified_stacks_are_the_two_norm_rule(self, n):
+        rng = np.random.default_rng(19 + n)
+        stack = rng.normal(size=(300, n, n)) * 10.0 ** rng.uniform(-300, 300, (300, 1, 1))
+        # Shift the diagonal by [-3, 1] times max|a_ij|: about a third unstable.
+        stack -= np.eye(n) * np.abs(stack).max(axis=(1, 2))[:, None, None] * rng.uniform(
+            -1.0, 3.0, (300, 1, 1))
+        extra = [np.diag([-1e200] * n), np.zeros((n, n)), 1e-300 * rng.normal(size=(n, n))]
+        if n >= 4:
+            extra += [self.defective_pair(rng, n, w0) for w0 in (-1e-4, -1e-6, -1e-7, 1e-7, 1e-6)]
+            # A stable triple root 1e-9 left of the axis: coefficient rounding
+            # spreads it by about 5e-6, so a test of B - tau*I for instability
+            # would often call it unstable.
+            for _ in range(5):
+                q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+                extra.append(q @ np.diag([-1e-9] * 3 + [-1.0] * (n - 3)) @ q.T)
+        stack = np.concatenate([stack, extra])
+        flags = is_hurwitz(stack)
+        assert flags.tolist() == two_norm_rule(stack)
+        assert 50 < np.count_nonzero(~flags) < 250
+
+    def test_only_rows_near_the_axis_reach_eigvals(self, monkeypatch):
+        # A notch g sweep from g = 0 at gamma_m = 0: the optical damping grows
+        # as g^2, so the first rows lie within CERTIFICATION_SHIFT*M of the axis.
+        grid = np.linspace(0.0, 0.05, 501)
+        drifts = np.stack([
+            drift_matrix(make_notch(10.0, 1.0, g, 1.0), COLD) for g in grid
+        ])
+        w = np.linalg.eigvals(drifts).real.max(axis=-1) / np.abs(drifts).max(axis=(1, 2))
+        calls = []
+
+        def spy(a):
+            calls.append(np.array(a))
+            return eigvals(a)
+
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        table = design.sweep(make_notch(10.0, 1.0, 0.0, 1.0), "g", grid)
+        [reached] = calls
+        calls.clear()
+        is_hurwitz(drifts[0])
+        [single] = calls
+        monkeypatch.undo()
+        assert table.stable.tolist() == two_norm_rule(drifts)
+        assert single.shape == (6, 6) and np.array_equal(single, drifts[0])
+        rows = [int(np.flatnonzero((drifts == a).all(axis=(1, 2)))[0]) for a in reached]
+        tau = oracle.CERTIFICATION_SHIFT
+        # Every row with w >= -tau*M/2 reaches eigvals, and no row with
+        # w < -2*tau*M (the shift is tau*2^e, M < 2^e <= 2M).
+        assert set(np.flatnonzero(w >= -tau / 2)) <= set(rows)
+        assert np.all(w[rows] >= -2 * tau * (1 + 1e-3))
+        assert 0 < len(rows) < 100
+
+    def test_non_finite_row_still_raises(self):
+        stack = np.stack([-np.eye(4), np.full((4, 4), np.nan)])
+        with pytest.raises(np.linalg.LinAlgError):
+            is_hurwitz(stack)
 
 
 class TestCovariance:
