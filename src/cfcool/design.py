@@ -169,7 +169,7 @@ def optimal_detuning(omega_m: float, kappa: float, kappa_f: float) -> float:
     At this detuning the anti-Stokes rate gains the factor 1 + (kappa_f/omega_m)^2
     over its value at delta = -omega_m while the Stokes rate stays zero.
     """
-    if omega_m <= 0 or kappa <= 0 or kappa_f <= 0:
+    if not omega_m > 0 or not kappa > 0 or not kappa_f > 0:
         raise InvalidParam("omega_m, kappa and kappa_f must all be > 0")
     return -omega_m - omega_m * kappa_f * kappa / (2.0 * (omega_m**2 + kappa_f**2))
 
@@ -182,7 +182,8 @@ def default_detuning_bracket(config: SystemConfig) -> tuple[float, float]:
     return (-cav.omega_m - cav.kappa * kf, -1e-3 * cav.omega_m)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Golden-section fraction 1 - 1/phi of Brent's fallback step.
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _COARSE_POINTS = 65
 
 
@@ -195,11 +196,15 @@ def argmax_detuning_numeric(
 
     A coarse scan, one array call over 65 detunings, localizes the maximum
     (raising :class:`BracketError` when the objective is flat or monotone
-    over the bracket, e.g. g = 0), then a golden-section refinement narrows
-    it to width ``tol``.
+    over the bracket, e.g. g = 0).  Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5) then refines it inside
+    the two scan intervals around the best point, with parabolic steps and a
+    golden-section step as the fallback, until the maximizer lies in a
+    bracket of width ``tol``.  A ``tol`` below the float spacing of the
+    detuning is raised to eight units in the last place.
     """
-    if tol <= 0:
-        raise InvalidParam(f"tol must be > 0, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidParam(f"tol must be finite and > 0, got {tol}")
     lo, hi = bracket if bracket is not None else default_detuning_bracket(config)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidParam(f"bad bracket {(lo, hi)!r}")
@@ -217,21 +222,58 @@ def argmax_detuning_numeric(
             f"anti-Stokes rate is monotone over bracket {(lo, hi)!r}; no interior maximum"
         )
 
-    # Unimodality puts the true maximum inside the neighbouring scan interval.
-    a, b = xs[best - 1], xs[best + 1]
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_PHI
-            fc = objective(c)
+    # Unimodality puts the true maximum inside the neighbouring scan intervals.
+    # x is the best point so far, w the second best and v the previous w; a
+    # parabola through them proposes the next point u, kept only inside
+    # [a, b] and shorter than half the step before last, else a golden
+    # section of the larger side is taken.  No step is shorter than tol / 4.
+    # The scan's samples have the bits of the objective, so its best point
+    # starts as x and the bracket ends as v and w; a first step before last
+    # of the bracket width lets the parabola through those three go first.
+    a, b = float(xs[best - 1]), float(xs[best + 1])
+    tol = max(tol, 8.0 * math.ulp(max(abs(a), abs(b))))
+    step_min = 0.25 * tol
+    x, v, w = float(xs[best]), a, b
+    fv, fx, fw = ys[best - 1 : best + 2].tolist()
+    d = e = b - a
+    while max(x - a, b - x) > 0.5 * tol:
+        toward_b = x < 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > step_min:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            before_last, e = e, d
+            parabolic = abs(p) < abs(0.5 * q * before_last) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            d = p / q
+            if x + d - a < 0.5 * tol or b - x - d < 0.5 * tol:
+                d = step_min if toward_b else -step_min
         else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_PHI
-            fd = objective(d)
-    return 0.5 * (a + b)
+            e = b - x if toward_b else a - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= step_min else math.copysign(step_min, d))
+        fu = objective(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v in (x, w):
+                v, fv = u, fu
+    return x
 
 
 def bandpass_ground_state_feasible(kappa: float, kappa_f: float, omega_m: float) -> bool:
@@ -240,7 +282,7 @@ def bandpass_ground_state_feasible(kappa: float, kappa_f: float, omega_m: float)
     The left side is half the band-passing loop's effective linewidth, so the
     inequality is the resolved-sideband condition of the effective cavity.
     """
-    if kappa <= 0 or kappa_f <= 0 or omega_m <= 0:
+    if not kappa > 0 or not kappa_f > 0 or not omega_m > 0:
         raise InvalidParam("kappa, kappa_f and omega_m must all be > 0")
     return kappa * kappa_f / (4.0 * (kappa + kappa_f)) < omega_m
 

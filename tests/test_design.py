@@ -27,6 +27,8 @@ from cfcool import (
 )
 from cfcool import design, oracle
 
+NAN = float("nan")
+
 
 class TestPresets:
     def test_notch_defaults(self):
@@ -81,6 +83,11 @@ class TestOptimalDetuning:
     def test_wide_filter_limit(self):
         assert abs(optimal_detuning(1.0, 10.0, 1e9) - (-1.0)) < 1e-8
 
+    @pytest.mark.parametrize("args", [(NAN, 10.0, 1.0), (1.0, NAN, 1.0), (1.0, 10.0, NAN)])
+    def test_nan_refused(self, args):
+        with pytest.raises(InvalidParam):
+            optimal_detuning(*args)
+
 
 class TestArgmaxNumeric:
     def test_matches_closed_form_reference(self):
@@ -123,6 +130,32 @@ class TestArgmaxNumeric:
         wide = argmax_detuning_numeric(cfg, (-81.0, -1e-3))
         assert abs(argmax_detuning_numeric(cfg) - wide) <= 1e-6
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
+    def test_tol_not_finite_and_positive_refused(self, tol):
+        # A NaN tol fails every comparison, so a `tol <= 0` check lets it
+        # through to a stopping test that it then decides wrongly.
+        with pytest.raises(InvalidParam, match="tol"):
+            argmax_detuning_numeric(make_notch(7.3, 1.0, 0.01, 1.7), tol=tol)
+
+    def test_tol_below_float_spacing_ends(self):
+        # Below the spacing of floats near -3.5 (4.4e-16) no bracket can
+        # narrow to tol; the search stops at a few units in the last place.
+        cfg = make_notch(10.0, 1.0, 0.1, 1.0)
+        for tol in (1e-16, 1e-300):
+            assert abs(argmax_detuning_numeric(cfg, (-10.0, -1e-3), tol=tol) - (-3.5)) <= 1e-6
+
+    def test_refinement_evaluations_on_criterion_3_grid(self, monkeypatch):
+        # Brent's method needs 5-10 objective evaluations per argmax here,
+        # where a golden-section search needs 29-39.
+        calls = []
+        loop_rates = design.loop_rates
+        monkeypatch.setattr(design, "loop_rates", lambda cfg: calls.append(cfg) or loop_rates(cfg))
+        for kappa in (1.0, 3.0, 10.0, 30.0):
+            for kf in (0.25, 1.0, 4.0):
+                calls.clear()
+                argmax_detuning_numeric(make_notch(kappa, 1.0, 0.1, kf), (-1.0 - kappa * kf, -1e-3), tol=1e-7)
+                assert len(calls) <= 20, (kappa, kf, len(calls))
+
 
 class TestEnhancementFactor:
     def test_anti_stokes_gain_at_optimum(self):
@@ -144,6 +177,11 @@ class TestFeasibility:
 
     def test_deeply_resolved_true(self):
         assert bandpass_ground_state_feasible(0.1, 0.1, 1.0)
+
+    @pytest.mark.parametrize("args", [(NAN, 1.0, 1.0), (10.0, NAN, 1.0), (10.0, 1.0, NAN)])
+    def test_nan_refused(self, args):
+        with pytest.raises(InvalidParam):
+            bandpass_ground_state_feasible(*args)
 
 
 def bits(values):

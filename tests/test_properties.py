@@ -368,6 +368,55 @@ def test_argmax_coarse_scan_is_the_per_point_objective(topology, cav, filt, tau)
     assert np.array_equal(bits(scan), bits([p.a_minus for p in points]))
 
 
+def golden_section_max(f, a, b, tol):
+    """Golden-section search for the maximum of f on [a, b] down to width
+    tol: the refinement the argmax used before Brent's method, kept as a
+    reference."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - (b - a) * inv_phi, a + (b - a) * inv_phi
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * inv_phi
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * inv_phi
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+@SETTINGS
+@given(topology=TOPOLOGIES, cav=cavities(), filt=any_controllers(), tau=st.just(0.0) | rates(1e-3, 3.0))
+def test_argmax_refinement_matches_golden_section(topology, cav, filt, tau):
+    # On the scan intervals around the best scan point, wherever the
+    # objective is unimodal on a dense sample, Brent's refinement lands
+    # where a golden-section search does.
+    cfg = SystemConfig(cav, filt, topology, delay=tau)
+    xs = np.linspace(*default_detuning_bracket(cfg), design._COARSE_POINTS)
+    try:
+        ys = design._sideband_sigmas(cfg, "delta", xs)[:, 1]
+        best = int(np.argmax(ys))
+        assume(0 < best < xs.size - 1)
+        a, b = xs[best - 1], xs[best + 1]
+        dense = design._sideband_sigmas(cfg, "delta", np.linspace(a, b, 257))[:, 1]
+    except SingularLoop:
+        assume(False)
+    peak = int(np.argmax(dense))
+    assume(np.all(np.diff(dense[: peak + 1]) > 0) and np.all(np.diff(dense[peak:]) < 0))
+    got = design.argmax_detuning_numeric(cfg, tol=1e-7)
+
+    def objective(delta):
+        return loop_rates(row_config(cfg, "delta", delta)).a_minus
+
+    expected = golden_section_max(objective, a, b, 1e-7)
+    if abs(got - expected) > 1e-6:
+        # Rounding can flatten a wide peak over more than 1e-6; there
+        # Brent's point must rate at least as high as the reference's.
+        assert objective(got) >= objective(expected), (got, expected)
+
+
 @SETTINGS
 @given(cav=cavities(), filt=any_controllers(loss=st.just(0.0)), omega=rates(-50.0, 50.0))
 def test_lossless_elements_are_unitary(cav, filt, omega):
