@@ -103,6 +103,7 @@ class OptoCavityParams:
                 overflow = np.isinf(g * g)
             _check_values(self, names, [
                 (kappa, kappa <= 0, "kappa must be > 0, got {}"),
+                (kappa, kappa / 2.0 == 0.0, "kappa / 2 underflows to 0 at kappa = {!r}"),
                 (omega_m, omega_m <= 0, "omega_m must be > 0, got {}"),
                 (g, g < 0, "g must be >= 0, got {}"),
                 (g, overflow, "g * g must be finite, got g = {!r}"),
@@ -111,6 +112,8 @@ class OptoCavityParams:
         _check_finite(self, names)
         if kappa <= 0:
             raise InvalidParam(f"kappa must be > 0, got {kappa}")
+        if kappa / 2.0 == 0.0:  # the cavity's response divides by kappa/2 on resonance
+            raise InvalidParam(f"kappa / 2 underflows to 0 at kappa = {kappa!r}")
         if omega_m <= 0:
             raise InvalidParam(f"omega_m must be > 0, got {omega_m}")
         if g < 0:
@@ -140,10 +143,14 @@ class FilterCavityParams:
         names = ("kappa1", "kappa2", "kappa_loss", "delta_f")
         k1, k2, loss = self.kappa1, self.kappa2, self.kappa_loss
         if np.ndarray in (type(k1), type(k2), type(loss), type(self.delta_f)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = self.kappa_total
             _check_values(self, names, [
                 (k1, (k1 < 0) | (k2 < 0) | (loss < 0), "mirror and loss rates must be >= 0"),
                 # kappa1 + kappa2 > 0 for rates >= 0, without an overflow warning
                 (k1, (k1 <= 0) & (k2 <= 0), "at least one mirror must couple (kappa1 + kappa2 > 0)"),
+                (total, total / 2.0 == 0.0,
+                 "kappa_total / 2 underflows to 0 at kappa_total = {!r}"),
             ])
             return
         _check_finite(self, names)
@@ -151,6 +158,9 @@ class FilterCavityParams:
             raise InvalidParam("mirror and loss rates must be >= 0")
         if k1 + k2 <= 0:
             raise InvalidParam("at least one mirror must couple (kappa1 + kappa2 > 0)")
+        total = self.kappa_total
+        if total / 2.0 == 0.0:  # the controller's response divides by it on resonance
+            raise InvalidParam(f"kappa_total / 2 underflows to 0 at kappa_total = {total!r}")
 
     @classmethod
     def symmetric(cls, kappa_f: float, delta_f: float) -> "FilterCavityParams":
@@ -314,8 +324,12 @@ def _singular(omega, small):
 
 def _mul(ar, ai, br, bi):
     # (re, im) of the complex product (ar + i*ai)*(br + i*bi), as both CPython
-    # and numpy form it.
-    return ar * br - ai * bi, ar * bi + ai * br
+    # and numpy form it; each sum accumulates in its first product's array.
+    re = ar * br
+    re -= ai * bi
+    im = ar * bi
+    im += ai * br
+    return re, im
 
 
 def _prod(a, b):
@@ -506,32 +520,15 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
     runs the same code on arrays and returns an array of omega's shape whose
     every value has the bits of the float call at that point.  Raises
     :class:`SingularLoop` where |det(I - M)| < ``DEN_SINGULAR`` or is NaN (see
-    there), carrying the first such grid point's frequency and index.
+    there), carrying the first such grid point's frequency and index.  A
+    grid solve holds only the values a later step reads: the elements'
+    S-matrices are freed once I - M is assembled, and the elimination drops
+    each entry after its last use.
     """
-    index = net.index
-    n = len(index)
     grid = isinstance(omega, np.ndarray)
-    parts = {}
-    for name, el in net.elements:
-        s = el.s_matrix(omega)
-        parts[name] = (s.real, s.imag) if grid else (s.real.tolist(), s.imag.tolist())
-
-    # (I - M | e_in): row i is the identity's, minus the S-matrix row of the
-    # output that drives port i; the input port has no driver, so its row is
-    # e_in's.  None marks an entry that no edge wires.
-    rows = [[(1.0, 0.0) if j == i else None for j in range(n + 1)] for i in range(n)]
-    rows[index[net.input_port]][n] = (1.0, 0.0)
-    for (src, p_out), dst in net.wiring:
-        row = rows[index[dst]]
-        re, im = parts[src]
-        for j in range(len(re[p_out])):
-            col = index[(src, j)]
-            ar, ai = row[col] or _ZERO
-            row[col] = (ar - re[p_out][j], ai - im[p_out][j])
-
     with np.errstate(all="ignore"):  # a grid's singular points, refused below
         try:
-            det, [(xr, xi)] = _eliminate(rows, index[(net.tap, 0)])
+            det, [(xr, xi)] = _eliminate(_system(net, omega), net.index[(net.tap, 0)])
         except ZeroDivisionError:  # an exactly zero pivot of a float call
             raise _singular(omega, True) from None
         regular = np.hypot(*det) >= DEN_SINGULAR
@@ -543,6 +540,31 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
     return _complex(*out) if grid else complex(*out)
 
 
+def _system(net, omega):
+    """(I - M | e_in) of ``net`` at omega, as :func:`_eliminate`'s rows: row i
+    is the identity's, minus the S-matrix row of the output that drives port
+    i; the input port has no driver, so its row is e_in's.  None marks an
+    entry that no edge wires.  Every entry is a new value, so the elements'
+    S-matrices are free once this returns."""
+    index = net.index
+    n = len(index)
+    grid = isinstance(omega, np.ndarray)
+    parts = {}
+    for name, el in net.elements:
+        s = el.s_matrix(omega)
+        parts[name] = (s.real, s.imag) if grid else (s.real.tolist(), s.imag.tolist())
+    rows = [[(1.0, 0.0) if j == i else None for j in range(n + 1)] for i in range(n)]
+    rows[index[net.input_port]][n] = (1.0, 0.0)
+    for (src, p_out), dst in net.wiring:
+        row = rows[index[dst]]
+        re, im = parts[src]
+        for j in range(len(re[p_out])):
+            col = index[(src, j)]
+            ar, ai = row[col] or _ZERO
+            row[col] = (ar - re[p_out][j], ai - im[p_out][j])
+    return rows
+
+
 def _pick(mask, a, b):
     """``a`` where ``mask`` holds, else ``b``: every per-point choice of
     :func:`_eliminate`.  A float call's mask is a Python bool, so it picks
@@ -552,9 +574,19 @@ def _pick(mask, a, b):
     return a if mask else b
 
 
+def _put(mask, a, b):
+    # _pick(mask, a, b), written into b where both are grid arrays.
+    if isinstance(mask, np.ndarray) and isinstance(b, np.ndarray):
+        np.copyto(b, a, where=mask)
+        return b
+    return _pick(mask, a, b)
+
+
 def _abs1(z):
     # LAPACK's pivot size |re| + |im| (izamax).
-    return abs(z[0]) + abs(z[1])
+    size = abs(z[0])
+    size += abs(z[1])
+    return size
 
 
 def _reciprocal(br, bi):
@@ -567,6 +599,20 @@ def _reciprocal(br, bi):
     return _pick(m, 1.0, ratio) / denom, _pick(m, -ratio, -1.0) / denom
 
 
+def _reduce(row, upper, k, r):
+    # Subtract (row[k] * r) * upper from row, in place, and drop row[k]; r is
+    # the reciprocal of the pivot upper[k].
+    lr, li = _mul(*row[k], *r)
+    row[k] = None
+    for j in range(k + 1, len(row)):
+        if upper[j] is not None:
+            tr, ti = _mul(lr, li, *upper[j])
+            ar, ai = row[j] or _ZERO
+            ar -= tr
+            ai -= ti
+            row[j] = (ar, ai)
+
+
 def _eliminate(rows, t):
     """Gaussian elimination with partial pivoting on ``rows``, an n x n matrix
     followed by right-hand-side columns, whose entries are (re, im) pairs of
@@ -576,7 +622,16 @@ def _eliminate(rows, t):
     sign the row swaps give (only |det| is read), and a list with entry
     ``t`` of the solution for each right-hand-side column.  Pivots follow
     LAPACK's rule: the largest |re| + |im| in the column, the first maximum
-    winning, chosen per grid point.  ``rows`` is overwritten.
+    winning, chosen per grid point.
+
+    ``rows`` is consumed, so that a grid solve holds only what a later step
+    reads.  Step k drops the pivot, which det and its reciprocal then hold,
+    and each entry it eliminates once its multiplier is formed; for k < t it
+    also drops row k and its reciprocal, since back substitution reads only
+    rows t..n-1.  Surviving entries are updated in place, and a pivot swap
+    writes the displaced row into that row's own arrays: every array in
+    ``rows`` is one this solve made.  On Python floats the same statements
+    rebind, so a float call runs the same arithmetic.
     """
     n, width = len(rows), len(rows[0])
     det, reciprocals = None, []
@@ -594,20 +649,15 @@ def _eliminate(rows, t):
                 if a is not None or b is not None:
                     (ar, ai), (br, bi) = a or _ZERO, b or _ZERO
                     rows[k][j] = (_pick(swap, br, ar), _pick(swap, bi, ai))
-                    rows[i][j] = (_pick(swap, ar, br), _pick(swap, ai, bi))
+                    rows[i][j] = (_put(swap, ar, br), _put(swap, ai, bi))
 
-        pivot = rows[k][k]
-        det = pivot if det is None else _mul(*det, *pivot)
-        r = _reciprocal(*pivot)
-        reciprocals.append(r)
+        det = rows[k][k] if det is None else _mul(*det, *rows[k][k])
+        reciprocals.append(_reciprocal(*rows[k][k]))
+        rows[k][k] = None  # det holds the pivot from here
         for i in below:
-            lr, li = _mul(*rows[i][k], *r)
-            for j in range(k + 1, width):
-                if rows[k][j] is not None:
-                    ur, ui = rows[k][j]
-                    ar, ai = rows[i][j] or _ZERO
-                    tr, ti = _mul(lr, li, ur, ui)
-                    rows[i][j] = (ar - tr, ai - ti)
+            _reduce(rows[i], rows[k], k, reciprocals[k])
+        if k < t:  # back substitution reads only rows t..n-1
+            rows[k] = reciprocals[k] = None
 
     solutions = []
     for c in range(n, width):

@@ -729,6 +729,32 @@ class TestExitCodes:
         assert stderr.startswith("cfcool: config error: gamma_m * (n_th + 0.5) overflows at ")
         assert len(stderr.splitlines()) == 1 and "gamma_m = " in stderr
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["rates", "--topology", "none", "--kappa", "5e-324", "--g", "0.1"], "kappa"),
+            (["rates", "--topology", "notch", "--kappa", "5e-324", "--g", "0.1", "--kappa-f", "1"],
+             "kappa"),
+            (["rates", "--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa1", "5e-324",
+              "--kappa2", "0"], "kappa_total"),
+            (["oracle", "--topology", "notch", "--kappa", "5e-324", "--g", "0.1", "--kappa-f", "1"],
+             "kappa"),
+            (["spectrum", "--topology", "bandpass", "--kappa", "10", "--g", "0.1", "--kappa1", "0",
+              "--kappa2", "5e-324", "--omega-min", "-2", "--omega-max", "2", "--points", "3"],
+             "kappa_total"),
+            (["sweep", "--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa1", "5e-324",
+              "--kappa2", "0", "--sweep-param", "g", "--sweep-min", "0.1", "--sweep-max", "0.2",
+              "--sweep-points", "2"], "kappa_total"),
+        ],
+        ids=["rates-none", "rates-notch", "rates-mirror", "oracle", "spectrum-mirror", "sweep-mirror"],
+    )
+    def test_underflowing_half_linewidth_names_the_field(self, argv, field):
+        # The rate is > 0, but half of it, the resonant denominator of the
+        # cavity's or the controller's response, is 0.
+        assert refusal(argv) == (
+            f"cfcool: config error: {field} / 2 underflows to 0 at {field} = 5e-324\n"
+        )
+
     def test_config_file_takes_keys_of_other_commands(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("points=5\nsweep_points=3\n")

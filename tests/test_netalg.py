@@ -1,6 +1,7 @@
 """Element responses, closed forms, and the interconnection solver."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,24 @@ class TestParams:
             FilterCavityParams(kappa1=0.0, kappa2=0.0, kappa_loss=1.0, delta_f=0.0)
         with pytest.raises(InvalidParam):
             FilterCavityParams(kappa1=-1.0, kappa2=2.0, delta_f=0.0)
+
+    @pytest.mark.parametrize("column", [False, True], ids=["float", "array"])
+    def test_underflowing_half_linewidth_refused(self, column):
+        # 5e-324 / 2 rounds to 0, the resonant denominator of chi and of the
+        # controller's scattering; 1e-323 / 2 does not.
+        def value(x):
+            return np.array([1.0, x]) if column else x
+
+        cases = [
+            (lambda: OptoCavityParams(value(5e-324), 0.0, 0.1, 1.0), "kappa"),
+            (lambda: FilterCavityParams(value(5e-324), 0.0), "kappa_total"),
+        ]
+        for build, field in cases:
+            with pytest.raises(InvalidParam) as exc:
+                build()
+            assert str(exc.value) == f"{field} / 2 underflows to 0 at {field} = 5e-324"
+        OptoCavityParams(value(1e-323), 0.0, 0.1, 1.0)
+        FilterCavityParams(value(5e-324), 0.0, value(5e-324))
 
     def test_symmetric_ideal_predicate(self):
         assert FILT.is_symmetric_ideal
@@ -289,6 +308,26 @@ class TestSolver:
         got = solve_network(notch_network(CAV, asym), -1.0)
         assert abs(got) > 0.0  # imbalance leaks the blocked sideband
 
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "build, delta_f", [(notch_network, 1.0), (bandpass_network, -1.0)], ids=["notch", "bandpass"]
+    )
+    def test_grid_solve_memory_per_point(self, build, delta_f, tau):
+        # A grid solve holds only the values a later step reads, so its traced
+        # peak, the result included, stays within 400 B (50 float64 values)
+        # per grid point.
+        net = build(CAV, FilterCavityParams(1.0, 1.3, 0.2, delta_f), tau=tau)
+        grid = np.linspace(-3.0, 3.0, 5001)
+        solve_network(net, grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_network(net, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400 * grid.size, peak / grid.size
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -308,6 +347,52 @@ class Constant:
     def s_matrix(self, omega):
         s = np.array(self.s, dtype=complex)
         return s if np.ndim(omega) == 0 else s[..., None] * np.ones_like(omega)
+
+
+@dataclass(frozen=True, eq=False)
+class Stored:
+    """An element whose s_matrix returns one stored array on every call."""
+
+    s: np.ndarray
+
+    @property
+    def n_inputs(self):
+        return self.s.shape[1]
+
+    @property
+    def n_outputs(self):
+        return self.s.shape[0]
+
+    def s_matrix(self, omega):
+        return self.s
+
+
+def bits(values):
+    """The IEEE bit patterns of complex values, one int64 per part."""
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def assert_float_bits(net, grid):
+    """One grid solve has, at every point, the bits of the float solve there."""
+    values = solve_network(net, grid)
+    assert np.array_equal(bits(values), bits([solve_network(net, float(w)) for w in grid]))
+
+
+def zero_pivot_network():
+    """amp's output 0 drives its own input 0 with gain 1, so the first pivot
+    of I - M is 0 and elimination must swap in the row of the cavity, which
+    amp's output 1 drives."""
+    amp = Constant(((1.0, 0.5j, 0.2), (0.7, 0.1 - 0.3j, 0.4j)))
+    return NetworkSpec(
+        elements=(("amp", amp), ("sys", CavityReflection(CAV))),
+        wiring=(
+            (("amp", 0), ("amp", 0)),
+            (("sys", 0), ("amp", 1)),
+            (("amp", 1), ("sys", 0)),
+        ),
+        input_port=("amp", 2),
+        tap="sys",
+    )
 
 
 def dense_system(net, omega):
@@ -397,6 +482,42 @@ class TestSolverKernel:
                     assert rel_err(value, dense_response(net, w)) <= 1e-12
                     checked += 1
         assert checked > 3000
+
+    def test_series_networks_give_the_float_bits(self):
+        # The shuffled element order puts the tap row t at every index, so the
+        # rows dropped above it, the entries updated in place below it and
+        # the rows a pivot swap displaces differ from draw to draw.
+        rng = np.random.default_rng(22)
+        grid = np.linspace(-6.0, 6.0, 49)
+        taps = set()
+        for _ in range(40):
+            net = series_network(rng)
+            taps.add(net.index[(net.tap, 0)])
+            assert_float_bits(net, grid)
+        assert taps == set(range(6))
+
+    def test_zero_first_pivot_gives_the_float_bits(self):
+        net = zero_pivot_network()
+        assert dense_system(net, 0.0)[0][0, 0] == 0.0
+        assert_float_bits(net, np.linspace(-3.0, 3.0, 7))
+
+    def test_stored_s_matrix_is_left_unchanged(self):
+        # The solver updates its own entries in place, never an element's.
+        grid = np.linspace(-4.0, 4.0, 201)
+        filt = FilterCavityParams(1.0, 1.3, 0.2, 1.0)
+        s = scattering(filt, grid)
+        kept = s.copy()
+        stored = notch_network(CAV, filt, tau=0.5)
+        stored = NetworkSpec(
+            elements=tuple((name, Stored(s) if name == "ctrl" else el) for name, el in stored.elements),
+            wiring=stored.wiring,
+            input_port=stored.input_port,
+            tap=stored.tap,
+        )
+        first, second = solve_network(stored, grid), solve_network(stored, grid)
+        assert np.array_equal(bits(s), bits(kept))
+        assert np.array_equal(bits(first), bits(second))
+        assert np.array_equal(bits(first), bits(solve_network(notch_network(CAV, filt, tau=0.5), grid)))
 
     def test_singular_verdict_is_the_dense_determinants(self):
         # Blue-detuned notch loops, with and without a delay of 2*pi, whose
