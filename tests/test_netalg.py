@@ -69,6 +69,14 @@ class TestParams:
         OptoCavityParams(value(1e-323), 0.0, 0.1, 1.0)
         FilterCavityParams(value(5e-324), 0.0, value(5e-324))
 
+    @pytest.mark.parametrize("column", [False, True], ids=["float", "array"])
+    def test_g_whose_square_overflows_refused(self, column):
+        # 1e200 is finite, but the rates and the spectrum scale with g * g.
+        g = np.array([0.1, 1e200]) if column else 1e200
+        with pytest.raises(InvalidParam) as exc:
+            OptoCavityParams(kappa=10.0, delta=-1.0, g=g, omega_m=1.0)
+        assert str(exc.value) == "g * g must be finite, got g = 1e+200"
+
     def test_symmetric_ideal_predicate(self):
         assert FILT.is_symmetric_ideal
         assert FILT.kappa_f == 1.0

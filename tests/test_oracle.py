@@ -6,6 +6,8 @@ import scipy.linalg
 
 from cfcool import design, oracle
 from cfcool import (
+    FilterCavityParams,
+    InvalidParam,
     MechanicalBath,
     NegativeOccupation,
     OptoCavityParams,
@@ -342,3 +344,47 @@ class TestConsistency:
         report = consistency_check(cfg, MechanicalBath(1e-10, 100.0))
         assert report.rel_dev <= 0.05
         assert abs(report.n_oracle - 25.0 / 484.0) / (25.0 / 484.0) < 0.05
+
+
+class TestHugeInputs:
+    """Library callers are not held to the CLI's input domain: the oracle
+    refuses or handles values the CLI never passes on."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda cfg: consistency_check(cfg, COLD),
+         lambda cfg: design.sweep(cfg, "g", [0.1, 0.15, 0.2])],
+        ids=["oracle", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "cav, filt",
+        [((1e200, -1.0), (1.0, 1.0, 1e200)), ((1.0, -1e200), (1.0, 1e200, 0.0))],
+        ids=["kappa-eff", "delta-eff"],
+    )
+    def test_non_finite_bandpass_drift_refused(self, run, cav, filt):
+        # Every rate is finite, but the band-passing loop's effective rate
+        # kappa*(kappa1 + kappa_loss)/(kappa + kappa2) or detuning
+        # (kappa2*delta + kappa*delta_f)/(kappa + kappa2) is not.
+        cfg = SystemConfig(OptoCavityParams(cav[0], cav[1], 0.1, 1.0),
+                           FilterCavityParams(*filt, delta_f=-1.0), Topology.BANDPASS)
+        with pytest.raises(InvalidParam) as exc:
+            run(cfg)
+        assert str(exc.value) == (
+            "the state-space drift is not finite: a product of the loop's rates "
+            "or detunings overflows"
+        )
+
+    @pytest.mark.parametrize(
+        "cfg", [uncontrolled(kappa=1e160), make_notch(1e160, 1.0, 0.1, 1.0)], ids=["none", "notch"]
+    )
+    def test_huge_rates_unstable(self, cfg):
+        # The squares of entries of 1e160 overflow; the oracle's Frobenius
+        # norms scale before squaring, and no numpy warning is raised.
+        with pytest.raises(UnstableModel):
+            consistency_check(cfg, MechanicalBath(1e-3, 0.0))
+
+    def test_huge_rates_stable(self):
+        # Stable: the Lyapunov gate's norms see entries of 1e160 too.
+        report = consistency_check(uncontrolled(g=1e79, kappa=1e160), MechanicalBath(1e150, 0.0))
+        assert (report.n_oracle, report.n_rate, report.rel_dev) == (
+            0.0, 4.0000000000000003e-152, 4.0000000000000004e-140)

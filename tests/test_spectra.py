@@ -213,3 +213,13 @@ class TestBathValidation:
             MechanicalBath(gamma_m=-1e-3, n_th=0.0)
         with pytest.raises(InvalidParam):
             MechanicalBath(gamma_m=0.0, n_th=-1.0)
+
+    @pytest.mark.parametrize("gamma_m, n_th", [(1e10, 1e300), (1e300, 1e300)])
+    def test_overflowing_thermal_load_names_the_bath(self, gamma_m, n_th):
+        # gamma_m and n_th are finite, but the thermal load gamma_m*(n_th + 1/2)
+        # of the oracle's diffusion and of the rate-equation occupation is not.
+        with pytest.raises(InvalidParam) as exc:
+            MechanicalBath(gamma_m=gamma_m, n_th=n_th)
+        assert str(exc.value) == (
+            f"gamma_m * (n_th + 0.5) overflows at gamma_m = {gamma_m!r}, n_th = {n_th!r}"
+        )
