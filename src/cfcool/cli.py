@@ -35,13 +35,15 @@ dimensionless and portable; pass ``--units si`` to work in rad/s.
 
 Every float value, and the value ``--delta auto`` resolves to, must be 0 or
 of magnitude 1e-50 to 1e50: inside that domain no sum, product or square the
-commands form overflows.
+commands form overflows.  Every integer value (``--points``,
+``--sweep-points``) must be at most 10^6.
 
 Exit codes: 0 success (including a reported unstable model); 1 bad input, an
 error of the ValueError family (unknown flag, bad or missing value, a value
-outside the domain, parameters the physics rejects); 2 numeric failure, an
-error of the ArithmeticError family (e.g. a singular loop at a frequency where
-a rate is required).
+outside the domain, parameters the physics rejects, a ``--config`` file that
+is not readable UTF-8 text, an ``--output`` path that cannot be written); 2
+numeric failure, an error of the ArithmeticError family (e.g. a singular loop
+at a frequency where a rate is required).
 """
 
 from __future__ import annotations
@@ -161,8 +163,12 @@ def _read_config_file(path: str | Path) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {str(path)!r}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -187,6 +193,10 @@ def _flag(key: str) -> str:
 #: the float range that products of three inputs stay finite and normal.
 _LEAST, _MOST = 1e-50, 1e50
 
+#: Most points of a grid: 50 times the largest README or benchmark grid
+#: (20 001).  Far larger grids end in numpy allocation errors, not results.
+_MOST_POINTS = 10**6
+
 
 def _check_domain(name: str, x: float, shown: str) -> None:
     """Refuse a float ``x`` that is not 0 or of magnitude _LEAST to _MOST
@@ -208,6 +218,8 @@ def _parse_value(key: str, value: str):
         raise ConfigError(f"{_flag(key)}: expected {noun}, got {value!r}") from None
     if kind is float:
         _check_domain(_flag(key), out, repr(value))
+    elif kind is int and out > _MOST_POINTS:
+        raise ConfigError(f"{_flag(key)}: must be at most {_MOST_POINTS}, got {value!r}")
     return out
 
 
@@ -351,11 +363,6 @@ _RATE_COLUMNS = ("a_plus", "a_minus", "gamma_opt", "n_min")
 _rate_values = attrgetter(*_RATE_COLUMNS)
 
 
-def _rate_cells(rates: spectra.RateResult | None) -> tuple[float | None, ...]:
-    """The ``_RATE_COLUMNS`` cells of one row; all None for a singular row."""
-    return (None,) * len(_RATE_COLUMNS) if rates is None else _rate_values(rates)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -397,7 +404,7 @@ def cmd_rates(cfg: RunConfig) -> OutputTable:
                 cfg.kappa, config.filt.kappa_f, cfg.omega_m
             )
         )
-    row = (*_rate_cells(rates), n_steady, float(rates.gamma_opt > 0), feasible)
+    row = (*_rate_values(rates), n_steady, float(rates.gamma_opt > 0), feasible)
     return OutputTable(
         meta=metadata_pairs(cfg),
         columns=(*_RATE_COLUMNS, "n_steady", "net_cooling", "bandpass_feasible"),
@@ -555,7 +562,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         table = _COMMANDS[command](cfg)
         text = render(table, cfg.format)
         if cfg.output:
-            Path(cfg.output).write_text(text, encoding="utf-8", newline="")
+            try:
+                Path(cfg.output).write_text(text, encoding="utf-8", newline="")
+            except OSError as exc:
+                raise ConfigError(f"cannot write --output {cfg.output!r}: {exc.strerror}") from None
         else:
             sys.stdout.write(text)
     except CfcoolError as exc:

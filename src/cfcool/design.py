@@ -47,8 +47,7 @@ class SystemConfig:
     def __post_init__(self):
         if self.topology is not Topology.NONE and self.filt is None:
             raise InvalidParam(f"topology {self.topology.value} requires filter parameters")
-        if not (math.isfinite(self.delay) and self.delay >= 0):
-            raise InvalidParam(f"delay must be finite and >= 0, got {self.delay!r}")
+        netalg._check_tau(self.delay)
 
 
 def preset_detunings(topology: Topology, omega_m: float) -> tuple[float, float | None]:

@@ -11,7 +11,7 @@ class InvalidParam(CfcoolError, ValueError):
 
 class SingularLoop(CfcoolError, ArithmeticError):
     """The loop is singular at the requested frequency: |det(I - M)|, the
-    closed forms' loop denominator, is below ``netalg.DEN_SINGULAR``.
+    closed forms' loop denominator, is below ``netalg.DEN_SINGULAR`` or NaN.
 
     ``omega`` is the frequency; ``index`` is the flat index of the first such
     point of a grid call (None for a float call), which tells a grid row apart

@@ -36,34 +36,41 @@ from .errors import ClosedFormInapplicable, InvalidParam, SingularLoop
 DELAY_PHASE_SIGN = +1.0
 
 #: A loop is singular where its return difference |det(I - M(omega))| falls
-#: below this threshold (an algebraic loop sitting on resonance); it then
+#: below this threshold (an algebraic loop sitting on resonance) or is NaN
+#: (a NaN frequency): ``not |det| >= DEN_SINGULAR`` on both paths.  It then
 #: raises :class:`SingularLoop` instead of returning a huge, meaningless gain.
 #: For the preset loops det(I - M) is the closed forms' loop denominator
 #: 1 - r_sys*S_fb, so both paths apply one rule to one quantity.
 DEN_SINGULAR = 1e-13
 
 
+def _check(accepted, value, message):
+    """Raise :class:`InvalidParam` unless ``accepted`` holds at every value.
+
+    A parameter rule is written once, as an expression that is a bool for
+    float fields and a mask for ndarray fields.  ``message`` is formatted
+    with ``value``, or with the first value the mask refuses, as a Python
+    number.
+    """
+    if accepted is True:  # a float field's rule holds, the common case
+        return
+    if isinstance(accepted, np.ndarray):
+        if accepted.all():
+            return
+        value = np.broadcast_to(value, accepted.shape)[~accepted][0]
+    elif accepted:
+        return
+    if isinstance(value, (np.ndarray, np.generic)):  # a 0-d or numpy scalar field
+        value = value.item()
+    raise InvalidParam(message.format(value))
+
+
 def _check_finite(obj, names):
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise InvalidParam(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
-
-
-def _check_values(obj, names, checks):
-    """The float checks of a params object whose fields hold ndarrays: each
-    field must be finite, then each (value, refused mask, message) of
-    ``checks`` in order raises its message, formatted with the first refused
-    value, where the mask refuses any."""
-    finite = [
-        (value, ~np.isfinite(value), f"{type(obj).__name__}.{name} must be finite, got {{!r}}")
-        for name in names
-        for value in [getattr(obj, name)]
-    ]
-    for value, refused, message in finite + checks:
-        bad = np.broadcast_to(value, np.shape(refused))[refused]
-        if bad.size:
-            raise InvalidParam(message.format(bad[0].item()))
+        finite = abs(value) < math.inf
+        if finite is not True:  # format a message only for a field it may refuse
+            _check(finite, value, f"{type(obj).__name__}.{name} must be finite, got {{!r}}")
 
 
 def _all(truth) -> bool:
@@ -96,30 +103,15 @@ class OptoCavityParams:
     omega_m: float
 
     def __post_init__(self):
-        names = ("kappa", "delta", "g", "omega_m")
-        kappa, omega_m, g = self.kappa, self.omega_m, self.g
-        if np.ndarray in (type(kappa), type(self.delta), type(g), type(omega_m)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                overflow = np.isinf(g * g)
-            _check_values(self, names, [
-                (kappa, kappa <= 0, "kappa must be > 0, got {}"),
-                (kappa, kappa / 2.0 == 0.0, "kappa / 2 underflows to 0 at kappa = {!r}"),
-                (omega_m, omega_m <= 0, "omega_m must be > 0, got {}"),
-                (g, g < 0, "g must be >= 0, got {}"),
-                (g, overflow, "g * g must be finite, got g = {!r}"),
-            ])
-            return
-        _check_finite(self, names)
-        if kappa <= 0:
-            raise InvalidParam(f"kappa must be > 0, got {kappa}")
-        if kappa / 2.0 == 0.0:  # the cavity's response divides by kappa/2 on resonance
-            raise InvalidParam(f"kappa / 2 underflows to 0 at kappa = {kappa!r}")
-        if omega_m <= 0:
-            raise InvalidParam(f"omega_m must be > 0, got {omega_m}")
-        if g < 0:
-            raise InvalidParam(f"g must be >= 0, got {g}")
-        if not math.isfinite(float(g) * float(g)):  # Python floats: no overflow warning
-            raise InvalidParam(f"g * g must be finite, got g = {g!r}")
+        kappa, g, omega_m = self.kappa, self.g, self.omega_m
+        _check_finite(self, ("kappa", "delta", "g", "omega_m"))
+        _check(kappa > 0, kappa, "kappa must be > 0, got {}")
+        # the cavity's response divides by kappa/2 on resonance
+        _check(kappa / 2.0 != 0.0, kappa, "kappa / 2 underflows to 0 at kappa = {!r}")
+        _check(omega_m > 0, omega_m, "omega_m must be > 0, got {}")
+        _check(g >= 0, g, "g must be >= 0, got {}")
+        # for g >= 0, g * g is finite exactly where g < 2**512
+        _check(g < 2.0**512, g, "g * g must be finite, got g = {!r}")
 
 
 @dataclass(frozen=True)
@@ -140,27 +132,15 @@ class FilterCavityParams:
     delta_f: float = 0.0
 
     def __post_init__(self):
-        names = ("kappa1", "kappa2", "kappa_loss", "delta_f")
         k1, k2, loss = self.kappa1, self.kappa2, self.kappa_loss
-        if np.ndarray in (type(k1), type(k2), type(loss), type(self.delta_f)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = self.kappa_total
-            _check_values(self, names, [
-                (k1, (k1 < 0) | (k2 < 0) | (loss < 0), "mirror and loss rates must be >= 0"),
-                # kappa1 + kappa2 > 0 for rates >= 0, without an overflow warning
-                (k1, (k1 <= 0) & (k2 <= 0), "at least one mirror must couple (kappa1 + kappa2 > 0)"),
-                (total, total / 2.0 == 0.0,
-                 "kappa_total / 2 underflows to 0 at kappa_total = {!r}"),
-            ])
-            return
-        _check_finite(self, names)
-        if k1 < 0 or k2 < 0 or loss < 0:
-            raise InvalidParam("mirror and loss rates must be >= 0")
-        if k1 + k2 <= 0:
-            raise InvalidParam("at least one mirror must couple (kappa1 + kappa2 > 0)")
-        total = self.kappa_total
-        if total / 2.0 == 0.0:  # the controller's response divides by it on resonance
-            raise InvalidParam(f"kappa_total / 2 underflows to 0 at kappa_total = {total!r}")
+        _check_finite(self, ("kappa1", "kappa2", "kappa_loss", "delta_f"))
+        _check((k1 >= 0) & (k2 >= 0) & (loss >= 0), k1, "mirror and loss rates must be >= 0")
+        _check((k1 > 0) | (k2 > 0), k1, "at least one mirror must couple (kappa1 + kappa2 > 0)")
+        with np.errstate(over="ignore"):  # a sum of huge rates is not refused
+            total = self.kappa_total
+        # the controller's response divides by kappa_total/2 on resonance
+        _check(total / 2.0 != 0.0, total,
+               "kappa_total / 2 underflows to 0 at kappa_total = {!r}")
 
     @classmethod
     def symmetric(cls, kappa_f: float, delta_f: float) -> "FilterCavityParams":
@@ -220,8 +200,7 @@ def delay_response(tau: float, omega: float | np.ndarray) -> complex | np.ndarra
 
 
 def _check_tau(tau):
-    if not math.isfinite(tau) or tau < 0:
-        raise InvalidParam(f"tau must be finite and >= 0, got {tau!r}")
+    _check((tau >= 0) & (tau < math.inf), tau, "tau must be finite and >= 0, got {!r}")
 
 
 def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
@@ -364,12 +343,12 @@ def _closed_loop(cav, f, omega, wiring, fwd, fb):
         r_sys = _complex(1.0 + root * c.real, 0.0 + root * c.imag)
         loop_r, loop_i = _prod(r_sys, s[0, fb])
         den_r, den_i = 1.0 - loop_r, 0.0 - loop_i
-        small = np.hypot(den_r, den_i) < DEN_SINGULAR
+        small = ~(np.hypot(den_r, den_i) >= DEN_SINGULAR)  # the solver's test: NaN is singular
         if small.any():
             raise _singular(omega, small)
         return _complex(*_np_quot(*_prod(c, s[0, fwd]), den_r, den_i))
     den = 1.0 - reflection_sys(cav, omega) * s[0, fb]
-    if abs(den) < DEN_SINGULAR:
+    if not abs(den) >= DEN_SINGULAR:
         raise SingularLoop(omega)
     return chi(cav, omega) * s[0, fwd] / den
 

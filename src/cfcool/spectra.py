@@ -115,25 +115,17 @@ def sigma(g: float | np.ndarray, response: complex | np.ndarray) -> float | np.n
     :func:`netalg.abs2`).  Raises :class:`InvalidParam` for g < 0 and,
     naming the g of the first overflowing value, where Sigma overflows.
     """
-    if not isinstance(response, np.ndarray):
-        if g < 0:
-            raise InvalidParam(f"g must be >= 0, got {g}")
+    # A NaN g is not refused: its Sigma is NaN.
+    netalg._check((g >= 0) | (g != g), g, "g must be >= 0, got {}")
+    if isinstance(response, np.ndarray):
+        with np.errstate(over="ignore"):
+            values = g * g * netalg.abs2(response)
+    else:
         try:
-            value = g * g * netalg.abs2(response)
+            values = g * g * netalg.abs2(response)
         except OverflowError:  # |chi_cl|^2 itself
-            value = math.inf
-        if math.isinf(value):
-            raise InvalidParam(f"Sigma = g * g * |chi_cl|^2 overflows at g = {g!r}")
-        return value
-    negative = np.less(g, 0)
-    if negative.any():
-        raise InvalidParam(f"g must be >= 0, got {np.asarray(g)[negative][0]}")
-    with np.errstate(over="ignore"):
-        values = g * g * netalg.abs2(response)
-    overflow = np.isinf(values)
-    if overflow.any():
-        g = np.broadcast_to(g, values.shape)[overflow][0].item()
-        raise InvalidParam(f"Sigma = g * g * |chi_cl|^2 overflows at g = {g!r}")
+            values = math.inf
+    netalg._check(values != math.inf, g, "Sigma = g * g * |chi_cl|^2 overflows at g = {!r}")
     return values
 
 

@@ -1,5 +1,6 @@
 """Config parsing, command tables, rendering, determinism, and exit codes."""
 
+import errno
 import hashlib
 import json
 import math
@@ -750,6 +751,40 @@ class TestExitCodes:
         assert main(["rates", *NOTCH_FLAGS, "--config", str(path)]) == 0
         assert " points=5 " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["1000000000000000000000", "1000001"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["spectrum", *NOTCH_FLAGS, "--omega-min", "-3", "--omega-max", "3"], "--points"),
+            (["sweep", *NOTCH_FLAGS, "--sweep-param", "delta", "--sweep-min", "-2",
+              "--sweep-max", "0"], "--sweep-points"),
+        ],
+        ids=["points", "sweep-points"],
+    )
+    def test_too_many_points_names_the_flag(self, capsys, argv, flag, value):
+        # Refused while parsing, before any grid exists.  Never try ~10^12
+        # points: a host that overcommits memory may really allocate them.
+        assert refusal(capsys, [*argv, flag, value]) == (
+            f"cfcool: config error: {flag}: must be at most 1000000, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("target", ["missing-dir", "dir"])
+    def test_unwritable_output_names_the_path(self, tmp_path, capsys, target):
+        path, code = {
+            "missing-dir": (tmp_path / "missing" / "x.csv", errno.ENOENT),
+            "dir": (tmp_path, errno.EISDIR),
+        }[target]
+        assert refusal(capsys, ["rates", *NOTCH_FLAGS, "--output", str(path)]) == (
+            f"cfcool: config error: cannot write --output {str(path)!r}: {os.strerror(code)}\n"
+        )
+
+    def test_config_file_that_is_not_utf8_names_the_path(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"kappa=10\ng=0.1\n# \xff\n")
+        stderr = refusal(capsys, ["rates", "--config", str(path)])
+        assert stderr.startswith(f"cfcool: config error: cannot read config file {str(path)!r}: ")
+        assert stderr.count("\n") == 1, stderr
+
 
 #: Float values of the edge-value fuzz: 0, the domain's ends, values outside
 #: it, and the overflow and underflow points of the loop's arithmetic.
@@ -757,17 +792,26 @@ FUZZ_EDGES = (0.0, 1e-50, -1e-50, 1e50, -1e50, 1e49, 1e300, -1e300, 1e154, 5e-32
 #: Keys whose random values take either sign; the other floats are rates,
 #: frequencies and delays.
 FUZZ_SIGNED = ("delta", "delta_f", "omega_min", "omega_max", "sweep_min", "sweep_max")
+#: Integer values of the edge-value fuzz: below and at each grid's least
+#: size, and past the 10^6 bound.  None of them allocates a grid.
+FUZZ_INT_EDGES = (-1, 0, 1, 2, 10**6 + 1, 10**21)
 
 
 def fuzz_argv(rng):
     """One random command: a topology, a cavity, a controller and some other
     float flags of the command, each drawn from FUZZ_EDGES (probability 1/5)
-    or log-uniform over the domain."""
+    or log-uniform over the domain, and its grid size, drawn from
+    FUZZ_INT_EDGES (probability 1/5) or from a few small sizes."""
     def value(key):
         if rng.random() < 0.2:
             return FUZZ_EDGES[rng.integers(len(FUZZ_EDGES))]
         sign = rng.choice([-1.0, 1.0]) if key in FUZZ_SIGNED else 1.0
         return float(sign * 10.0 ** rng.uniform(-50.0, 50.0))
+
+    def points(low, high):
+        if rng.random() < 0.2:
+            return str(FUZZ_INT_EDGES[rng.integers(len(FUZZ_INT_EDGES))])
+        return str(rng.integers(low, high))
 
     command = str(rng.choice(list(_COMMANDS)))
     argv = [command, "--topology", str(rng.choice(["none", "notch", "bandpass"]))]
@@ -784,11 +828,11 @@ def fuzz_argv(rng):
             given[key] = value(key)
     if command == "spectrum":
         given["omega_min"], given["omega_max"] = sorted((value("omega_min"), value("omega_max")))
-        argv += ["--points", str(rng.integers(2, 6)),
+        argv += ["--points", points(2, 6),
                  "--element", str(rng.choice(["loop", "loop", "filter"]))]
     if command == "sweep":
         given["sweep_min"], given["sweep_max"] = sorted((value("sweep_min"), value("sweep_max")))
-        argv += ["--sweep-points", str(rng.integers(1, 5)),
+        argv += ["--sweep-points", points(1, 5),
                  "--sweep-param", str(rng.choice(["delta", "kappa_f", "kappa", "g"]))]
     for key, x in given.items():
         argv += ["--" + key.replace("_", "-"), repr(x)]
@@ -802,8 +846,9 @@ def test_edge_value_fuzz_leaves_only_cfcool_errors(capsys):
     ``warnings.simplefilter("error")``: ``main`` returns 0, 1 or 2, and no
     exception or warning escapes it.  The same fuzz, run for 4 000 commands
     against the per-expression overflow checks that the input domain
-    replaced, found no escape either: it guards the domain, not a known
-    failure."""
+    replaced, found no escape either: its float values guard the domain, not
+    a known failure.  Its grid sizes guard the 10^6 bound: 10^21 points
+    ended in a numpy ValueError before integer flags had one."""
     rng = np.random.default_rng(23)
     escaped, codes = [], []
     for _ in range(2000):

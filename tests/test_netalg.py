@@ -27,6 +27,7 @@ from cfcool import (
     solve_network,
 )
 from cfcool.netalg import DEN_SINGULAR, CavityReflection, DelayLine, FilterTwoPort
+from cfcool.spectra import sigma
 
 CAV = OptoCavityParams(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
 FILT = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=1.0)
@@ -36,6 +37,42 @@ FILT_BP = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=-1.0)
 def rel_err(a, b):
     m = max(abs(a), abs(b))
     return abs(a - b) / m if m > 0 else 0.0
+
+
+def sigma_of(g):
+    """Sigma of g against responses with |chi_cl|^2 = 4: a complex scalar for
+    a float g, an array of g's shape for an array g."""
+    return sigma(g, np.full(g.shape, 2.0 + 0j) if isinstance(g, np.ndarray) else 2.0 + 0j)
+
+
+OPTO = dict(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
+FILTER = dict(kappa1=1.0, kappa2=1.0, kappa_loss=0.0, delta_f=1.0)
+#: (constructor, accepted keyword arguments, refused ones, message): every
+#: rule of OptoCavityParams, FilterCavityParams and spectra.sigma.
+PARAM_RULES = [
+    *[(OptoCavityParams, OPTO, {name: value}, f"OptoCavityParams.{name} must be finite, got {value!r}")
+      for name, value in [("kappa", math.nan), ("delta", math.inf), ("g", -math.inf), ("omega_m", math.nan)]],
+    (OptoCavityParams, OPTO, {"kappa": -1.0}, "kappa must be > 0, got -1.0"),
+    (OptoCavityParams, OPTO, {"kappa": 0.0}, "kappa must be > 0, got 0.0"),
+    (OptoCavityParams, OPTO, {"kappa": 5e-324}, "kappa / 2 underflows to 0 at kappa = 5e-324"),
+    (OptoCavityParams, OPTO, {"omega_m": 0.0}, "omega_m must be > 0, got 0.0"),
+    (OptoCavityParams, OPTO, {"g": -0.5}, "g must be >= 0, got -0.5"),
+    (OptoCavityParams, OPTO, {"g": 2.0**512},
+     "g * g must be finite, got g = 1.3407807929942597e+154"),
+    *[(FilterCavityParams, FILTER, {name: value}, f"FilterCavityParams.{name} must be finite, got {value!r}")
+      for name, value in [("kappa1", math.nan), ("kappa2", math.inf), ("kappa_loss", math.nan),
+                          ("delta_f", -math.inf)]],
+    *[(FilterCavityParams, FILTER, {name: -1.0}, "mirror and loss rates must be >= 0")
+      for name in ("kappa1", "kappa2", "kappa_loss")],
+    (FilterCavityParams, FILTER, {"kappa1": 0.0, "kappa2": 0.0},
+     "at least one mirror must couple (kappa1 + kappa2 > 0)"),
+    (FilterCavityParams, FILTER, {"kappa1": 0.0, "kappa2": 5e-324},
+     "kappa_total / 2 underflows to 0 at kappa_total = 5e-324"),
+    (sigma_of, {"g": 0.1}, {"g": -0.5}, "g must be >= 0, got -0.5"),
+    (sigma_of, {"g": 0.1}, {"g": 1e154}, "Sigma = g * g * |chi_cl|^2 overflows at g = 1e+154"),
+]
+RULE_IDS = [build.__name__ + "".join(f"-{name}={value!r}" for name, value in refused.items())
+            for build, _, refused, _ in PARAM_RULES]
 
 
 class TestParams:
@@ -76,6 +113,24 @@ class TestParams:
         with pytest.raises(InvalidParam) as exc:
             OptoCavityParams(kappa=10.0, delta=-1.0, g=g, omega_m=1.0)
         assert str(exc.value) == "g * g must be finite, got g = 1e+200"
+
+    @pytest.mark.parametrize("build, base, refused, message", PARAM_RULES, ids=RULE_IDS)
+    def test_each_rule_refuses_float_and_array_fields_alike(self, build, base, refused, message):
+        # The refused values as float fields, as ndarray columns whose index
+        # 0 holds the accepted base value and index 1 the refused one, and
+        # as 0-d arrays.
+        column = {name: np.array([base[name], value]) for name, value in refused.items()}
+        zero_d = {name: np.array(value) for name, value in refused.items()}
+        for fields in (refused, column, zero_d):
+            with pytest.raises(InvalidParam) as exc:
+                build(**{**base, **fields})
+            assert str(exc.value) == message
+
+    def test_numpy_scalar_field_is_named_as_a_python_number(self):
+        # The same text whichever numpy version formats np.float64.
+        with pytest.raises(InvalidParam) as exc:
+            OptoCavityParams(np.float64(math.nan), 0.0, 0.1, 1.0)
+        assert str(exc.value) == "OptoCavityParams.kappa must be finite, got nan"
 
     def test_symmetric_ideal_predicate(self):
         assert FILT.is_symmetric_ideal
@@ -242,6 +297,24 @@ class TestClosedForms:
         with pytest.raises(SingularLoop) as exc:
             closed_form_notch(blue, FILT, -1.0)
         assert exc.value.omega == -1.0
+
+
+    @pytest.mark.parametrize(
+        "closed_form, network, filt",
+        [(closed_form_notch, notch_network, FILT), (closed_form_bandpass, bandpass_network, FILT_BP)],
+        ids=["notch", "bandpass"],
+    )
+    def test_nan_frequency_is_singular_as_in_the_solver(self, closed_form, network, filt):
+        # |den| >= DEN_SINGULAR fails for a NaN den, so both paths refuse a
+        # NaN frequency: as a float call, and at index 1 of a grid.
+        for omega in (math.nan, np.array([0.5, math.nan, 1.5])):
+            with pytest.raises(SingularLoop) as closed:
+                closed_form(CAV, filt, omega)
+            with pytest.raises(SingularLoop) as solved:
+                solve_network(network(CAV, filt), omega)
+            assert math.isnan(closed.value.omega) and math.isnan(solved.value.omega)
+            assert closed.value.index == solved.value.index
+            assert closed.value.index == (1 if isinstance(omega, np.ndarray) else None)
 
 
 class TestSolver:
