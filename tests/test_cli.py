@@ -370,11 +370,21 @@ class TestRendering:
             ((math.pi, 1e308, -5e-324),),
             # Numpy floats, as the spectrum columns held them before.
             tuple((np.float64(w), np.float64(w) ** 2, None) for w in np.linspace(-1.0, 1.0, 7)),
+            ((1.0, 2.0, 3.0), (None, None, None), (0.5, None, -2.0)),
+            ((None, 1.0, 2.0), (None, -0.0, 3.0)),
+            # Refused: an infinite cell in a row that also has empty cells.
+            ((0.5, 1.0, 2.0), (None, math.inf, None)),
         ],
-        ids=["empty-cells", "one-row", "numpy-floats"],
+        ids=["empty-cells", "one-row", "numpy-floats", "empty-row", "empty-column",
+             "infinite-cell"],
     )
     def test_one_pass_render_matches_per_cell_format(self, rows):
         columns = ("a", "b", "c")
+        bad = [c for row in rows for c in row if c is not None and not math.isfinite(c)]
+        if bad:
+            with pytest.raises(ConfigError, match=f"^non-finite cell {bad[0]!r} in output row$"):
+                OutputTable(meta=(("k", "v"),), columns=columns, rows=rows)
+            return
         table = OutputTable(meta=(("k", "v"),), columns=columns, rows=rows)
         assert render_csv(table) == per_cell_csv(table)
 
@@ -801,7 +811,8 @@ def fuzz_argv(rng):
     """One random command: a topology, a cavity, a controller and some other
     float flags of the command, each drawn from FUZZ_EDGES (probability 1/5)
     or log-uniform over the domain, and its grid size, drawn from
-    FUZZ_INT_EDGES (probability 1/5) or from a few small sizes."""
+    FUZZ_INT_EDGES (probability 1/5) or from a few small sizes.  About a
+    third of the commands render JSON."""
     def value(key):
         if rng.random() < 0.2:
             return FUZZ_EDGES[rng.integers(len(FUZZ_EDGES))]
@@ -838,6 +849,8 @@ def fuzz_argv(rng):
         argv += ["--" + key.replace("_", "-"), repr(x)]
     if rng.random() < 0.1:
         argv += ["--delta", "auto"]
+    if rng.random() < 0.3:
+        argv += ["--format", "json"]
     return argv
 
 
@@ -943,6 +956,20 @@ class TestGoldenBytes:
              "--kappa-loss 0.2 --tau 6.283185307179586 --delta-f 1 "
              "--sweep-param delta --sweep-min -3 --sweep-max 1 --sweep-points 5",
              "0b37b3aed5a16b36bea23855ee5192e3f0858c4138ac3a02810d95affd454217"),
+            # Empty cells of the other commands: the spectrum's singular row
+            # at omega = -1 (a JSON null in the second), a heating rates row
+            # and an unstable oracle row.
+            ("spectrum --topology notch --kappa 10 --g 0.1 --kappa-f 1 --delta 1 "
+             "--omega-min -3 --omega-max 3 --points 601",
+             "d8d6aba399ac24b45358872426ed8f55c7360abd0a5115ca685d13ce41e56607"),
+            ("spectrum --topology notch --kappa 10 --g 0.1 --kappa-f 1 --delta 1 "
+             "--omega-min -3 --omega-max 3 --points 601 --format json",
+             "22910504ddd2c6fc9652214f5d009971749ef4c4a22c77880ca2a74e742c409c"),
+            ("rates --topology none --kappa 10 --g 0.1 --delta 2 --format json",
+             "41a509b50702b2034d7529e69af8a4f8b33be8da41e51d722a49f3d285686312"),
+            ("oracle --topology none --kappa 10 --g 0.1 --delta 1 --gamma-m 1e-5 --n-th 100 "
+             "--format json",
+             "9f0204220db54b2b33146a1270d748f37e1483110fd997d596287f46c4bcad69"),
         ],
     )
     def test_readme_command_digest(self, capsys, command, digest):
