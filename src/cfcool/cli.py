@@ -27,8 +27,8 @@ metadata line carrying the fully resolved parameters; parsing it back yields an
 equal RunConfig.  Floats are printed with 17 significant digits.
 
 ``--delta auto`` and ``design`` use the closed-form optimum of the band-blocking
-loop, so they need ``--topology notch``, ``--kappa`` and a symmetric lossless
-controller: ``--kappa-f`` and no loss.
+loop, so they need ``--topology notch``, ``--kappa``, a symmetric lossless
+controller (``--kappa-f`` and no loss) and no delay (``--tau`` 0).
 
 Default units put omega_m = 1 ("units of omega_m"), which keeps emitted data
 dimensionless and portable; pass ``--units si`` to work in rad/s.
@@ -41,7 +41,8 @@ commands form overflows.  Every integer value (``--points``,
 Exit codes: 0 success (including a reported unstable model); 1 bad input, an
 error of the ValueError family (unknown flag, bad or missing value, a value
 outside the domain, parameters the physics rejects, a ``--config`` file that
-is not readable UTF-8 text, an ``--output`` path that cannot be written); 2
+is not readable UTF-8 text, an empty ``--output`` path or one that cannot be
+written); 2
 numeric failure, an error of the ArithmeticError family (e.g. a singular loop
 at a frequency where a rate is required).
 """
@@ -49,7 +50,7 @@ at a frequency where a rate is required).
 from __future__ import annotations
 
 import json
-import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -132,26 +133,40 @@ def fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputTable:
-    """Columns and rows plus the metadata echoed into every output file.
+    """Named float columns plus the metadata echoed into every output file.
 
-    ``None`` cells mark values undefined at that row (a flagged singular point
-    or an undefined occupation); they render as empty CSV fields / JSON nulls.
-    NaN or infinite cells are rejected outright.
+    ``values`` is a (rows, columns) float array.  ``empty``, a bool mask of
+    the same shape, marks cells undefined at their row (a flagged singular
+    point, an undefined occupation, a missing stability flag); they render
+    as empty CSV fields / JSON nulls.  NaN or infinite cells that are not
+    empty are rejected outright.
     """
 
     meta: tuple[tuple[str, str], ...]
     columns: tuple[str, ...]
-    rows: tuple[tuple[float | None, ...], ...]
+    values: np.ndarray
+    empty: np.ndarray
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ConfigError("row width does not match column count")
-            for cell in row:
-                if cell is not None and not math.isfinite(cell):
-                    raise ConfigError(f"non-finite cell {cell!r} in output row")
+        if self.values.shape[1:] != (len(self.columns),) or self.empty.shape != self.values.shape:
+            raise ConfigError("row width does not match column count")
+        bad = self.values[~(self.empty | np.isfinite(self.values))]
+        if bad.size:
+            raise ConfigError(f"non-finite cell {bad[0].item()!r} in output row")
+
+    @classmethod
+    def from_rows(cls, meta, columns, rows) -> OutputTable:
+        """The table of ``rows``, tuples of cells where None is empty."""
+        empty = np.array([[cell is None for cell in row] for row in rows])
+        values = np.array([[0.0 if cell is None else cell for cell in row] for row in rows], float)
+        return cls(meta, columns, values, empty)
+
+    @property
+    def rows(self) -> list[list[float | None]]:
+        """The cells row by row, None where empty."""
+        return np.where(self.empty, None, self.values).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +176,7 @@ class OutputTable:
 
 def _read_config_file(path: str | Path) -> dict[str, str]:
     p = Path(path)
-    if not p.is_file():
+    if not os.path.exists(path):  # not Path: Path("") is the working directory
         raise ConfigError(f"config file not found: {str(path)!r}")
     try:
         text = p.read_text(encoding="utf-8")
@@ -220,6 +235,8 @@ def _parse_value(key: str, value: str):
         _check_domain(_flag(key), out, repr(value))
     elif kind is int and out > _MOST_POINTS:
         raise ConfigError(f"{_flag(key)}: must be at most {_MOST_POINTS}, got {value!r}")
+    elif kind is str and not out:
+        raise ConfigError(f"{_flag(key)}: expected a path, got ''")
     return out
 
 
@@ -319,14 +336,19 @@ def _filter_from(cfg: RunConfig) -> FilterCavityParams:
 
 def _closed_form_optimum(cfg: RunConfig) -> float:
     """The band-blocking loop's closed-form optimal detuning, behind ``--delta
-    auto`` and ``design``: it needs the notch topology, ``--kappa`` and a
-    symmetric lossless controller."""
+    auto`` and ``design``: it needs the notch topology, ``--kappa``, a
+    symmetric lossless controller and no delay, which moves the optimum."""
     if cfg.topology != Topology.NOTCH.value:
         raise ConfigError(
             "the closed-form optimum (--delta auto, design) needs --topology notch"
         )
     _require(cfg, "kappa")
-    return design.optimal_detuning(cfg.omega_m, cfg.kappa, _filter_from(cfg).kappa_f)
+    kappa_f = _filter_from(cfg).kappa_f
+    if cfg.tau > 0:
+        raise ConfigError(
+            f"the closed-form optimum (--delta auto, design) assumes no delay, got --tau {cfg.tau!r}"
+        )
+    return design.optimal_detuning(cfg.omega_m, cfg.kappa, kappa_f)
 
 
 def system_config(cfg: RunConfig) -> SystemConfig:
@@ -371,22 +393,20 @@ _rate_values = attrgetter(*_RATE_COLUMNS)
 def cmd_spectrum(cfg: RunConfig) -> OutputTable:
     """Shaped spectrum vs the bare-cavity reference, or the filter response."""
     grid = _grid(cfg, "omega_min", "omega_max", "points", fewest=2)
+    empty = np.zeros((grid.size, 3), dtype=bool)
     if cfg.element == "filter":
         s = netalg.scattering(_filter_from(cfg), grid)
         columns = ("omega", "R2", "T2")
-        cells = [netalg.abs2(s[0, 0]).tolist(), netalg.abs2(s[1, 0]).tolist()]
+        cells = [netalg.abs2(s[0, 0]), netalg.abs2(s[1, 0])]
     else:
         config = system_config(cfg)
         # Reference curve: the same cavity without feedback at the preset
         # detuning, the baseline the shaped spectra are judged by.
         bare = replace(config.cav, delta=design.preset_detunings(Topology.NONE, cfg.omega_m)[0])
-        response, singular = design.response_on_grid(config, grid)
-        sigma = spectra.sigma(cfg.g, response).tolist()
-        for i in np.flatnonzero(singular).tolist():
-            sigma[i] = None  # flagged row: frequency kept, value left empty
+        response, empty[:, 1] = design.response_on_grid(config, grid)  # singular: no Sigma
         columns = ("omega", "Sigma", "Sigma_uncontrolled")
-        cells = [sigma, spectra.sigma(cfg.g, netalg.chi(bare, grid)).tolist()]
-    return OutputTable(meta=metadata_pairs(cfg), columns=columns, rows=tuple(zip(grid.tolist(), *cells)))
+        cells = [spectra.sigma(cfg.g, response), spectra.sigma(cfg.g, netalg.chi(bare, grid))]
+    return OutputTable(metadata_pairs(cfg), columns, np.column_stack([grid, *cells]), empty)
 
 
 def cmd_rates(cfg: RunConfig) -> OutputTable:
@@ -405,11 +425,8 @@ def cmd_rates(cfg: RunConfig) -> OutputTable:
             )
         )
     row = (*_rate_values(rates), n_steady, float(rates.gamma_opt > 0), feasible)
-    return OutputTable(
-        meta=metadata_pairs(cfg),
-        columns=(*_RATE_COLUMNS, "n_steady", "net_cooling", "bandpass_feasible"),
-        rows=(row,),
-    )
+    columns = (*_RATE_COLUMNS, "n_steady", "net_cooling", "bandpass_feasible")
+    return OutputTable.from_rows(metadata_pairs(cfg), columns, [row])
 
 
 def cmd_sweep(cfg: RunConfig) -> OutputTable:
@@ -424,22 +441,14 @@ def cmd_sweep(cfg: RunConfig) -> OutputTable:
     cooling = gamma_opt > 0
     with np.errstate(over="ignore"):
         n_min = np.divide(table.a_plus, gamma_opt, out=np.zeros_like(gamma_opt), where=cooling)
-    rates = [
-        np.where(table.singular, None, column).tolist()
-        for column in (table.a_plus, table.a_minus, gamma_opt)
-    ]
-    stable = [None] * grid.size if table.stable is None else table.stable.astype(float).tolist()
-    return OutputTable(
-        meta=metadata_pairs(cfg),
-        columns=(cfg.sweep_param, *_RATE_COLUMNS, "stable", "singular"),
-        rows=tuple(zip(
-            table.value.tolist(),
-            *rates,
-            np.where(cooling, n_min, None).tolist(),
-            stable,
-            table.singular.astype(float).tolist(),
-        )),
-    )
+    stable = np.zeros(grid.size) if table.stable is None else table.stable
+    empty = np.zeros((grid.size, 7), dtype=bool)
+    empty[:, 1:4] = table.singular[:, None]  # the rates of a singular row
+    empty[:, 4] = ~cooling  # n_min, undefined without net cooling
+    empty[:, 5] = table.stable is None  # no flags at nonzero delay
+    values = (table.value, table.a_plus, table.a_minus, gamma_opt, n_min, stable, table.singular)
+    columns = (cfg.sweep_param, *_RATE_COLUMNS, "stable", "singular")
+    return OutputTable(metadata_pairs(cfg), columns, np.column_stack(values), empty)
 
 
 def cmd_oracle(cfg: RunConfig) -> OutputTable:
@@ -451,10 +460,8 @@ def cmd_oracle(cfg: RunConfig) -> OutputTable:
         row = (1.0, report.n_oracle, report.n_rate, report.rel_dev)
     except UnstableModel:
         row = (0.0, None, None, None)  # reported, not fatal
-    return OutputTable(
-        meta=metadata_pairs(cfg),
-        columns=("stable", "n_oracle", "n_rate", "rel_dev"),
-        rows=(row,),
+    return OutputTable.from_rows(
+        metadata_pairs(cfg), ("stable", "n_oracle", "n_rate", "rel_dev"), [row]
     )
 
 
@@ -464,10 +471,8 @@ def cmd_design(cfg: RunConfig) -> OutputTable:
     kappa_f = _filter_from(cfg).kappa_f
     feasible = design.bandpass_ground_state_feasible(cfg.kappa, kappa_f, cfg.omega_m)
     row = (delta_c, cfg.delta_f, cfg.delta, float(feasible))
-    return OutputTable(
-        meta=metadata_pairs(cfg),
-        columns=("delta_c", "delta_f", "delta", "bandpass_feasible"),
-        rows=(row,),
+    return OutputTable.from_rows(
+        metadata_pairs(cfg), ("delta_c", "delta_f", "delta", "bandpass_feasible"), [row]
     )
 
 
@@ -488,26 +493,16 @@ _COMMANDS = {
 def render_csv(table: OutputTable) -> str:
     """The metadata line, the header, then every cell in one ``%`` operation:
     each row's template holds a "%.17g" field (:func:`fmt17`) per cell and
-    nothing for an empty one."""
-    full = ",".join(["%.17g"] * len(table.columns)) + "\n"
-    templates, cells = [], []
-    for row in table.rows:
-        if None in row:
-            templates.append(",".join("" if c is None else "%.17g" for c in row) + "\n")
-            cells += [c for c in row if c is not None]
-        else:
-            templates.append(full)
-            cells += row
+    nothing for an empty one.  Rows with no empty cell share one template."""
+    templates = [",".join(["%.17g"] * len(table.columns)) + "\n"] * len(table.values)
+    for i in np.flatnonzero(table.empty.any(axis=1)).tolist():
+        templates[i] = ",".join("" if e else "%.17g" for e in table.empty[i].tolist()) + "\n"
     head = "# " + " ".join(f"{k}={v}" for k, v in table.meta) + "\n" + ",".join(table.columns)
-    return head + "\n" + "".join(templates) % tuple(cells)
+    return head + "\n" + "".join(templates) % tuple(table.values[~table.empty].tolist())
 
 
 def render_json(table: OutputTable) -> str:
-    payload = {
-        "meta": dict(table.meta),
-        "columns": list(table.columns),
-        "rows": [list(row) for row in table.rows],
-    }
+    payload = {"meta": dict(table.meta), "columns": list(table.columns), "rows": table.rows}
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 

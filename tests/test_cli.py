@@ -350,7 +350,7 @@ def per_cell_csv(table):
 
 class TestRendering:
     def test_csv_layout(self):
-        table = OutputTable(
+        table = OutputTable.from_rows(
             meta=(("topology", "notch"), ("kappa", "10")),
             columns=("a", "b"),
             rows=((1.0, None), (0.5, 2.0)),
@@ -383,9 +383,9 @@ class TestRendering:
         bad = [c for row in rows for c in row if c is not None and not math.isfinite(c)]
         if bad:
             with pytest.raises(ConfigError, match=f"^non-finite cell {bad[0]!r} in output row$"):
-                OutputTable(meta=(("k", "v"),), columns=columns, rows=rows)
+                OutputTable.from_rows(meta=(("k", "v"),), columns=columns, rows=rows)
             return
-        table = OutputTable(meta=(("k", "v"),), columns=columns, rows=rows)
+        table = OutputTable.from_rows(meta=(("k", "v"),), columns=columns, rows=rows)
         assert render_csv(table) == per_cell_csv(table)
 
     def test_one_pass_render_of_a_sweep_table(self):
@@ -397,15 +397,25 @@ class TestRendering:
         assert render_csv(table) == per_cell_csv(table)
 
     def test_json_layout(self):
-        table = OutputTable(meta=(("k", "v"),), columns=("c",), rows=((None,),))
+        table = OutputTable.from_rows(meta=(("k", "v"),), columns=("c",), rows=((None,),))
         payload = json.loads(render_json(table))
         assert payload["meta"] == {"k": "v"}
         assert payload["columns"] == ["c"]
         assert payload["rows"] == [[None]]
 
+    def test_empty_cells_are_not_checked(self):
+        # A singular sweep row holds NaN rates under its empty cells.
+        table = OutputTable((), ("a", "b"), np.array([[1.0, math.nan]]), np.array([[False, True]]))
+        assert render_csv(table) == "# \na,b\n1,\n"
+        assert table.rows == [[1.0, None]]
+
+    def test_mask_of_another_shape_rejected(self):
+        with pytest.raises(ConfigError, match="row width"):
+            OutputTable((), ("a", "b"), np.ones((2, 2)), np.zeros((2, 1), dtype=bool))
+
     def test_nan_rejected(self):
         with pytest.raises(ConfigError):
-            OutputTable(meta=(), columns=("c",), rows=((math.nan,),))
+            OutputTable.from_rows(meta=(), columns=("c",), rows=((math.nan,),))
 
 
 class TestMain:
@@ -521,6 +531,18 @@ class TestExitCodes:
                 *controller, "--delta", "auto"]
         assert main(argv) == 1
         assert "needs a symmetric lossless controller" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", *NOTCH_FLAGS, "--delta", "auto", "--tau", "5"],
+        ["design", *NOTCH_FLAGS, "--tau", "5"],
+    ], ids=["auto", "design"])
+    def test_closed_form_optimum_refuses_a_delay(self, capsys, argv):
+        # At tau = 5 the closed form gives delta = -3.5 and A- = 3.2e-3, but
+        # the delayed loop's own optimum is delta = -0.624 with A- = 1.04e-2.
+        assert refusal(capsys, argv) == (
+            "cfcool: config error: the closed-form optimum (--delta auto, design) "
+            "assumes no delay, got --tau 5.0\n"
+        )
 
     def test_lyapunov_gate_exits_two_without_traceback(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle, "LYAPUNOV_RTOL", 0.0)
@@ -787,6 +809,19 @@ class TestExitCodes:
         assert refusal(capsys, ["rates", *NOTCH_FLAGS, "--output", str(path)]) == (
             f"cfcool: config error: cannot write --output {str(path)!r}: {os.strerror(code)}\n"
         )
+
+    @pytest.mark.parametrize("flag", [["--output="], ["-o", ""]], ids=["output", "o"])
+    def test_empty_output_path_exits_one(self, capsys, flag):
+        assert refusal(capsys, ["rates", "--kappa", "10", "--g", "0.1", *flag]) == (
+            "cfcool: config error: --output: expected a path, got ''\n"
+        )
+
+    def test_config_directory_is_a_read_error(self, tmp_path, capsys):
+        # The path exists, so it is not "not found"; reading it fails.
+        stderr = refusal(capsys, ["rates", "--config", str(tmp_path)])
+        assert stderr.startswith(f"cfcool: config error: cannot read config file {str(tmp_path)!r}: ")
+        assert stderr.endswith("Is a directory: " + repr(str(tmp_path)) + "\n")
+        assert stderr.count("\n") == 1, stderr
 
     def test_config_file_that_is_not_utf8_names_the_path(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
