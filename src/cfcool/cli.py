@@ -41,10 +41,9 @@ commands form overflows.  Every integer value (``--points``,
 Exit codes: 0 success (including a reported unstable model); 1 bad input, an
 error of the ValueError family (unknown flag, bad or missing value, a value
 outside the domain, parameters the physics rejects, a ``--config`` file that
-is not readable UTF-8 text, an empty ``--output`` path or one that cannot be
-written); 2
-numeric failure, an error of the ArithmeticError family (e.g. a singular loop
-at a frequency where a rate is required).
+is not readable UTF-8 text, an ``--output`` path that is empty or cannot be
+written); 2 numeric failure, an error of the ArithmeticError family (e.g. a
+singular loop at a frequency where a rate is required).
 """
 
 from __future__ import annotations
@@ -157,8 +156,8 @@ class OutputTable:
             raise ConfigError(f"non-finite cell {bad[0].item()!r} in output row")
 
     @classmethod
-    def from_rows(cls, meta, columns, rows) -> OutputTable:
-        """The table of ``rows``, tuples of cells where None is empty."""
+    def from_rows(cls, meta, columns, rows: Sequence[Sequence[float | None]]) -> OutputTable:
+        """The table of ``rows``, sequences of cells where None is empty."""
         empty = np.array([[cell is None for cell in row] for row in rows])
         values = np.array([[0.0 if cell is None else cell for cell in row] for row in rows], float)
         return cls(meta, columns, values, empty)

@@ -818,9 +818,10 @@ class TestExitCodes:
 
     def test_config_directory_is_a_read_error(self, tmp_path, capsys):
         # The path exists, so it is not "not found"; reading it fails.
-        stderr = refusal(capsys, ["rates", "--config", str(tmp_path)])
-        assert stderr.startswith(f"cfcool: config error: cannot read config file {str(tmp_path)!r}: ")
-        assert stderr.endswith("Is a directory: " + repr(str(tmp_path)) + "\n")
+        path = str(tmp_path)
+        stderr = refusal(capsys, ["rates", "--config", path])
+        assert stderr.startswith(f"cfcool: config error: cannot read config file {path!r}: ")
+        assert stderr.endswith(f"Is a directory: {path!r}\n")
         assert stderr.count("\n") == 1, stderr
 
     def test_config_file_that_is_not_utf8_names_the_path(self, tmp_path, capsys):
