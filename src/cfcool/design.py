@@ -111,35 +111,34 @@ def closed_loop_response(config: SystemConfig, method: str = "auto") -> Response
     return lambda omega: netalg.solve_network(net, omega)
 
 
-def _flagging_rows(evaluate, rows: int, width: int = 1):
-    """Call ``evaluate(keep)`` on the indices ``keep`` of the rows still
-    kept, each row ``width`` grid points.  Each row holding a point it raises
-    :class:`SingularLoop` on (told by the exception's flat index, not by its
-    frequency) is flagged and the rest evaluated again, so k singular rows
-    cost k + 1 calls.  Returns the last result and the mask of the singular
+def _flagging_rows(evaluate, rows: int):
+    """Call ``evaluate(keep)`` on the indices ``keep`` of all ``rows`` rows.
+    Where it raises :class:`SingularLoop`, each row holding a point of the
+    exception's mask is flagged and the rest evaluated again, so a grid costs
+    at most two calls.  Returns the last result and the mask of the singular
     rows."""
-    singular = np.zeros(rows, dtype=bool)
-    while True:
-        keep = np.flatnonzero(~singular)
-        try:
-            return evaluate(keep), singular
-        except SingularLoop as exc:
-            singular[keep[exc.index // width]] = True
+    try:
+        return evaluate(np.arange(rows)), np.zeros(rows, dtype=bool)
+    except SingularLoop as exc:
+        singular = exc.singular.reshape(rows, -1).any(axis=1)
+    return evaluate(np.flatnonzero(~singular)), singular
 
 
 def response_on_grid(config: SystemConfig, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chi_cl at every point of a frequency grid, and a mask of the points
     where the loop is singular (their values are 0).
 
-    One array call gives every value the bits of the call at that point; each
-    singular point it raises on is flagged and the rest of the grid evaluated
-    again, so k singular points cost k + 1 calls.
+    One array call on the flat grid gives every value the bits of the call at
+    that point; where it raises, the points of the exception's mask are
+    flagged and the rest of the grid evaluated again, so a grid costs at most
+    two calls.  Both arrays have the grid's shape.
     """
     chi_cl = closed_loop_response(config)
-    kept, singular = _flagging_rows(lambda keep: chi_cl(grid[keep]), grid.size)
-    values = np.zeros(grid.shape, dtype=complex)
+    flat = grid.ravel()
+    kept, singular = _flagging_rows(lambda keep: chi_cl(flat[keep]), flat.size)
+    values = np.zeros(flat.size, dtype=complex)
     values[~singular] = kept
-    return values, singular
+    return values.reshape(grid.shape), singular.reshape(grid.shape)
 
 
 def loop_rates(config: SystemConfig) -> RateResult:
@@ -152,8 +151,8 @@ def _sideband_sigmas(config: SystemConfig, name: str, values: np.ndarray) -> np.
     ``name``, a (rows, 2) array from one array call: the parameter holds the
     values as a column, and the frequencies are the full (rows, 2) grid.
     Each value has the bits of :func:`loop_rates` (a_plus, a_minus) of that
-    row's float config.  Raises :class:`SingularLoop` with the flat index of
-    the first singular point."""
+    row's float config.  Raises :class:`SingularLoop` with the mask of the
+    singular points."""
     cfg = _with_parameter(config, name, values[:, None])
     omega_m = cfg.cav.omega_m
     omegas = np.tile([-omega_m, +omega_m], (values.size, 1))
@@ -356,15 +355,15 @@ def sweep(
     The :class:`SweepTable` columns come back in grid order; singular-loop
     points are flagged rather than dropped or propagated.  One config whose
     swept field holds the grid gives every row: its rates come from one array
-    call at (-omega_m, +omega_m) per row (plus one more per singular row),
-    each with the bits of :func:`loop_rates` on that row's config; a rate
-    that is not finite and >= 0 is refused as :class:`RateResult` refuses
-    it.  ``bath`` (default: no mechanical damping) enters only the stability
-    flag: the rows' drift matrices, one stack from :func:`oracle.drift_matrix`,
-    are tested by one :func:`oracle.is_hurwitz` call, the same rule as
-    :func:`oracle.is_stable` on each row's model.  At nonzero delay the
-    ``stable`` column is None: the drift assembly refuses before building
-    anything.
+    call at (-omega_m, +omega_m) per row (plus one more on the regular rows if
+    any is singular), each with the bits of :func:`loop_rates` on that row's
+    config; a rate that is not finite and >= 0 is refused as
+    :class:`RateResult` refuses it.  ``bath`` (default: no mechanical
+    damping) enters only the stability flag: the rows' drift matrices, one
+    stack from :func:`oracle.drift_matrix`, are tested by one
+    :func:`oracle.is_hurwitz` call, the same rule as :func:`oracle.is_stable`
+    on each row's model.  At nonzero delay the ``stable`` column is None: the
+    drift assembly refuses before building anything.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise InvalidParam(f"unknown sweep parameter {parameter!r}")
@@ -388,7 +387,7 @@ def sweep(
     else:
         flags = oracle.is_hurwitz(drifts)
     kept, singular = _flagging_rows(
-        lambda keep: _sideband_sigmas(config, parameter, values[keep]), values.size, width=2
+        lambda keep: _sideband_sigmas(config, parameter, values[keep]), values.size
     )
     refused = ~np.all(np.isfinite(kept) & (kept >= 0), axis=1)
     if refused.any():

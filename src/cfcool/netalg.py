@@ -294,11 +294,12 @@ def _np_quot(ar, ai, br, bi):
 
 
 def _singular(omega, small):
-    # SingularLoop at the first point of a float or grid call that ``small`` flags.
+    # SingularLoop at the points of a float or grid call that ``small`` flags.
     if not isinstance(omega, np.ndarray):
         return SingularLoop(omega)
-    index = int(np.flatnonzero(small)[0])
-    return SingularLoop(omega.flat[index].item(), index)
+    singular = small.ravel()
+    index = int(singular.argmax())
+    return SingularLoop(np.broadcast_to(omega, small.shape).flat[index].item(), index, singular)
 
 
 def _mul(ar, ai, br, bi):
@@ -499,10 +500,10 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
     runs the same code on arrays and returns an array of omega's shape whose
     every value has the bits of the float call at that point.  Raises
     :class:`SingularLoop` where |det(I - M)| < ``DEN_SINGULAR`` or is NaN (see
-    there), carrying the first such grid point's frequency and index.  A
-    grid solve holds only the values a later step reads: the elements'
-    S-matrices are freed once I - M is assembled, and the elimination drops
-    each entry after its last use.
+    there), carrying the first such grid point's frequency and index and the
+    mask of every such point.  A grid solve holds only the values a later
+    step reads: the elements' S-matrices are freed once I - M is assembled,
+    and the elimination drops each entry after its last use.
     """
     grid = isinstance(omega, np.ndarray)
     with np.errstate(all="ignore"):  # a grid's singular points, refused below

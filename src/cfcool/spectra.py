@@ -101,7 +101,7 @@ def rate_spectrum(chi_cl: ResponseFn, g: float, grid: Sequence[float] | np.ndarr
     return an array of its shape; :func:`sigma` squares it, so each value has
     the bits of the per-point Sigma.  ``chi_cl`` may raise
     :class:`~cfcool.errors.SingularLoop`; the exception (carrying the first
-    singular grid frequency) propagates unchanged.
+    singular grid frequency and the mask of all) propagates unchanged.
     """
     omegas = np.asarray(grid, dtype=float)
     return Spectrum(omegas=omegas, values=sigma(g, chi_cl(omegas)))

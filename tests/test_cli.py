@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfcool import oracle
+from cfcool import design, oracle
 from cfcool.cli import (
     _COMMANDS,
     OutputTable,
@@ -282,6 +282,34 @@ class TestSweepCommand:
                                           "--sweep-max", "0", "--sweep-points", "0"])
         with pytest.raises(ConfigError):
             cmd_sweep(cfg)
+
+
+class TestSingularSweepGrid:
+    """Sweeps of the notch loop at --delta 1 (delta = delta_f), where every row
+    is singular at -omega_m: two rate calls flag all 501 rows, with the bytes
+    of flagging one row per call."""
+
+    @pytest.mark.parametrize("param, low, high, digest", [
+        ("g", "0.01", "0.3", "cf26b30e85092191d010fef77189abd685c0916959a6f05035a47473c6d8b9e8"),
+        ("kappa", "1", "20", "c09c9280e948fa5d945b69ee1f7d702674178f588628ee33d0f83d3fe02a4cad"),
+        ("kappa_f", "0.5", "3", "eb2da8263fb35ee75c9983a8caae60cea092909610b1b6c459ddddd3f51bfe39"),
+    ])
+    def test_all_singular_grid_digest_in_two_calls(self, monkeypatch, capsys, param, low, high, digest):
+        calls = []
+        sigmas = design._sideband_sigmas
+
+        def recording(*args):
+            calls.append(args)
+            return sigmas(*args)
+
+        monkeypatch.setattr(design, "_sideband_sigmas", recording)
+        argv = ["sweep", *NOTCH_FLAGS, "--delta", "1", "--sweep-param", param,
+                "--sweep-min", low, "--sweep-max", high, "--sweep-points", "501"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert all(row.endswith(",1") for row in out.splitlines()[2:])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert len(calls) == 2
 
 
 class TestOracleCommand:

@@ -231,9 +231,20 @@ class TestResponseOnGrid:
         assert np.array_equal(singular, expected)
         assert np.all(values[singular] == 0.0)
         assert np.array_equal(bits(values[~singular]), bits([p for p in points if p is not None]))
-        # One array call, plus one more per singular point.
+        # One array call, plus one more on the regular points if any is singular.
         assert all(isinstance(omega, np.ndarray) for omega in calls)
-        assert len(calls) == expected.sum() + 1
+        assert len(calls) == 1 + expected.any()
+
+    def test_2d_grid_keeps_its_shape(self):
+        # Row-major order: the values and flags of the flat grid's call.
+        config = SystemConfig(self.CAV, self.FILT, Topology.NOTCH)
+        grid = np.array([[-1.0, 0.0], [1.0, 2.0]])
+        values, singular = design.response_on_grid(config, grid)
+        flat_values, flat_singular = design.response_on_grid(config, grid.ravel())
+        assert values.shape == singular.shape == grid.shape
+        assert singular.tolist() == [[True, False], [False, False]]
+        assert np.array_equal(singular.ravel(), flat_singular)
+        assert np.array_equal(bits(values.ravel()), bits(flat_values))
 
 
 class TestSweep:

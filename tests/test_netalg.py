@@ -315,6 +315,28 @@ class TestClosedForms:
             assert math.isnan(closed.value.omega) and math.isnan(solved.value.omega)
             assert closed.value.index == solved.value.index
             assert closed.value.index == (1 if isinstance(omega, np.ndarray) else None)
+            if isinstance(omega, np.ndarray):
+                assert closed.value.singular.tolist() == [False, True, False]
+                assert solved.value.singular.tolist() == [False, True, False]
+            else:
+                assert closed.value.singular is solved.value.singular is None
+
+    def test_singular_grid_of_a_parameter_column_past_omega(self):
+        # The delta column broadcasts a 0-d omega to three points; the last,
+        # delta = delta_f, is singular at omega = -delta_f.
+        deltas = [-1.0, 0.5, 1.0]
+        verdicts = []
+        for delta in deltas:
+            try:
+                closed_form_notch(OptoCavityParams(10.0, delta, 0.1, 1.0), FILT, -1.0)
+                verdicts.append(False)
+            except SingularLoop:
+                verdicts.append(True)
+        with pytest.raises(SingularLoop) as exc:
+            closed_form_notch(OptoCavityParams(10.0, np.array(deltas), 0.1, 1.0), FILT, np.array(-1.0))
+        assert verdicts == [False, False, True]
+        assert exc.value.singular.tolist() == verdicts
+        assert (exc.value.omega, exc.value.index) == (-1.0, 2)
 
 
 class TestSolver:

@@ -242,6 +242,35 @@ def test_grid_with_singular_point_raises_at_first_rejected_point(kappa, kappa_f,
 
 @SETTINGS
 @given(
+    kappa=rates(0.1, 100.0),
+    kappa_f=rates(0.01, 100.0),
+    delta_f=rates(-20.0, 20.0),
+    grid=grids(-25.0, 25.0),
+    at=st.lists(st.integers(0, 16), min_size=1, max_size=3),
+)
+def test_grid_singular_mask_is_the_per_point_verdicts(kappa, kappa_f, delta_f, grid, at):
+    # The notch loop with delta = delta_f is singular at -delta_f, put into
+    # the grid at the drawn positions; the exception of a grid call flags
+    # every point a float call refuses, and both paths flag the same points.
+    cav = OptoCavityParams(kappa=kappa, delta=delta_f, g=0.1, omega_m=1.0)
+    cfg = SystemConfig(cav, FilterCavityParams.symmetric(kappa_f, delta_f), Topology.NOTCH)
+    grid = list(grid)
+    for i in at:
+        grid.insert(i, -delta_f)
+    masks = []
+    for response in loop_responses(cfg):
+        verdicts = [outcome(response, w) is SingularLoop for w in grid]
+        with pytest.raises(SingularLoop) as exc:
+            response(np.array(grid))
+        assert exc.value.singular.tolist() == verdicts
+        assert exc.value.index == verdicts.index(True)
+        assert exc.value.omega == grid[exc.value.index]
+        masks.append(verdicts)
+    assert len(masks) == 2 and masks[0] == masks[1]
+
+
+@SETTINGS
+@given(
     loop=LOOPS,
     cav=cavities(),
     filt=any_controllers(),
