@@ -22,9 +22,11 @@ strictly increasing; a one-point sweep evaluates ``--sweep-min`` alone.
 as ``--flag value`` or ``--flag=value``; the last of a repeated flag wins, and
 any other flag is an error.  A flat ``key=value`` config file (``--config``;
 flags override it) accepts the keys of every command.  Each command emits one
-deterministic CSV or JSON table.  CSV starts with a single ``# key=value ...``
-metadata line carrying the fully resolved parameters; parsing it back yields an
-equal RunConfig.  Floats are printed with 17 significant digits.
+deterministic CSV or JSON table, to stdout or into ``--output``, which is
+overwritten in place and cut to length (not atomic; no fsync).  CSV starts with
+a single ``# key=value ...`` metadata line carrying the fully resolved
+parameters; parsing it back yields an equal RunConfig.  Floats are printed with
+17 significant digits.
 
 ``--delta auto`` and ``design`` use the closed-form optimum of the band-blocking
 loop, so they need ``--topology notch``, ``--kappa``, a symmetric lossless
@@ -41,9 +43,9 @@ commands form overflows.  Every integer value (``--points``,
 Exit codes: 0 success (including a reported unstable model); 1 bad input, an
 error of the ValueError family (unknown flag, bad or missing value, a value
 outside the domain, parameters the physics rejects, a ``--config`` file that
-is not readable UTF-8 text, an ``--output`` path that is empty or cannot be
-written); 2 numeric failure, an error of the ArithmeticError family (e.g. a
-singular loop at a frequency where a rate is required).
+is not readable UTF-8 text, an ``--output`` path that is empty, holds a NUL
+byte or cannot be written); 2 numeric failure, an error of the ArithmeticError
+family (e.g. a singular loop at a frequency where a rate is required).
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -234,8 +238,8 @@ def _parse_value(key: str, value: str):
         _check_domain(_flag(key), out, repr(value))
     elif kind is int and out > _MOST_POINTS:
         raise ConfigError(f"{_flag(key)}: must be at most {_MOST_POINTS}, got {value!r}")
-    elif kind is str and not out:
-        raise ConfigError(f"{_flag(key)}: expected a path, got ''")
+    elif kind is str and (not out or "\0" in out):  # "\0": no OS takes it in a path
+        raise ConfigError(f"{_flag(key)}: expected a path, got {value!r}")
     return out
 
 
@@ -514,13 +518,14 @@ def render(table: OutputTable, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_parser(command: str | None = None) -> dict[str, str]:
-    """Flag -> key map of ``cfcool <command>``; with no command, every flag."""
+@cache
+def build_parser(command: str | None = None) -> Mapping[str, str]:
+    """Read-only flag -> key map of ``cfcool <command>``; with no command, every flag."""
     flags = {"--config": "config"}
     for key, spec in _PARAMS.items():
         if command is None or spec["commands"] is None or command in spec["commands"]:
             flags.update(dict.fromkeys((_flag(key), *spec["aliases"]), key))
-    return flags
+    return MappingProxyType(flags)
 
 
 def _read_flags(tokens: Sequence[str], command: str | None = None) -> dict[str, str] | None:
@@ -542,6 +547,22 @@ def _read_flags(tokens: Sequence[str], command: str | None = None) -> dict[str, 
     return {**(_read_config_file(config) if config is not None else {}), **given}
 
 
+def _write_output(path: str, data: bytes) -> None:
+    """Overwrite ``path`` with ``data`` in place, cutting a longer old file: on ext4
+    an O_TRUNC open waits for the writeback that the last truncate and close started."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666),
+              "wb", buffering=0) as f:
+        keep = 0  # the length to leave: all of data once written, else nothing
+        try:
+            view = memoryview(data)
+            while view:  # a write may be short
+                view = view[f.write(view):]
+            keep = len(data)
+        finally:
+            if os.fstat(f.fileno()).st_size > keep:  # never a device or a pipe
+                f.truncate(keep)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     command = argv[0] if argv else None
@@ -557,7 +578,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         text = render(table, cfg.format)
         if cfg.output:
             try:
-                Path(cfg.output).write_text(text, encoding="utf-8", newline="")
+                _write_output(cfg.output, text.encode("utf-8"))
             except OSError as exc:
                 raise ConfigError(f"cannot write --output {cfg.output!r}: {exc.strerror}") from None
         else:

@@ -311,8 +311,8 @@ def steady_covariance(m: StateSpaceModel) -> np.ndarray:
     A, D = m.drift, m.diffusion
     n = A.shape[0]
     eye = np.eye(n)
-    K = np.kron(eye, A) + np.kron(A, eye)
-    v = np.linalg.solve(K, -D.flatten(order="F"))
+    K = eye[:, None, :, None] * A[None, :, None, :] + A[:, None, :, None] * eye[None, :, None, :]
+    v = np.linalg.solve(K.reshape(n * n, n * n), -D.flatten(order="F"))  # kron(I,A)+kron(A,I)
     V = v.reshape((n, n), order="F")
     V = 0.5 * (V + V.T)
     residual = _frobenius(A @ V + V @ A.T + D)

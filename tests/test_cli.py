@@ -6,10 +6,16 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
 
 import numpy as np
 import pytest
@@ -852,12 +858,94 @@ class TestExitCodes:
         assert stderr.endswith(f"Is a directory: {path!r}\n")
         assert stderr.count("\n") == 1, stderr
 
+    def test_nul_byte_in_a_config_path_exits_one(self, tmp_path, capsys):
+        # A flag cannot carry a NUL byte, but a config file can; no OS takes
+        # it in a path, and opening one raised ValueError with a traceback.
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"topology=notch\nkappa=10\ng=0.1\nkappa_f=1\noutput=x\0y\n")
+        assert refusal(capsys, ["rates", "--config", str(path)]) == (
+            "cfcool: config error: --output: expected a path, got 'x\\x00y'\n"
+        )
+
     def test_config_file_that_is_not_utf8_names_the_path(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"kappa=10\ng=0.1\n# \xff\n")
         stderr = refusal(capsys, ["rates", "--config", str(path)])
         assert stderr.startswith(f"cfcool: config error: cannot read config file {str(path)!r}: ")
         assert stderr.count("\n") == 1, stderr
+
+
+class TestOutputFile:
+    """``--output`` overwrites an existing file in place and cuts it to
+    length: the file holds exactly the bytes the command prints to stdout."""
+
+    RATES = ["rates", *NOTCH_FLAGS]
+
+    @staticmethod
+    def stdout_of(capsys, argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("old", ["longer", "shorter", "equal"])
+    def test_overwrite_leaves_the_stdout_bytes(self, tmp_path, capsys, fmt, old):
+        argv = [*self.RATES, "--format", fmt]
+        expected = self.stdout_of(capsys, argv)
+        size = {"longer": 3 * len(expected), "shorter": 7, "equal": len(expected)}[old]
+        path = tmp_path / "out"
+        path.write_bytes(b"\xff" * size)
+        assert main([*argv, "--output", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rates_over_a_spectrum_file(self, tmp_path, capsys, fmt):
+        path = tmp_path / "out"
+        spectrum = ["spectrum", *NOTCH_FLAGS, *GRID_FLAGS, "--format", fmt]
+        rates = [*self.RATES, "--format", fmt]
+        for argv in (spectrum, rates):
+            assert main([*argv, "--output", str(path)]) == 0
+            assert path.read_bytes() == self.stdout_of(capsys, argv)
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_new_file_mode_follows_the_umask(self, tmp_path, capsys):
+        path = tmp_path / "new.csv"
+        umask = os.umask(0o027)
+        try:
+            assert main([*self.RATES, "--output", str(path)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o027
+
+    def test_null_device_exits_zero(self, capsys):
+        assert main([*self.RATES, "--output", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_exits_one(self, capsys):
+        assert refusal(capsys, [*self.RATES, "--output", "/dev/full"]) == (
+            "cfcool: config error: cannot write --output '/dev/full': No space left on device\n"
+        )
+
+    @pytest.mark.skipif(resource is None, reason="no RLIMIT_FSIZE")
+    def test_failed_write_leaves_no_old_tail(self, tmp_path):
+        # A file-size limit of 1 000 bytes makes the write of a 37 kB
+        # spectrum fail partway (EFBIG; Python ignores SIGXFSZ).  No byte of
+        # the longer old file may remain after the new bytes.
+        path = tmp_path / "out"
+        path.write_bytes(b"\xff" * 200_000)
+        argv = ["spectrum", *NOTCH_FLAGS, *GRID_FLAGS, "--output", str(path)]
+        limit = (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1])
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, limit)
+
+        proc = subprocess.run([sys.executable, "-m", "cfcool", *argv], capture_output=True,
+                              text=True, preexec_fn=limit_file_size)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"cfcool: config error: cannot write --output {str(path)!r}: "
+                               f"{os.strerror(errno.EFBIG)}\n")
+        assert b"\xff" not in path.read_bytes()
 
 
 #: Float values of the edge-value fuzz: 0, the domain's ends, values outside
@@ -955,6 +1043,11 @@ class TestFlagLists:
     def expected(self):
         common = set.intersection(*(self.accepted(c) for c in _COMMANDS))
         return common, {c: self.accepted(c) - common for c in _COMMANDS}
+
+    def test_flag_map_is_built_once_and_read_only(self):
+        assert build_parser("rates") is build_parser("rates")
+        with pytest.raises(TypeError):
+            build_parser("rates")["--bogus"] = "kappa"
 
     def test_help_text(self, capsys):
         assert main(["--help"]) == 0

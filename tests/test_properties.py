@@ -479,6 +479,20 @@ def test_oracle_state_is_physical(topology, cav, filt, bath):
 
 
 @SETTINGS
+@given(topology=TOPOLOGIES, cav=cavities(), filt=any_controllers(), bath=baths())
+def test_lyapunov_operator_kron_bits(topology, cav, filt, bath):
+    """``steady_covariance`` broadcasts its operator I (x) A + A (x) I; the
+    covariance has the bits of the same solve on the ``np.kron`` operator."""
+    model = build_state_space(SystemConfig(cav, filt, topology), bath)
+    assume(is_stable(model))
+    A, D = model.drift, model.diffusion
+    n = A.shape[0]
+    K = np.kron(np.eye(n), A) + np.kron(A, np.eye(n))
+    V = np.linalg.solve(K, -D.flatten(order="F")).reshape((n, n), order="F")
+    assert bits(steady_covariance(model)).tolist() == bits(0.5 * (V + V.T)).tolist()
+
+
+@SETTINGS
 @given(
     topology=TOPOLOGIES,
     rows=st.lists(
