@@ -438,18 +438,12 @@ def cmd_sweep(cfg: RunConfig) -> OutputTable:
     grid = _grid(cfg, "sweep_min", "sweep_max", "sweep_points", fewest=1)
     config = system_config(cfg)
     table = design.sweep(config, cfg.sweep_param, grid, bath=_bath(cfg))
-    # RateResult's gamma_opt and n_min, the same IEEE operations per row; an
-    # n_min that overflows is refused below as a non-finite cell.
-    gamma_opt = table.a_minus - table.a_plus
-    cooling = gamma_opt > 0
-    with np.errstate(over="ignore"):
-        n_min = np.divide(table.a_plus, gamma_opt, out=np.zeros_like(gamma_opt), where=cooling)
     stable = np.zeros(grid.size) if table.stable is None else table.stable
     empty = np.zeros((grid.size, 7), dtype=bool)
     empty[:, 1:4] = table.singular[:, None]  # the rates of a singular row
-    empty[:, 4] = ~cooling  # n_min, undefined without net cooling
-    empty[:, 5] = table.stable is None  # no flags at nonzero delay
-    values = (table.value, table.a_plus, table.a_minus, gamma_opt, n_min, stable, table.singular)
+    empty[:, 4] = table.rates.gamma_opt <= 0  # n_min, undefined without net cooling
+    empty[:, 5] = table.stable is None  # no flags without a state space
+    values = (table.value, *_rate_values(table.rates), stable, table.singular)
     columns = (cfg.sweep_param, *_RATE_COLUMNS, "stable", "singular")
     return OutputTable(metadata_pairs(cfg), columns, np.column_stack(values), empty)
 

@@ -294,7 +294,7 @@ SWEEP_PARAMETERS = ("delta", "kappa_f", "kappa", "g")
 class SweepRow:
     """One grid point: the swept value, its rates (None when the loop was
     singular there), a strict-Hurwitz stability flag (None when no state-space
-    model exists, e.g. nonzero delay), and the singular marker."""
+    model exists, e.g. nonzero loop delay), and the singular marker."""
 
     value: float
     rates: RateResult | None
@@ -305,14 +305,13 @@ class SweepRow:
 @dataclass(frozen=True, eq=False)
 class SweepTable:
     """A sweep as columns, one entry per grid point in grid order: the swept
-    ``value``, the rates ``a_plus`` and ``a_minus`` (NaN where the loop was
-    singular), the strict-Hurwitz flags ``stable`` (None when no state-space
-    model exists, e.g. nonzero delay) and the ``singular`` mask.  ``rows``
-    is the same table as :class:`SweepRow` objects, built on first access."""
+    ``value``, the column :class:`RateResult` ``rates`` (0 where the loop was
+    singular), the strict-Hurwitz flags ``stable`` (None without a state
+    space: a delayed loop) and the ``singular`` mask.  ``rows`` is the same
+    table as :class:`SweepRow` objects, built on first access."""
 
     value: np.ndarray
-    a_plus: np.ndarray
-    a_minus: np.ndarray
+    rates: RateResult
     stable: np.ndarray | None
     singular: np.ndarray
 
@@ -327,7 +326,7 @@ class SweepTable:
                 singular=flagged,
             )
             for value, a_plus, a_minus, stable, flagged in zip(
-                self.value.tolist(), self.a_plus.tolist(), self.a_minus.tolist(),
+                self.value.tolist(), self.rates.a_plus.tolist(), self.rates.a_minus.tolist(),
                 flags, self.singular.tolist(),
             )
         )
@@ -353,17 +352,17 @@ def sweep(
     """Evaluate scattering rates and stability along a parameter grid.
 
     The :class:`SweepTable` columns come back in grid order; singular-loop
-    points are flagged rather than dropped or propagated.  One config whose
-    swept field holds the grid gives every row: its rates come from one array
-    call at (-omega_m, +omega_m) per row (plus one more on the regular rows if
-    any is singular), each with the bits of :func:`loop_rates` on that row's
-    config; a rate that is not finite and >= 0 is refused as
-    :class:`RateResult` refuses it.  ``bath`` (default: no mechanical
+    points are flagged rather than dropped or propagated, with rates of 0.
+    One config whose swept field holds the grid gives every row: its rates
+    come from one array call at (-omega_m, +omega_m) per row (plus one more
+    on the regular rows if any is singular), each with the bits of
+    :func:`loop_rates` on that row's config, and one column
+    :class:`RateResult` checks them.  ``bath`` (default: no mechanical
     damping) enters only the stability flag: the rows' drift matrices, one
     stack from :func:`oracle.drift_matrix`, are tested by one
     :func:`oracle.is_hurwitz` call, the same rule as :func:`oracle.is_stable`
-    on each row's model.  At nonzero delay the ``stable`` column is None: the
-    drift assembly refuses before building anything.
+    on each row's model.  A loop with a nonzero delay has a ``stable``
+    column of None: the drift assembly refuses before building anything.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise InvalidParam(f"unknown sweep parameter {parameter!r}")
@@ -389,9 +388,6 @@ def sweep(
     kept, singular = _flagging_rows(
         lambda keep: _sideband_sigmas(config, parameter, values[keep]), values.size
     )
-    refused = ~np.all(np.isfinite(kept) & (kept >= 0), axis=1)
-    if refused.any():
-        RateResult(*kept[refused.argmax()].tolist())  # raises, naming that rate
-    sigmas = np.full((values.size, 2), np.nan)
+    sigmas = np.zeros((values.size, 2))
     sigmas[~singular] = kept
-    return SweepTable(values, sigmas[:, 0], sigmas[:, 1], flags, singular)
+    return SweepTable(values, RateResult(*sigmas.T), flags, singular)

@@ -13,14 +13,13 @@ class SingularLoop(CfcoolError, ArithmeticError):
     """The loop is singular at the requested frequency: |det(I - M)|, the
     closed forms' loop denominator, is below ``netalg.DEN_SINGULAR`` or NaN.
 
-    ``omega`` is the frequency of the first such point; ``index`` is its flat
-    index in a grid call and ``singular`` the flat bool mask of every such
-    point (both None for a float call), which tells grid rows apart even where
-    every row samples the same frequency."""
+    ``omega`` is the frequency of the first such point, and ``singular`` the
+    flat bool mask of every such point in a grid call (None for a float
+    call), which tells grid rows apart even where every row samples the same
+    frequency."""
 
-    def __init__(self, omega: float, index: int | None = None, singular=None):
+    def __init__(self, omega: float, singular=None):
         self.omega = omega
-        self.index = index
         self.singular = singular
         super().__init__(f"algebraic loop is singular at omega={omega!r}")
 

@@ -6,9 +6,9 @@ drive laser, at one float omega or on a whole ndarray grid: a float call
 returns a scalar, an array call an array over omega's shape, and an element's
 S-matrix leads with its port axes, (n_out, n_in, *omega.shape).  A parameter
 field may hold an ndarray too, one value per grid point: it broadcasts
-against an omega of the full grid shape.  Every array call, the solver's
-included, gives each grid point the bits of the float call at that point (see
-"Array kernels" below).  The frequency-domain convention is
+against omega, and the result has the broadcast shape.  Every array call,
+the solver's included, gives each grid point the bits of the float call at
+that point (see "Array kernels" below).  The frequency-domain convention is
 
     x(omega) = integral x(t) exp(+i omega t) dt,   i.e.  d/dt -> -i omega,
 
@@ -298,8 +298,7 @@ def _singular(omega, small):
     if not isinstance(omega, np.ndarray):
         return SingularLoop(omega)
     singular = small.ravel()
-    index = int(singular.argmax())
-    return SingularLoop(np.broadcast_to(omega, small.shape).flat[index].item(), index, singular)
+    return SingularLoop(np.broadcast_to(omega, small.shape).flat[singular.argmax()].item(), singular)
 
 
 def _mul(ar, ai, br, bi):
@@ -497,11 +496,12 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
     pivoting (:func:`_eliminate`), which also yields det(I - M).  The tap
     cavity's internal gain chi(omega) is applied to its port signal.  A float
     omega runs on Python floats and returns a Python complex; an ndarray grid
-    runs the same code on arrays and returns an array of omega's shape whose
-    every value has the bits of the float call at that point.  Raises
+    runs the same code on arrays and returns an array of omega's shape (or
+    the broadcast shape of omega and the parameter columns) whose every value
+    has the bits of the float call at that point.  Raises
     :class:`SingularLoop` where |det(I - M)| < ``DEN_SINGULAR`` or is NaN (see
-    there), carrying the first such grid point's frequency and index and the
-    mask of every such point.  A grid solve holds only the values a later
+    there), carrying the first such grid point's frequency and the mask of
+    every such point.  A grid solve holds only the values a later
     step reads: the elements' S-matrices are freed once I - M is assembled,
     and the elimination drops each entry after its last use.
     """
@@ -524,8 +524,10 @@ def _system(net, omega):
     """(I - M | e_in) of ``net`` at omega, as :func:`_eliminate`'s rows: row i
     is the identity's, minus the S-matrix row of the output that drives port
     i; the input port has no driver, so its row is e_in's.  None marks an
-    entry that no edge wires.  Every entry is a new value, so the elements'
-    S-matrices are free once this returns."""
+    entry that no edge wires.  Where the elements' grid shapes differ (a
+    parameter column against a shorter omega), their parts broadcast to one
+    shape, so that a pivot swap can write into any entry.  Every entry is a
+    new value, so the elements' S-matrices are free once this returns."""
     index = net.index
     n = len(index)
     grid = isinstance(omega, np.ndarray)
@@ -533,6 +535,13 @@ def _system(net, omega):
     for name, el in net.elements:
         s = el.s_matrix(omega)
         parts[name] = (s.real, s.imag) if grid else (s.real.tolist(), s.imag.tolist())
+    shapes = {re.shape[2:] for re, _ in parts.values()} if grid else ()
+    if len(shapes) > 1:
+        shape = np.broadcast_shapes(*shapes)
+        for name, part in parts.items():
+            ports = part[0].shape[:2]  # then the grid axes, aligned from the right
+            lead = ports + (1,) * (len(shape) + 2 - part[0].ndim)
+            parts[name] = [np.broadcast_to(x.reshape(lead + x.shape[2:]), ports + shape) for x in part]
     rows = [[(1.0, 0.0) if j == i else None for j in range(n + 1)] for i in range(n)]
     rows[index[net.input_port]][n] = (1.0, 0.0)
     for (src, p_out), dst in net.wiring:

@@ -144,7 +144,8 @@ def _optics(config: SystemConfig, A: np.ndarray):
 
 def _assemble(config: SystemConfig, bath: MechanicalBath):
     # Drift and optical vacuum inputs from one _optics call; see drift_matrix.
-    if config.delay > 0:
+    # A bare cavity has no loop, so a delay enters nothing.
+    if config.delay > 0 and config.topology is not Topology.NONE:
         raise UnsupportedDelay("state-space oracle supports zero loop delay only")
     cav = config.cav
     # One drift per value of the fields that hold ndarrays.
@@ -174,15 +175,17 @@ def drift_matrix(config: SystemConfig, bath: MechanicalBath) -> np.ndarray:
 
     A config whose fields hold ndarrays of one shape gives the stack of its
     drifts, (*shape, n, n), with the bits of each row's float config.
-    Raises :class:`UnsupportedDelay` for config.delay > 0: a delay line is
-    infinite-dimensional and has no exact realization here.
+    Raises :class:`UnsupportedDelay` for config.delay > 0 on a notch or
+    band-pass loop: a delay line is infinite-dimensional and has no exact
+    realization here.  A bare cavity has no loop for the delay to enter, so
+    its drift is the same at any delay.
     """
     return _assemble(config, bath)[0]
 
 
 def build_state_space(config: SystemConfig, bath: MechanicalBath) -> StateSpaceModel:
     """Drift (:func:`drift_matrix`) plus vacuum and thermal diffusion of the
-    configured loop at zero delay, validated as a :class:`StateSpaceModel`."""
+    configured loop, validated as a :class:`StateSpaceModel`."""
     A, inputs = _assemble(config, bath)
     n = A.shape[0]
     D = np.zeros((n, n))

@@ -24,6 +24,13 @@ from .errors import InvalidParam, NoNetCooling
 ResponseFn = Callable[[float | np.ndarray], complex | np.ndarray]
 
 
+def _check_rate(name, value):
+    # The rule of a rate or an occupation: finite and >= 0, at every value.
+    accepted = (value >= 0) & (value < math.inf)
+    if accepted is not True:  # format a message only for a value it may refuse
+        netalg._check(accepted, value, f"{name} must be finite and >= 0, got {{!r}}")
+
+
 @dataclass(frozen=True)
 class MechanicalBath:
     """Intrinsic mechanical damping gamma_m >= 0 and thermal occupation n_th >= 0."""
@@ -32,10 +39,8 @@ class MechanicalBath:
     n_th: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma_m) and self.gamma_m >= 0):
-            raise InvalidParam(f"gamma_m must be finite and >= 0, got {self.gamma_m!r}")
-        if not (math.isfinite(self.n_th) and self.n_th >= 0):
-            raise InvalidParam(f"n_th must be finite and >= 0, got {self.n_th!r}")
+        _check_rate("gamma_m", self.gamma_m)
+        _check_rate("n_th", self.n_th)
         # The thermal load of the oracle's diffusion and of steady_phonon.
         if not math.isfinite(self.gamma_m * (self.n_th + 0.5)):
             raise InvalidParam(
@@ -74,7 +79,9 @@ class RateResult:
     optically induced damping (may be negative, meaning net heating);
     ``n_min = a_plus / gamma_opt`` is the occupation floor in the
     vanishing-mechanical-damping limit, defined only when gamma_opt > 0
-    (``None`` otherwise).
+    (``None`` otherwise) and below 2^53: a positive gamma_opt is at least one
+    ulp of a_plus.  The rates may be float columns, one value per row, checked
+    at every value; each row has the float result's bits, NaN for a None n_min.
     """
 
     a_plus: float
@@ -83,15 +90,17 @@ class RateResult:
     n_min: float | None = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.a_plus) and self.a_plus >= 0):
-            raise InvalidParam(f"a_plus must be finite and >= 0, got {self.a_plus!r}")
-        if not (math.isfinite(self.a_minus) and self.a_minus >= 0):
-            raise InvalidParam(f"a_minus must be finite and >= 0, got {self.a_minus!r}")
-        gamma_opt = self.a_minus - self.a_plus
+        a_plus, a_minus = self.a_plus, self.a_minus
+        _check_rate("a_plus", a_plus)
+        _check_rate("a_minus", a_minus)
+        gamma_opt = a_minus - a_plus
+        if isinstance(gamma_opt, np.ndarray):
+            n_min = np.full_like(gamma_opt, math.nan)
+            np.divide(a_plus, gamma_opt, out=n_min, where=gamma_opt > 0)
+        else:
+            n_min = a_plus / gamma_opt if gamma_opt > 0 else None
         object.__setattr__(self, "gamma_opt", gamma_opt)
-        object.__setattr__(
-            self, "n_min", self.a_plus / gamma_opt if gamma_opt > 0 else None
-        )
+        object.__setattr__(self, "n_min", n_min)
 
 
 def rate_spectrum(chi_cl: ResponseFn, g: float, grid: Sequence[float] | np.ndarray) -> Spectrum:

@@ -326,6 +326,23 @@ class TestOracleCommand:
         assert row["stable"] == 1.0
         assert row["rel_dev"] <= 0.05
 
+    @pytest.mark.parametrize("command, flags", [
+        (cmd_rates, []),
+        (cmd_oracle, []),
+        (cmd_sweep, ["--sweep-param", "delta", "--sweep-min", "-2", "--sweep-max", "1",
+                     "--sweep-points", "4"]),
+    ], ids=["rates", "oracle", "sweep"])
+    def test_bare_cavity_ignores_the_delay(self, command, flags):
+        # A bare cavity has no loop for --tau to enter: every command
+        # reports as at --tau 0, the oracle and the stable flags included.
+        argv = ["--topology", "none", "--kappa", "10", "--g", "0.1", "--gamma-m", "1e-5",
+                "--n-th", "10", *flags]
+        delayed = command(parse_config([*argv, "--tau", "1"]))
+        assert delayed.rows == command(parse_config(argv)).rows
+        if "stable" in delayed.columns:
+            stable = delayed.columns.index("stable")
+            assert all(row[stable] is not None for row in delayed.rows)
+
     def test_decoupled_returns_thermal(self):
         cfg = parse_config(["--topology", "none", "--kappa", "10", "--g", "0",
                             "--gamma-m", "1e-5", "--n-th", "100"])
@@ -599,6 +616,27 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rates", "--topology", "notch", "--kappa", "10", "--g", "0.1"],
+         "missing required flag --kappa-f (or --kappa1/--kappa2)"),
+        (["spectrum", *NOTCH_FLAGS, "--omega-min", "3", "--omega-max", "-3", "--points", "5"],
+         "--omega-min must be below --omega-max"),
+        (["sweep", *NOTCH_FLAGS, "--sweep-param", "g", "--sweep-min", "0.2", "--sweep-max", "0.1",
+          "--sweep-points", "3"], "--sweep-min must be below --sweep-max"),
+    ], ids=["kappa-f", "omega-grid", "sweep-grid"])
+    def test_refusal_names_its_cause(self, capsys, argv, message):
+        assert refusal(capsys, argv) == f"cfcool: config error: {message}\n"
+
+    @pytest.mark.parametrize("text", ["# a comment\nkappa 10\n", "   \nkappa 10\n"],
+                             ids=["comment", "blank"])
+    def test_config_line_without_equals_names_the_line(self, tmp_path, capsys, text):
+        # Comment and blank lines are skipped but counted.
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert refusal(capsys, ["rates", "--config", str(path)]) == (
+            f"cfcool: config error: {path}:2: expected key=value, got 'kappa 10'\n"
+        )
 
     @pytest.mark.parametrize("topology", [["--topology", "bandpass"], []])
     def test_design_needs_notch_topology(self, capsys, topology):

@@ -130,6 +130,15 @@ class TestArgmaxNumeric:
         wide = argmax_detuning_numeric(cfg, (-81.0, -1e-3))
         assert abs(argmax_detuning_numeric(cfg) - wide) <= 1e-6
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda cfg: closed_loop_response(cfg, method="x"), "unknown method 'x'"),
+        (lambda cfg: argmax_detuning_numeric(cfg, bracket=(1.0, 0.0)), "bad bracket (1.0, 0.0)"),
+    ], ids=["method", "bracket"])
+    def test_bad_argument_refused(self, call, message):
+        with pytest.raises(InvalidParam) as exc:
+            call(make_notch(10.0, 1.0, 0.1, 1.0))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
     def test_tol_not_finite_and_positive_refused(self, tol):
         # A NaN tol fails every comparison, so a `tol <= 0` check lets it

@@ -27,7 +27,7 @@ from cfcool import (
     solve_network,
 )
 from cfcool.netalg import DEN_SINGULAR, CavityReflection, DelayLine, FilterTwoPort
-from cfcool.spectra import sigma
+from cfcool.spectra import RateResult, sigma
 
 CAV = OptoCavityParams(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
 FILT = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=1.0)
@@ -48,7 +48,8 @@ def sigma_of(g):
 OPTO = dict(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
 FILTER = dict(kappa1=1.0, kappa2=1.0, kappa_loss=0.0, delta_f=1.0)
 #: (constructor, accepted keyword arguments, refused ones, message): every
-#: rule of OptoCavityParams, FilterCavityParams and spectra.sigma.
+#: rule of OptoCavityParams, FilterCavityParams, spectra.sigma and
+#: RateResult.
 PARAM_RULES = [
     *[(OptoCavityParams, OPTO, {name: value}, f"OptoCavityParams.{name} must be finite, got {value!r}")
       for name, value in [("kappa", math.nan), ("delta", math.inf), ("g", -math.inf), ("omega_m", math.nan)]],
@@ -70,6 +71,10 @@ PARAM_RULES = [
      "kappa_total / 2 underflows to 0 at kappa_total = 5e-324"),
     (sigma_of, {"g": 0.1}, {"g": -0.5}, "g must be >= 0, got -0.5"),
     (sigma_of, {"g": 0.1}, {"g": 1e154}, "Sigma = g * g * |chi_cl|^2 overflows at g = 1e+154"),
+    *[(RateResult, {"a_plus": 0.0, "a_minus": 0.004}, {name: value},
+       f"{name} must be finite and >= 0, got {value!r}")
+      for name, value in [("a_plus", -1e-3), ("a_minus", -1.0), ("a_plus", math.inf),
+                          ("a_minus", math.nan)]],
 ]
 RULE_IDS = [build.__name__ + "".join(f"-{name}={value!r}" for name, value in refused.items())
             for build, _, refused, _ in PARAM_RULES]
@@ -313,9 +318,8 @@ class TestClosedForms:
             with pytest.raises(SingularLoop) as solved:
                 solve_network(network(CAV, filt), omega)
             assert math.isnan(closed.value.omega) and math.isnan(solved.value.omega)
-            assert closed.value.index == solved.value.index
-            assert closed.value.index == (1 if isinstance(omega, np.ndarray) else None)
             if isinstance(omega, np.ndarray):
+                assert closed.value.singular.argmax() == solved.value.singular.argmax() == 1
                 assert closed.value.singular.tolist() == [False, True, False]
                 assert solved.value.singular.tolist() == [False, True, False]
             else:
@@ -336,7 +340,7 @@ class TestClosedForms:
             closed_form_notch(OptoCavityParams(10.0, np.array(deltas), 0.1, 1.0), FILT, np.array(-1.0))
         assert verdicts == [False, False, True]
         assert exc.value.singular.tolist() == verdicts
-        assert (exc.value.omega, exc.value.index) == (-1.0, 2)
+        assert (exc.value.omega, exc.value.singular.argmax()) == (-1.0, 2)
 
 
 class TestSolver:
@@ -410,6 +414,35 @@ class TestSolver:
         asym = FilterCavityParams(1.0, 1.2, 0.0, 1.0)
         got = solve_network(notch_network(CAV, asym), -1.0)
         assert abs(got) > 0.0  # imbalance leaks the blocked sideband
+
+    @pytest.mark.parametrize("cav, filt, omega", [
+        (OptoCavityParams(10.0, np.array([-1.0, -0.5, -2.0]), 0.1, 1.0), FILT, np.array([0.3])),
+        # delta = delta_f: the notch loop is singular at omega = -delta_f.
+        (OptoCavityParams(10.0, np.array([-1.0, 1.0, -2.0]), 0.1, 1.0), FILT, np.array(-1.0)),
+        (CAV, FilterCavityParams.symmetric(np.array([0.5, 1.0, 2.0]), 1.0), np.array([0.3])),
+        (OptoCavityParams(10.0, np.array([[-1.0], [1.0]]), 0.1, 1.0),
+         FilterCavityParams.symmetric(np.array([0.5, 1.0, 2.0]), 1.0), np.array([-1.0])),
+    ], ids=["cavity", "cavity-singular", "controller", "both-2d"])
+    @pytest.mark.parametrize(
+        "build, form", [(notch_network, closed_form_notch), (bandpass_network, closed_form_bandpass)],
+        ids=["notch", "bandpass"],
+    )
+    def test_parameter_columns_broadcast_past_the_grid(self, cav, filt, omega, build, form):
+        # Parameter columns against a shorter omega: the solver gives the
+        # closed form's values, or flags the same singular points.
+        try:
+            expected = form(cav, filt, omega)
+        except SingularLoop as exc:
+            with pytest.raises(SingularLoop) as solved:
+                solve_network(build(cav, filt), omega)
+            assert solved.value.singular.tolist() == exc.singular.tolist()
+            assert solved.value.omega == exc.omega
+            return
+        got = solve_network(build(cav, filt), omega)
+        shape = np.broadcast_shapes(np.shape(cav.delta), np.shape(filt.kappa1), omega.shape)
+        assert got.shape == expected.shape == shape
+        for g, e in zip(got.ravel(), expected.ravel()):
+            assert rel_err(g, e) <= 1e-10
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     @pytest.mark.parametrize(
@@ -689,6 +722,19 @@ class TestNetworkValidation:
                 input_port=("ctrl", 0),
                 tap="sys",
             )
+
+    @pytest.mark.parametrize("elements, wiring, message", [
+        ((("sys", CavityReflection(CAV)), ("sys", DelayLine(1.0))), (),
+         "duplicate element names in ['sys', 'sys']"),
+        ((("sys", CavityReflection(CAV)),), ((("lag", 0), ("sys", 0)),),
+         "unknown element 'lag' in port ('lag', 0)"),
+        ((("sys", CavityReflection(CAV)), ("lag", DelayLine(1.0))), ((("sys", 1), ("lag", 0)),),
+         "port index out of range: ('sys', 1)"),
+    ], ids=["duplicate-name", "unknown-element", "port-index"])
+    def test_names_and_ports_checked(self, elements, wiring, message):
+        with pytest.raises(InvalidParam) as exc:
+            NetworkSpec(elements=elements, wiring=wiring, input_port=("sys", 0), tap="sys")
+        assert str(exc.value) == message
 
     def test_tap_must_be_cavity(self):
         with pytest.raises(InvalidParam):

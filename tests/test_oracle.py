@@ -73,6 +73,29 @@ class TestBuild:
         with pytest.raises(UnsupportedDelay):
             build_state_space(cfg, BATH)
 
+    def test_bare_cavity_delay_enters_nothing(self):
+        # A bare cavity has no loop, so its model, its rates and the
+        # cross-check are those of the undelayed cavity.
+        bare = uncontrolled()
+        delayed = SystemConfig(bare.cav, None, Topology.NONE, delay=1.0)
+        model, reference = build_state_space(delayed, BATH), build_state_space(bare, BATH)
+        assert np.array_equal(model.drift, reference.drift)
+        assert np.array_equal(model.diffusion, reference.diffusion)
+        assert consistency_check(delayed, BATH) == consistency_check(bare, BATH)
+        flags = design.sweep(delayed, "delta", [-1.0, 1.0], bath=BATH).stable
+        assert flags.tolist() == design.sweep(bare, "delta", [-1.0, 1.0], bath=BATH).stable.tolist()
+
+    @pytest.mark.parametrize("drift, diffusion, message", [
+        (np.zeros((2, 3)), np.zeros((2, 2)), "drift must be a square matrix"),
+        (np.zeros((3, 3)), np.zeros((3, 3)), "diffusion must match the (even-sized) drift"),
+        (np.zeros((2, 2)), np.array([[1.0, 1.0], [0.0, 1.0]]), "diffusion matrix must be symmetric"),
+        (np.zeros((2, 2)), np.diag([-1.0, 1.0]), "diffusion matrix must be positive semidefinite"),
+    ], ids=["square", "even", "symmetric", "semidefinite"])
+    def test_state_space_model_refusals(self, drift, diffusion, message):
+        with pytest.raises(InvalidParam) as exc:
+            oracle.StateSpaceModel(drift, diffusion)
+        assert str(exc.value) == message
+
 
 class TestStability:
     def test_damped_oscillator_stable(self):

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from cfcool import (
     ClosedFormInapplicable,
     FilterCavityParams,
+    InvalidParam,
     MechanicalBath,
     OptoCavityParams,
+    RateResult,
     SingularLoop,
     SystemConfig,
     Topology,
@@ -263,8 +265,8 @@ def test_grid_singular_mask_is_the_per_point_verdicts(kappa, kappa_f, delta_f, g
         with pytest.raises(SingularLoop) as exc:
             response(np.array(grid))
         assert exc.value.singular.tolist() == verdicts
-        assert exc.value.index == verdicts.index(True)
-        assert exc.value.omega == grid[exc.value.index]
+        assert exc.value.singular.argmax() == verdicts.index(True)
+        assert exc.value.omega == grid[exc.value.singular.argmax()]
         masks.append(verdicts)
     assert len(masks) == 2 and masks[0] == masks[1]
 
@@ -322,11 +324,67 @@ def row_config(cfg, name, value):
     return replace(cfg, cav=replace(cfg.cav, **{name: value}))
 
 
-def rate_bits(rates):
-    """The bits of a_plus, a_minus, gamma_opt and n_min (None if undefined)."""
-    return bits([rates.a_plus, rates.a_minus, rates.gamma_opt]).tolist(), (
-        None if rates.n_min is None else bits([rates.n_min]).tolist()
-    )
+def rate_bits(rates, row=None):
+    """The bits of a_plus, a_minus, gamma_opt and n_min (None if undefined)
+    of a float RateResult, or of one row of a column RateResult."""
+    values = [rates.a_plus, rates.a_minus, rates.gamma_opt, rates.n_min]
+    *figures, n_min = values if row is None else [v[row] for v in values]
+    return bits(figures).tolist(), None if n_min is None or n_min != n_min else bits([n_min]).tolist()
+
+
+#: Rates at the ends of the float range: zero, subnormal, the least
+#: normal, huge and the largest finite.
+RATE_EDGES = (0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300, 1.7976931348623157e308)
+#: Values the rate rule refuses.
+BAD_RATES = (-1.0, -5e-324, -1e300, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def rate_pairs(draw):
+    """(a_plus, a_minus) of finite rates >= 0; a_minus is often a_plus
+    itself or the float above it, so gamma_opt is 0 or one ulp."""
+    finite = st.sampled_from(RATE_EDGES) | st.floats(min_value=0.0, allow_infinity=False)
+    a_plus = draw(finite)
+    above = math.nextafter(a_plus, math.inf)
+    return a_plus, draw(finite | st.sampled_from([a_plus, above if above < math.inf else a_plus]))
+
+
+@SETTINGS
+@given(
+    pairs=st.lists(rate_pairs(), min_size=1, max_size=8),
+    bad=st.none() | st.tuples(st.integers(0, 7), st.integers(0, 1), st.sampled_from(BAD_RATES)),
+)
+def test_rate_columns_have_the_scalar_bits(pairs, bad):
+    # A column RateResult is the float RateResult of each row, bit for bit,
+    # with NaN for an n_min of None; it refuses the first value a float one
+    # refuses, a_plus before a_minus, with its message.
+    if bad is not None:
+        row, column, value = bad
+        pair = list(pairs[row % len(pairs)])
+        pair[column] = value
+        pairs[row % len(pairs)] = tuple(pair)
+    a_plus, a_minus = np.array(pairs).T
+    refusals = []
+    for column in (0, 1):
+        for pair in pairs:
+            if not (pair[column] >= 0 and pair[column] < math.inf):
+                with pytest.raises(InvalidParam) as exc:
+                    RateResult(*pair)
+                refusals.append(str(exc.value))
+                break
+    if refusals:
+        with pytest.raises(InvalidParam) as exc:
+            RateResult(a_plus, a_minus)
+        assert str(exc.value) == refusals[0]
+        return
+    col = RateResult(a_plus, a_minus)
+    rows = [RateResult(*pair) for pair in pairs]
+    for name in ("a_plus", "a_minus", "gamma_opt"):
+        assert np.array_equal(bits(getattr(col, name)), bits([getattr(r, name) for r in rows]))
+    n_min = [math.nan if r.n_min is None else r.n_min for r in rows]
+    assert np.array_equal(bits(col.n_min), bits(n_min))
+    # a_minus - a_plus >= ulp(a_plus) where it is > 0, so n_min < 2^53.
+    assert all(n < 2.0**53 for n in n_min if n == n)
 
 
 @st.composite
@@ -356,24 +414,28 @@ def sweep_cases(draw):
 def test_sweep_rows_are_the_per_row_loops(case):
     # One array pass over the grid: each row has the bits of loop_rates on
     # that row's float config, the singular marker where it raises, and the
-    # flag of is_stable on its state-space model (None with a delay line).
+    # flag of is_stable on its state-space model (None on a delayed loop;
+    # a bare cavity has no loop for a delay to enter).  The rate columns hold
+    # the rows' rates, and 0 where a row is singular.
     cfg, name, grid, bath = case
+    delayed_loop = cfg.delay > 0 and cfg.topology is not Topology.NONE
     table = sweep(cfg, name, grid, bath=bath)
     assert [row.value for row in table.rows] == grid
-    for value, row in zip(grid, table.rows):
+    for i, (value, row) in enumerate(zip(grid, table.rows)):
         row_cfg = row_config(cfg, name, value)
         try:
             expected = loop_rates(row_cfg)
         except SingularLoop:
             expected = None
-        assert row.singular is (expected is None)
+        assert row.singular is (expected is None) is bool(table.singular[i])
         if expected is None:
             assert row.rates is None
+            assert rate_bits(table.rates, i) == rate_bits(RateResult(0.0, 0.0))
         else:
-            assert rate_bits(row.rates) == rate_bits(expected)
-        flag = None if cfg.delay > 0 else is_stable(build_state_space(row_cfg, bath))
+            assert rate_bits(row.rates) == rate_bits(table.rates, i) == rate_bits(expected)
+        flag = None if delayed_loop else is_stable(build_state_space(row_cfg, bath))
         assert row.stable is flag
-    if cfg.delay == 0:
+    if not delayed_loop:
         # The drift stack of the one config that holds the grid is the
         # stack of the rows' drifts, byte for byte.
         stack = drift_matrix(row_config(cfg, name, np.array(grid)), bath)

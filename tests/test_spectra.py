@@ -223,3 +223,21 @@ class TestBathValidation:
         assert str(exc.value) == (
             f"gamma_m * (n_th + 0.5) overflows at gamma_m = {gamma_m!r}, n_th = {n_th!r}"
         )
+
+
+@pytest.mark.parametrize("call, message", [
+    # |chi_cl|^2 itself overflows, so the scalar path has no product to test.
+    (lambda: sigma(1.0, complex(1e200, 0.0)), "Sigma = g * g * |chi_cl|^2 overflows at g = 1.0"),
+    (lambda: scattering_rates(chi_unc, 0.1, 0.0), "omega_m must be > 0, got 0.0"),
+    (lambda: Spectrum(np.zeros(3), np.zeros(2)),
+     "omegas and values must be 1-d arrays of equal length"),
+    (lambda: Spectrum(np.zeros((2, 2)), np.zeros((2, 2))),
+     "omegas and values must be 1-d arrays of equal length"),
+    (lambda: Spectrum(np.zeros(1), np.array([-1.0])), "spectrum values must be finite and >= 0"),
+    (lambda: Spectrum(np.zeros(1), np.array([np.nan])), "spectrum values must be finite and >= 0"),
+], ids=["sigma", "scattering-rates", "spectrum-length", "spectrum-2d", "spectrum-negative",
+        "spectrum-nan"])
+def test_refusal_names_the_rule(call, message):
+    with pytest.raises(InvalidParam) as exc:
+        call()
+    assert str(exc.value) == message
