@@ -136,6 +136,160 @@ def fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
+#: Decimal scales 10^s of :func:`_digits17`: s = 16 - k for every decimal
+#: exponent k of a finite nonzero float, from 5e-324 (k = -324) to 1.8e308.
+_LEAST_SCALE, _MOST_SCALE = -292, 340
+
+#: Cells per block of :func:`fmt17_rows`, whose scratch then stays in cache.
+_BLOCK_CELLS = 4096
+
+#: The least table that :func:`render_csv` renders with :func:`fmt17_rows`.
+_BLOCK_RENDER_CELLS = 700
+
+
+@cache
+def _fmt17_tables() -> tuple[np.ndarray, ...]:
+    """Read-only tables of :func:`fmt17_rows`, built on its first call.
+
+    Each 10^s is (H + L)·2^J: H, the top 53 bits, as its Veltkamp halves, and
+    L the correctly rounded rest, which is 0 exactly for s in [0, 22].  Then
+    the four ASCII digits of each of 0..9999 as one uint32 and its count of
+    trailing zeros; and C's exponent suffix ``e±dd`` or ``e±ddd`` of each k in
+    [-324, 308], NUL-padded to 5 bytes, and its length.
+    """
+    high, low, shift = [], [], []
+    for s in range(_LEAST_SCALE, _MOST_SCALE + 1):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        # The t that puts 10^s·2^t in [2^52, 2^53): 53 - bits(10^s) for s >= 0,
+        # and 52 + bits(den) for s < 0, where den = 10^-s is no power of two.
+        t = 53 - num.bit_length() + den.bit_length() - (s >= 0)
+        h, rest = divmod(num << max(t, 0), den << max(-t, 0))
+        high.append(h)
+        low.append(rest / (den << max(-t, 0)))
+        shift.append(-t)
+    h = np.array(high, float)
+    c = 134217729.0 * h  # Veltkamp split at 2^27 + 1
+    hh = c - (c - h)
+    four = np.arange(10000)
+    ascii4 = (four[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    zeros4 = sum((four % 10**j == 0) for j in range(1, 5)).astype(np.int8)
+    suffix = np.zeros((633, 5), np.uint8)
+    for k in range(-324, 309):
+        text = b"e%+03d" % k
+        suffix[k + 324, : len(text)] = list(text)
+    tables = (hh, h - hh, np.array(low), np.array(shift, np.int32),
+              ascii4.view(np.uint32).ravel(), zeros4, suffix, (suffix != 0).sum(1).astype(np.int8))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _digits17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, k, bad): each positive finite ``a`` rounded to 17 significant digits
+    is N·10^(k-16), N in [10^16, 10^17), except where ``bad``.
+
+    k comes from log10 and N from the exact product of the frexp mantissa and
+    10^(16-k)'s H (Dekker's TwoProduct), plus mantissa·L, rounded half to even;
+    with L = 0 that is exact, ties included.  ``bad`` marks the cells this
+    cannot settle: an integer part outside [10^16, 10^17) or a rounding up to
+    10^17 (log10 missed k), and an inexact remainder within 2^-30 of 1/2.
+    """
+    hh_t, hl_t, low_t, shift_t = _fmt17_tables()[:4]
+    m, e = np.frexp(a)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    i = 16 - _LEAST_SCALE - k
+    hh, hl, low = hh_t[i], hl_t[i], low_t[i]
+    p = m * (hh + hl)
+    c = 134217729.0 * m  # Veltkamp split of m at 2^27 + 1
+    mh = c - (c - m)
+    ml = m - mh
+    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl  # m·H = p + err exactly
+    scale = e + shift_t[i]
+    high = np.ldexp(p, scale).astype(np.int64)  # an even integer: at least 2^53
+    rest = np.ldexp(err + m * low, scale)
+    floor = np.floor(rest)
+    n = high + np.rint(rest).astype(np.int64)  # high is even: rint's ties are N's
+    whole = high + floor.astype(np.int64)
+    bad = ((whole - 10**16).view(np.uint64) >= 9 * 10**16) | (n == 10**17)
+    bad |= (np.abs(rest - floor - 0.5) < 2.0**-30) & (low != 0)
+    return n, k, bad
+
+
+def fmt17_rows(values: np.ndarray, empty: np.ndarray) -> str:
+    """The CSV rows of ``values`` (rows, columns), each cell as :func:`fmt17`
+    prints it and nothing where ``empty``, byte for byte.
+
+    Block by block, :func:`_digits17` gives each cell its digits and exponent
+    (the scalar ``"%.16e"`` the few it marks bad), and C's ``%g`` layout is a
+    (slot, cell) uint8 matrix with a keep mask.  A cell's 30 slots: the sign;
+    ``0.000``, whose first 1 - k are kept in fixed notation below 1; the 17
+    digits with the point inserted after the integer ones (one in exponent
+    notation), cut after the last nonzero digit; the exponent suffix; and the
+    separator.  Fixed notation holds for -4 <= k < 17.
+    """
+    ascii4, zeros4, suffix, suffix_len = _fmt17_tables()[4:]
+    rows, cols = values.shape
+    per_block = min(max(_BLOCK_CELLS // max(cols, 1), 1), rows) * cols
+    # The matrix and mask of one block; a block is whole rows.
+    chars = np.zeros((30, per_block), np.uint8)
+    chars[0] = ord("-")
+    chars[1:6] = np.frombuffer(b"0.000", np.uint8)[:, None]
+    chars[29] = ord(",")
+    chars[29, cols - 1 :: cols] = ord("\n")
+    keep = np.ones((30, per_block), bool)
+    digits = np.zeros((19, per_block), np.uint8)  # d0..d16 in rows 1..17
+    slot5, slot18 = np.arange(5, dtype=np.int8)[:, None], np.arange(18, dtype=np.int8)[:, None]
+    flat, blank = values.ravel(), empty.ravel()
+    out, end = np.empty(25 * flat.size, np.uint8), 0  # no cell takes more than 25 bytes
+    for start in range(0, flat.size, per_block):
+        v, void = flat[start : start + per_block], blank[start : start + per_block]
+        size = v.size
+        a = np.abs(v)
+        zero = void | (a == 0)  # an empty cell may hold NaN
+        a[zero] = 1.0
+        n, k, bad = _digits17(a)
+        for i in np.flatnonzero(bad).tolist():
+            text = "%.16e" % a[i]
+            n[i], k[i] = int(text[0] + text[2:18]), int(text[19:])
+        n[zero] = 0
+        k[zero] = 0
+        # The digits as four 4-digit groups after d0, and the trailing zeros.
+        d0, high = np.divmod(n // 10**8, 10**8)
+        groups = np.array([*np.divmod(high, 10**4), *np.divmod(n % 10**8, 10**4)])
+        d = digits[:, :size]
+        d[1] = d0 + ord("0")
+        d[2:18].reshape(4, 4, size)[...] = (
+            ascii4[groups].view(np.uint8).reshape(4, size, 4).transpose(0, 2, 1))
+        tz, z = zeros4[groups], groups == 0
+        nd = 17 - (tz[3] + z[3] * (tz[2] + z[2] * (tz[1] + z[1] * tz[0])))  # 1 for 0
+        # p: digits before the point, 17 (none) below 1 in fixed notation.
+        fixed = (k >= -4) & (k < 17)
+        frac = fixed & (k < 0)
+        p = (1 + (fixed & ~frac) * k + frac * 16).astype(np.int8)
+        c, kp = chars[:, :size], keep[:, :size]
+        body = c[6:24]
+        np.subtract(d[1:19], d[0:18], out=body)  # d[j] before the point, d[j-1] after
+        body *= (slot18 < p).view(np.uint8)
+        body += d[0:18]
+        point = (slot18 == p).view(np.uint8)
+        point *= ord(".") - body
+        body += point
+        kp[0] = np.signbit(v)
+        kp[1:6] = slot5 < (frac * (1 - k)).astype(np.int8)
+        kp[6:24] = slot18 < np.where(frac, nd, np.maximum(nd, p) + (nd > p))
+        if fixed.all():
+            kp[24:29] = False
+        else:
+            c[24:29] = suffix[k + 324].T
+            kp[24:29] = slot5 < suffix_len[k + 324] * ~fixed
+        if void.any():
+            kp[:29, void] = False
+        text = c.T[kp.T]
+        out[end : end + text.size] = text
+        end += text.size
+    return str(out[:end], "ascii")
+
+
 @dataclass(frozen=True, eq=False)
 class OutputTable:
     """Named float columns plus the metadata echoed into every output file.
@@ -488,13 +642,18 @@ _COMMANDS = {
 
 
 def render_csv(table: OutputTable) -> str:
-    """The metadata line, the header, then every cell in one ``%`` operation:
-    each row's template holds a "%.17g" field (:func:`fmt17`) per cell and
-    nothing for an empty one.  Rows with no empty cell share one template."""
+    """The metadata line, the header, then the cells: :func:`fmt17_rows` for
+    a table of at least _BLOCK_RENDER_CELLS cells, else one ``%`` operation
+    whose row templates hold a "%.17g" field (:func:`fmt17`) per cell and
+    nothing for an empty one (rows with no empty cell share one template).
+    Both give the same bytes; each is the faster on its side of the size rule,
+    where numpy's fixed cost meets ``%``'s cost per cell."""
+    head = "# " + " ".join(f"{k}={v}" for k, v in table.meta) + "\n" + ",".join(table.columns)
+    if table.values.size >= _BLOCK_RENDER_CELLS:
+        return head + "\n" + fmt17_rows(table.values, table.empty)
     templates = [",".join(["%.17g"] * len(table.columns)) + "\n"] * len(table.values)
     for i in np.flatnonzero(table.empty.any(axis=1)).tolist():
         templates[i] = ",".join("" if e else "%.17g" for e in table.empty[i].tolist()) + "\n"
-    head = "# " + " ".join(f"{k}={v}" for k, v in table.meta) + "\n" + ",".join(table.columns)
     return head + "\n" + "".join(templates) % tuple(table.values[~table.empty].tolist())
 
 

@@ -366,7 +366,7 @@ def sweep(
     """
     if parameter not in SWEEP_PARAMETERS:
         raise InvalidParam(f"unknown sweep parameter {parameter!r}")
-    values = np.array([float(v) for v in grid])
+    values = np.fromiter(grid, float)
     if not values.size:
         raise InvalidParam("sweep grid must be nonempty")
     diffs = np.diff(values)

@@ -6,7 +6,8 @@ drive laser, at one float omega or on a whole ndarray grid: a float call
 returns a scalar, an array call an array over omega's shape, and an element's
 S-matrix leads with its port axes, (n_out, n_in, *omega.shape).  A parameter
 field may hold an ndarray too, one value per grid point: it broadcasts
-against omega, and the result has the broadcast shape.  Every array call,
+against omega, and the result has the broadcast shape; a float omega against
+such a field is an array call too.  Every array call,
 the solver's included, gives each grid point the bits of the float call at
 that point (see "Array kernels" below).  The frequency-domain convention is
 
@@ -66,11 +67,16 @@ def _check(accepted, value, message):
 
 
 def _check_finite(obj, names):
+    # Also records ``has_columns``: whether a field holds an ndarray, which
+    # makes its finiteness test an array.
+    columns = False
     for name in names:
         value = getattr(obj, name)
         finite = abs(value) < math.inf
         if finite is not True:  # format a message only for a field it may refuse
             _check(finite, value, f"{type(obj).__name__}.{name} must be finite, got {{!r}}")
+            columns = columns or isinstance(finite, np.ndarray)
+    object.__setattr__(obj, "has_columns", columns)
 
 
 def _all(truth) -> bool:
@@ -101,6 +107,8 @@ class OptoCavityParams:
     delta: float
     g: float
     omega_m: float
+    #: Whether a field holds an ndarray, so that every call is an array call.
+    has_columns: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kappa, g, omega_m = self.kappa, self.g, self.omega_m
@@ -130,6 +138,8 @@ class FilterCavityParams:
     kappa2: float
     kappa_loss: float = 0.0
     delta_f: float = 0.0
+    #: Whether a field holds an ndarray, so that every call is an array call.
+    has_columns: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k1, k2, loss = self.kappa1, self.kappa2, self.kappa_loss
@@ -170,13 +180,14 @@ def chi(cav: OptoCavityParams, omega: float | np.ndarray) -> complex | np.ndarra
     """Intracavity response sqrt(kappa) / (i*(delta + omega) - kappa/2).
 
     ``omega`` is a float (the result is a complex scalar) or an ndarray (an
-    array of omega's shape).
+    array of omega's shape), or either against parameter columns (an array
+    of the broadcast shape).
 
     Transfer gain from the field incident on the coupling mirror to the
     intracavity field (units rad^-1/2 s^1/2); its squared modulus is the
     Lorentzian kappa / ((delta + omega)^2 + kappa^2/4).
     """
-    if isinstance(omega, np.ndarray):
+    if isinstance(omega, np.ndarray) or cav.has_columns:
         return _complex(*_py_quot(np.sqrt(cav.kappa), *_detuned(cav.delta + omega, cav.kappa)))
     return math.sqrt(cav.kappa) / (1j * (cav.delta + omega) - cav.kappa / 2.0)
 
@@ -188,7 +199,8 @@ def reflection_sys(cav: OptoCavityParams, omega: float | np.ndarray) -> complex 
     The one-port cavity is lossless, so this has unit modulus at every real
     frequency; only the phase winds through resonance.
     """
-    root = np.sqrt(cav.kappa) if isinstance(omega, np.ndarray) else math.sqrt(cav.kappa)
+    grid = isinstance(omega, np.ndarray) or cav.has_columns
+    root = np.sqrt(cav.kappa) if grid else math.sqrt(cav.kappa)
     return 1.0 + root * chi(cav, omega)
 
 
@@ -219,12 +231,12 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
     The internal-loss channel enters only through kappa_total; its vacuum
     input and outgoing field are not part of the 2x2 block.
     """
-    if isinstance(omega, np.ndarray):
+    if isinstance(omega, np.ndarray) or f.has_columns:
         # kappa1/d, sqrt(kappa1*kappa2)/d and kappa2/d in one broadcast division.
         k1, k2 = f.kappa1, f.kappa2
         root = np.sqrt(k1 * k2)
         # The leading axis of three, then the parameters' axes against omega's shape.
-        a = np.empty((3,) + (1,) * (omega.ndim - root.ndim) + root.shape)
+        a = np.empty((3,) + (1,) * (np.ndim(omega) - root.ndim) + root.shape)
         a[0], a[1], a[2] = k1, root, k2
         d = _detuned(omega + f.delta_f, f.kappa_total)
         q = _complex(*_py_quot(a, *d))
@@ -294,8 +306,9 @@ def _np_quot(ar, ai, br, bi):
 
 
 def _singular(omega, small):
-    # SingularLoop at the points of a float or grid call that ``small`` flags.
-    if not isinstance(omega, np.ndarray):
+    # SingularLoop at the points of a float or grid call that ``small`` flags;
+    # a float omega against parameter columns flags an array of them.
+    if not isinstance(omega, np.ndarray) and not isinstance(small, np.ndarray):
         return SingularLoop(omega)
     singular = small.ravel()
     return SingularLoop(np.broadcast_to(omega, small.shape).flat[singular.argmax()].item(), singular)
@@ -336,7 +349,7 @@ def _closed_loop(cav, f, omega, wiring, fwd, fb):
             f"the {wiring} closed form assumes kappa1 == kappa2 and no loss"
         )
     s = scattering(f, omega)
-    if isinstance(omega, np.ndarray):
+    if isinstance(omega, np.ndarray) or cav.has_columns or f.has_columns:
         c = chi(cav, omega)
         root = np.sqrt(cav.kappa)
         # reflection_sys as a float call forms it: 1.0 + root*chi.
@@ -495,20 +508,20 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
     and solves (I - M) x = e_in by one Gaussian elimination with partial
     pivoting (:func:`_eliminate`), which also yields det(I - M).  The tap
     cavity's internal gain chi(omega) is applied to its port signal.  A float
-    omega runs on Python floats and returns a Python complex; an ndarray grid
-    runs the same code on arrays and returns an array of omega's shape (or
-    the broadcast shape of omega and the parameter columns) whose every value
-    has the bits of the float call at that point.  Raises
+    omega runs on Python floats and returns a Python complex; an ndarray grid,
+    or a float omega against parameter columns, runs the same code on arrays
+    and returns an array of the broadcast shape of omega and the columns
+    whose every value has the bits of the float call at that point.  Raises
     :class:`SingularLoop` where |det(I - M)| < ``DEN_SINGULAR`` or is NaN (see
     there), carrying the first such grid point's frequency and the mask of
     every such point.  A grid solve holds only the values a later
     step reads: the elements' S-matrices are freed once I - M is assembled,
     and the elimination drops each entry after its last use.
     """
-    grid = isinstance(omega, np.ndarray)
     with np.errstate(all="ignore"):  # a grid's singular points, refused below
+        rows, grid = _system(net, omega)
         try:
-            det, [(xr, xi)] = _eliminate(_system(net, omega), net.index[(net.tap, 0)])
+            det, [(xr, xi)] = _eliminate(rows, net.index[(net.tap, 0)])
         except ZeroDivisionError:  # an exactly zero pivot of a float call
             raise _singular(omega, True) from None
         regular = np.hypot(*det) >= DEN_SINGULAR
@@ -521,20 +534,21 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
 
 
 def _system(net, omega):
-    """(I - M | e_in) of ``net`` at omega, as :func:`_eliminate`'s rows: row i
-    is the identity's, minus the S-matrix row of the output that drives port
-    i; the input port has no driver, so its row is e_in's.  None marks an
-    entry that no edge wires.  Where the elements' grid shapes differ (a
-    parameter column against a shorter omega), their parts broadcast to one
-    shape, so that a pivot swap can write into any entry.  Every entry is a
-    new value, so the elements' S-matrices are free once this returns."""
+    """(I - M | e_in) of ``net`` at omega, as :func:`_eliminate`'s rows, and
+    whether it is a grid call: an ndarray omega, or an S-matrix with grid
+    axes (a float omega against parameter columns).  Row i is the
+    identity's, minus the S-matrix row of the output that drives port i; the
+    input port has no driver, so its row is e_in's.  None marks an entry that
+    no edge wires.  Where the elements' grid shapes differ (a parameter
+    column against a shorter omega), their parts broadcast to one shape, so
+    that a pivot swap can write into any entry.  Every entry is a new value,
+    so the elements' S-matrices are free once this returns."""
     index = net.index
     n = len(index)
-    grid = isinstance(omega, np.ndarray)
-    parts = {}
-    for name, el in net.elements:
-        s = el.s_matrix(omega)
-        parts[name] = (s.real, s.imag) if grid else (s.real.tolist(), s.imag.tolist())
+    mats = {name: el.s_matrix(omega) for name, el in net.elements}
+    grid = isinstance(omega, np.ndarray) or any(s.ndim > 2 for s in mats.values())
+    parts = {name: (s.real, s.imag) if grid else (s.real.tolist(), s.imag.tolist())
+             for name, s in mats.items()}
     shapes = {re.shape[2:] for re, _ in parts.values()} if grid else ()
     if len(shapes) > 1:
         shape = np.broadcast_shapes(*shapes)
@@ -551,7 +565,7 @@ def _system(net, omega):
             col = index[(src, j)]
             ar, ai = row[col] or _ZERO
             row[col] = (ar - re[p_out][j], ai - im[p_out][j])
-    return rows
+    return rows, grid
 
 
 def _pick(mask, a, b):

@@ -145,8 +145,10 @@ def scattering_rates(chi_cl: ResponseFn, g: float, omega_m: float) -> RateResult
     phonon-annihilating rate at +omega_m; the sign crossing is deliberate and
     locked by tests, since swapping it turns cooling into heating.
     """
-    if omega_m <= 0:
-        raise InvalidParam(f"omega_m must be > 0, got {omega_m}")
+    # An omega_m column (one value per row) gives a column RateResult.
+    accepted = (omega_m > 0) | (omega_m != omega_m)
+    if accepted is not True:  # format a message only for a value it may refuse
+        netalg._check(accepted, omega_m, "omega_m must be > 0, got {}")
     return RateResult(a_plus=sigma(g, chi_cl(-omega_m)), a_minus=sigma(g, chi_cl(+omega_m)))
 
 

@@ -20,8 +20,10 @@ except ImportError:  # not POSIX
 import numpy as np
 import pytest
 
-from cfcool import design, oracle
+from cfcool import cli, design, oracle
 from cfcool.cli import (
+    _BLOCK_CELLS,
+    _BLOCK_RENDER_CELLS,
     _COMMANDS,
     OutputTable,
     build_parser,
@@ -399,6 +401,20 @@ def per_cell_csv(table):
     return "\n".join(lines) + "\n"
 
 
+#: One value of each %g layout, k = -5 ... 17, with and without trailing zeros
+#: and signs, the extremes, integers and -0.0.
+LAYOUTS = [x for k in range(-5, 18) for x in (1.25 * 10.0**k, -math.pi * 10.0**k, 10.0**k)]
+LAYOUTS += [-0.0, 0.0, 5e-324, 1e308, -1.7976931348623157e308, 1.0, -7.0, 123456.0, 2.0**53]
+
+
+def layout_rows(cells, width):
+    """``cells`` cells of LAYOUTS, ``width`` to a row: every 11th cell empty,
+    and every cell of the second row."""
+    flat = [None if i % 11 == 5 or width <= i < 2 * width else LAYOUTS[i % len(LAYOUTS)]
+            for i in range(cells)]
+    return tuple(tuple(flat[i : i + width]) for i in range(0, cells, width))
+
+
 class TestRendering:
     def test_csv_layout(self):
         table = OutputTable.from_rows(
@@ -425,19 +441,46 @@ class TestRendering:
             ((None, 1.0, 2.0), (None, -0.0, 3.0)),
             # Refused: an infinite cell in a row that also has empty cells.
             ((0.5, 1.0, 2.0), (None, math.inf, None)),
+            # The size rule: one cell below it, at it and above it.
+            layout_rows(_BLOCK_RENDER_CELLS - 1, 1),
+            layout_rows(_BLOCK_RENDER_CELLS, 1),
+            layout_rows(_BLOCK_RENDER_CELLS + 1, 1),
+            # One cell short of a block boundary and one past it.
+            layout_rows(_BLOCK_CELLS - 1, 1),
+            layout_rows(_BLOCK_CELLS + 1, 1),
+            # Seven columns: a block is 585 whole rows.
+            layout_rows(7 * 586, 7),
         ],
         ids=["empty-cells", "one-row", "numpy-floats", "empty-row", "empty-column",
-             "infinite-cell"],
+             "infinite-cell", "below-size-rule", "at-size-rule", "above-size-rule",
+             "block-minus-one", "block-plus-one", "seven-columns-past-a-block"],
     )
-    def test_one_pass_render_matches_per_cell_format(self, rows):
-        columns = ("a", "b", "c")
+    def test_one_pass_render_matches_per_cell_format(self, rows, monkeypatch):
+        columns = tuple("abcdefg"[: len(rows[0])])
         bad = [c for row in rows for c in row if c is not None and not math.isfinite(c)]
         if bad:
             with pytest.raises(ConfigError, match=f"^non-finite cell {bad[0]!r} in output row$"):
                 OutputTable.from_rows(meta=(("k", "v"),), columns=columns, rows=rows)
             return
         table = OutputTable.from_rows(meta=(("k", "v"),), columns=columns, rows=rows)
+        calls, vectorized = [], cli.fmt17_rows
+        monkeypatch.setattr(cli, "fmt17_rows", lambda *a: calls.append(a) or vectorized(*a))
         assert render_csv(table) == per_cell_csv(table)
+        assert len(calls) == (table.values.size >= _BLOCK_RENDER_CELLS)
+
+    @pytest.mark.parametrize("shift", [-1e-9, 1e-9], ids=["low", "high"])
+    def test_format17_rows_do_not_trust_log10(self, shift, monkeypatch):
+        # log10 a hair off at and around the powers of ten: k is then one
+        # off, and every such cell still prints as "%" prints it.
+        values = []
+        for k in range(-323, 309):
+            x = float(f"1e{k}")
+            values += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+        values = np.array(values)[:, None]
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        text = cli.fmt17_rows(values, np.zeros(values.shape, bool))
+        assert text == "".join(f"{x:.17g}\n" for x in values.ravel().tolist())
 
     def test_one_pass_render_of_a_sweep_table(self):
         # Seven columns; the row at delta = +1 is singular (empty rate cells).

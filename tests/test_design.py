@@ -197,6 +197,36 @@ def bits(values):
     return np.ascontiguousarray(values).view(np.int64)
 
 
+class TestLoopRates:
+    @pytest.mark.parametrize("name, values", [
+        # delta = delta_f = omega_m: singular at the Stokes sideband -omega_m.
+        ("delta", [-1.0, 1.0, -2.0]),
+        ("delta", [-1.0, -0.5, -2.0]),
+        ("g", [0.0, 0.1, 0.5]),
+        ("omega_m", [0.5, 1.0, 2.0]),
+    ])
+    def test_column_config_gives_the_per_row_rates(self, name, values):
+        filt = FilterCavityParams.symmetric(1.0, 1.0)
+        rows = []
+        for value in values:
+            cav = replace(OptoCavityParams(10.0, -1.0, 0.1, 1.0), **{name: value})
+            try:
+                rows.append(design.loop_rates(SystemConfig(cav, filt, Topology.NOTCH)))
+            except SingularLoop:
+                rows.append(None)
+        cav = replace(OptoCavityParams(10.0, -1.0, 0.1, 1.0), **{name: np.array(values)})
+        config = SystemConfig(cav, filt, Topology.NOTCH)
+        if None in rows:
+            with pytest.raises(SingularLoop) as exc:
+                design.loop_rates(config)
+            assert exc.value.singular.tolist() == [row is None for row in rows]
+            return
+        rates = design.loop_rates(config)
+        for field in ("a_plus", "a_minus", "gamma_opt", "n_min"):
+            expected = [NAN if getattr(row, field) is None else getattr(row, field) for row in rows]
+            assert np.array_equal(bits(getattr(rates, field)), bits(expected))
+
+
 class TestResponseOnGrid:
     # A symmetric notch loop with delta = delta_f = 1 is singular at
     # omega = -1: the controller reflection vanishes there and T = r_sys = -1.

@@ -39,6 +39,36 @@ def rel_err(a, b):
     return abs(a - b) / m if m > 0 else 0.0
 
 
+def cbits(values):
+    """The bits of complex values, real and imaginary parts alike."""
+    return np.ascontiguousarray(values, complex).view(np.int64)
+
+
+def per_row(call, values):
+    """``call(value)`` at each value, None where it raises SingularLoop."""
+    rows = []
+    for value in values:
+        try:
+            rows.append(call(value))
+        except SingularLoop:
+            rows.append(None)
+    return rows
+
+
+def assert_per_row(call, rows, omega):
+    """``call()``, one call at a float omega against parameter columns, gives
+    each row of ``per_row`` bit for bit, or raises SingularLoop at omega
+    flagging exactly the rows that are None there."""
+    singular = [row is None for row in rows]
+    if not any(singular):
+        assert np.array_equal(cbits(call()), cbits(rows))
+        return
+    with pytest.raises(SingularLoop) as exc:
+        call()
+    assert exc.value.singular.tolist() == singular
+    assert exc.value.omega == omega
+
+
 def sigma_of(g):
     """Sigma of g against responses with |chi_cl|^2 = 4: a complex scalar for
     a float g, an array of g's shape for an array g."""
@@ -162,6 +192,11 @@ class TestChi:
         # omega = delta mirrors omega = -delta through the Lorentzian centre
         assert rel_err(abs(chi(CAV, -1.0)) ** 2, 10.0 / (0.0 + 25.0 + 4.0)) < 1e-15
 
+    def test_float_omega_against_a_column_is_the_per_row_calls(self):
+        kappas = [10.0, 5.0, 1e-3]
+        rows = per_row(lambda kappa: chi(OptoCavityParams(kappa, -1.0, 0.1, 1.0), 0.3), kappas)
+        assert_per_row(lambda: chi(OptoCavityParams(np.array(kappas), -1.0, 0.1, 1.0), 0.3), rows, 0.3)
+
 
 class TestReflectionSys:
     def test_on_resonance_phase_flip(self):
@@ -251,6 +286,13 @@ class TestScattering:
             s = scattering(f, w)
             assert abs(s[0, 0]) ** 2 + abs(s[0, 1]) ** 2 < 1.0
 
+    def test_float_omega_against_columns_is_the_per_row_calls(self):
+        # Imbalanced, lossy and symmetric controllers in one column each.
+        fields = [(1.0, 1.0, 0.0), (0.5, 2.0, 0.0), (1.0, 1.3, 0.2)]
+        rows = per_row(lambda f: scattering(FilterCavityParams(*f, 1.0), 0.3), fields)
+        columns = FilterCavityParams(*map(np.array, zip(*fields)), 1.0)
+        assert_per_row(lambda: np.moveaxis(scattering(columns, 0.3), -1, 0), rows, 0.3)
+
     def test_half_reflection_at_linewidth_offsets(self):
         # |R|^2 = x^2/(x^2 + kappa_f^2) = 1/2 at x = +-kappa_f
         for kf in (0.25, 1.0, 7.0):
@@ -325,22 +367,19 @@ class TestClosedForms:
             else:
                 assert closed.value.singular is solved.value.singular is None
 
-    def test_singular_grid_of_a_parameter_column_past_omega(self):
-        # The delta column broadcasts a 0-d omega to three points; the last,
-        # delta = delta_f, is singular at omega = -delta_f.
+    @pytest.mark.parametrize("zero_d", [False, True], ids=["float-omega", "0d-omega"])
+    @pytest.mark.parametrize("omega", [-1.0, 0.3])
+    def test_singular_grid_of_a_parameter_column_past_omega(self, omega, zero_d):
+        # The delta column broadcasts omega to three points; at omega =
+        # -delta_f the last, delta = delta_f, is singular.  Each row has the
+        # float call's bits.
         deltas = [-1.0, 0.5, 1.0]
-        verdicts = []
-        for delta in deltas:
-            try:
-                closed_form_notch(OptoCavityParams(10.0, delta, 0.1, 1.0), FILT, -1.0)
-                verdicts.append(False)
-            except SingularLoop:
-                verdicts.append(True)
-        with pytest.raises(SingularLoop) as exc:
-            closed_form_notch(OptoCavityParams(10.0, np.array(deltas), 0.1, 1.0), FILT, np.array(-1.0))
-        assert verdicts == [False, False, True]
-        assert exc.value.singular.tolist() == verdicts
-        assert (exc.value.omega, exc.value.singular.argmax()) == (-1.0, 2)
+        rows = per_row(lambda delta: closed_form_notch(OptoCavityParams(10.0, delta, 0.1, 1.0), FILT, omega),
+                       deltas)
+        assert [row is None for row in rows] == [False, False, omega == -1.0]
+        cav = OptoCavityParams(10.0, np.array(deltas), 0.1, 1.0)
+        at = np.array(omega) if zero_d else omega
+        assert_per_row(lambda: closed_form_notch(cav, FILT, at), rows, omega)
 
 
 class TestSolver:
@@ -443,6 +482,21 @@ class TestSolver:
         assert got.shape == expected.shape == shape
         for g, e in zip(got.ravel(), expected.ravel()):
             assert rel_err(g, e) <= 1e-10
+
+    @pytest.mark.parametrize("filt, tau, omega", [
+        (FilterCavityParams(np.array([1.0, 0.5, 2.0]), 1.3, 0.2, 1.0), 0.5, 0.3),
+        # e^{i omega tau} = 1 at omega = -1: the row with delta = delta_f = 1
+        # is singular there, as its closed form is.
+        (FILT, 2.0 * np.pi, -1.0),
+    ], ids=["delayed-lossy", "singular-row"])
+    def test_float_omega_against_columns_is_the_per_row_solves(self, filt, tau, omega):
+        deltas = [-1.0, 1.0, -2.0]
+        row_filts = [FilterCavityParams(k, filt.kappa2, filt.kappa_loss, filt.delta_f)
+                     for k in np.broadcast_to(filt.kappa1, 3).tolist()]
+        rows = per_row(lambda i: solve_network(
+            notch_network(OptoCavityParams(10.0, deltas[i], 0.1, 1.0), row_filts[i], tau), omega), range(3))
+        net = notch_network(OptoCavityParams(10.0, np.array(deltas), 0.1, 1.0), filt, tau)
+        assert_per_row(lambda: solve_network(net, omega), rows, omega)
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """Property tests over random loops: closed forms, solver, path selection,
 grid calls against per-point calls, the bits of the array kernels, sweeps and
 the argmax scan against per-row calls, controller unitarity, the physicality
-of the state-space oracle, the batched stability rule and the rate floor at
-weak coupling."""
+of the state-space oracle, the batched stability rule, the rate floor at
+weak coupling and the CSV formatter's bytes."""
 
 import math
 from dataclasses import replace
@@ -43,6 +43,7 @@ from cfcool import (
     sweep,
 )
 from cfcool import design
+from cfcool.cli import fmt17_rows
 from cfcool.design import default_detuning_bracket, loop_rates, network_for, preset_detunings
 from cfcool.netalg import DEN_SINGULAR, abs2
 from cfcool.spectra import sigma
@@ -612,3 +613,27 @@ def test_oracle_matches_rates_at_weak_coupling(loop, kappa, kappa1, imbalance, d
     filt = FilterCavityParams(kappa1, kappa1 * imbalance, 0.0, preset_detunings(loop, 1.0)[1])
     cfg = SystemConfig(OptoCavityParams(kappa, delta, 3e-4 * kappa, 1.0), filt, loop)
     assert consistency_check(cfg, bath).rel_dev <= 1e-3
+
+
+#: Every finite float64, negative ones and subnormals included, as raw bits.
+FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64).item())
+
+
+@settings(derandomize=True, deadline=None, max_examples=2000)
+@given(x=st.floats(allow_nan=False, allow_infinity=False) | FLOAT_BITS.filter(math.isfinite))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=2.2250738585072014e-308)
+@example(x=1.7976931348623157e308)
+@example(x=1e-304)  # log10 misses k
+@example(x=1e-14)  # rounds up to 1e-14 from below it
+@example(x=282352547174122.9)  # exact ties: half to even in the kernel, up ...
+@example(x=282352547174122.625)  # ... and down
+@example(x=3 * 2.0**-24)  # a tie at an inexact scale, in the fallback
+@example(x=0.1)
+@example(x=1e16)
+@example(x=1e17)
+@example(x=99999999999999999.0)
+def test_format17_rows_match_percent_format(x):
+    assert fmt17_rows(np.array([[x]]), np.array([[False]])) == "%.17g\n" % x
