@@ -67,16 +67,15 @@ def _check(accepted, value, message):
 
 
 def _check_finite(obj, names):
-    # Also records ``has_columns``: whether a field holds an ndarray, which
-    # makes its finiteness test an array.
-    columns = False
+    # Also sets ``has_columns`` where a field holds an ndarray, which makes
+    # its finiteness test an array; a float-only object keeps the class's False.
     for name in names:
         value = getattr(obj, name)
         finite = abs(value) < math.inf
         if finite is not True:  # format a message only for a field it may refuse
             _check(finite, value, f"{type(obj).__name__}.{name} must be finite, got {{!r}}")
-            columns = columns or isinstance(finite, np.ndarray)
-    object.__setattr__(obj, "has_columns", columns)
+            if isinstance(finite, np.ndarray):
+                object.__setattr__(obj, "has_columns", True)
 
 
 def _all(truth) -> bool:
@@ -108,7 +107,7 @@ class OptoCavityParams:
     g: float
     omega_m: float
     #: Whether a field holds an ndarray, so that every call is an array call.
-    has_columns: bool = field(init=False, repr=False, compare=False)
+    has_columns = False
 
     def __post_init__(self):
         kappa, g, omega_m = self.kappa, self.g, self.omega_m
@@ -139,7 +138,7 @@ class FilterCavityParams:
     kappa_loss: float = 0.0
     delta_f: float = 0.0
     #: Whether a field holds an ndarray, so that every call is an array call.
-    has_columns: bool = field(init=False, repr=False, compare=False)
+    has_columns = False
 
     def __post_init__(self):
         k1, k2, loss = self.kappa1, self.kappa2, self.kappa_loss
@@ -235,10 +234,11 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
         # kappa1/d, sqrt(kappa1*kappa2)/d and kappa2/d in one broadcast division.
         k1, k2 = f.kappa1, f.kappa2
         root = np.sqrt(k1 * k2)
-        # The leading axis of three, then the parameters' axes against omega's shape.
-        a = np.empty((3,) + (1,) * (np.ndim(omega) - root.ndim) + root.shape)
-        a[0], a[1], a[2] = k1, root, k2
         d = _detuned(omega + f.delta_f, f.kappa_total)
+        # The leading axis of three, then root's axes aligned from the right
+        # against d's, which omega, delta_f and kappa_loss may widen.
+        a = np.empty((3,) + (1,) * (np.broadcast(*d, root).ndim - root.ndim) + root.shape)
+        a[0], a[1], a[2] = k1, root, k2
         q = _complex(*_py_quot(a, *d))
         return np.array([[1.0 + q[0], q[1]], [q[1], 1.0 + q[2]]])
     d = 1j * (omega + f.delta_f) - f.kappa_total / 2.0

@@ -146,9 +146,7 @@ def scattering_rates(chi_cl: ResponseFn, g: float, omega_m: float) -> RateResult
     locked by tests, since swapping it turns cooling into heating.
     """
     # An omega_m column (one value per row) gives a column RateResult.
-    accepted = (omega_m > 0) | (omega_m != omega_m)
-    if accepted is not True:  # format a message only for a value it may refuse
-        netalg._check(accepted, omega_m, "omega_m must be > 0, got {}")
+    netalg._check((omega_m > 0) | (omega_m != omega_m), omega_m, "omega_m must be > 0, got {}")
     return RateResult(a_plus=sigma(g, chi_cl(-omega_m)), a_minus=sigma(g, chi_cl(+omega_m)))
 
 

@@ -204,18 +204,28 @@ class TestLoopRates:
         ("delta", [-1.0, -0.5, -2.0]),
         ("g", [0.0, 0.1, 0.5]),
         ("omega_m", [0.5, 1.0, 2.0]),
+        # Controller columns: the closed form, and the solver once lossy (a
+        # lossless row would take the closed form as a float config).
+        ("delta_f", [0.5, 1.0, 2.0]),
+        ("kappa_loss", [0.1, 0.2, 0.3]),
     ])
     def test_column_config_gives_the_per_row_rates(self, name, values):
-        filt = FilterCavityParams.symmetric(1.0, 1.0)
+        def config(value):
+            cav = OptoCavityParams(10.0, -1.0, 0.1, 1.0)
+            filt = FilterCavityParams.symmetric(1.0, 1.0)
+            if hasattr(cav, name):
+                cav = replace(cav, **{name: value})
+            else:
+                filt = replace(filt, **{name: value})
+            return SystemConfig(cav, filt, Topology.NOTCH)
+
         rows = []
         for value in values:
-            cav = replace(OptoCavityParams(10.0, -1.0, 0.1, 1.0), **{name: value})
             try:
-                rows.append(design.loop_rates(SystemConfig(cav, filt, Topology.NOTCH)))
+                rows.append(design.loop_rates(config(value)))
             except SingularLoop:
                 rows.append(None)
-        cav = replace(OptoCavityParams(10.0, -1.0, 0.1, 1.0), **{name: np.array(values)})
-        config = SystemConfig(cav, filt, Topology.NOTCH)
+        config = config(np.array(values))
         if None in rows:
             with pytest.raises(SingularLoop) as exc:
                 design.loop_rates(config)

@@ -69,6 +69,12 @@ def assert_per_row(call, rows, omega):
     assert exc.value.omega == omega
 
 
+def columns_of(rows):
+    """Each field of ``rows`` as an ndarray column where its rows differ,
+    else as their one float."""
+    return [np.array(c) if len(set(c)) > 1 else c[0] for c in zip(*rows)]
+
+
 def sigma_of(g):
     """Sigma of g against responses with |chi_cl|^2 = 4: a complex scalar for
     a float g, an array of g's shape for an array g."""
@@ -286,11 +292,17 @@ class TestScattering:
             s = scattering(f, w)
             assert abs(s[0, 0]) ** 2 + abs(s[0, 1]) ** 2 < 1.0
 
-    def test_float_omega_against_columns_is_the_per_row_calls(self):
+    @pytest.mark.parametrize("fields", [
         # Imbalanced, lossy and symmetric controllers in one column each.
-        fields = [(1.0, 1.0, 0.0), (0.5, 2.0, 0.0), (1.0, 1.3, 0.2)]
-        rows = per_row(lambda f: scattering(FilterCavityParams(*f, 1.0), 0.3), fields)
-        columns = FilterCavityParams(*map(np.array, zip(*fields)), 1.0)
+        [(1.0, 1.0, 0.0, 1.0), (0.5, 2.0, 0.0, 1.0), (1.0, 1.3, 0.2, 1.0)],
+        # A delta_f or kappa_loss column alone: sqrt(kappa1*kappa2) is one
+        # value, and only the detuning carries the rows.
+        [(1.0, 1.0, 0.0, 0.5), (1.0, 1.0, 0.0, 1.0), (1.0, 1.0, 0.0, 2.0)],
+        [(1.0, 1.3, 0.0, 1.0), (1.0, 1.3, 0.1, 1.0), (1.0, 1.3, 0.2, 1.0)],
+    ], ids=["rates", "delta_f", "kappa_loss"])
+    def test_float_omega_against_columns_is_the_per_row_calls(self, fields):
+        rows = per_row(lambda f: scattering(FilterCavityParams(*f), 0.3), fields)
+        columns = FilterCavityParams(*columns_of(fields))
         assert_per_row(lambda: np.moveaxis(scattering(columns, 0.3), -1, 0), rows, 0.3)
 
     def test_half_reflection_at_linewidth_offsets(self):
@@ -367,19 +379,24 @@ class TestClosedForms:
             else:
                 assert closed.value.singular is solved.value.singular is None
 
+    @pytest.mark.parametrize("column", ["delta", "delta_f"])
     @pytest.mark.parametrize("zero_d", [False, True], ids=["float-omega", "0d-omega"])
     @pytest.mark.parametrize("omega", [-1.0, 0.3])
-    def test_singular_grid_of_a_parameter_column_past_omega(self, omega, zero_d):
-        # The delta column broadcasts omega to three points; at omega =
-        # -delta_f the last, delta = delta_f, is singular.  Each row has the
-        # float call's bits.
-        deltas = [-1.0, 0.5, 1.0]
-        rows = per_row(lambda delta: closed_form_notch(OptoCavityParams(10.0, delta, 0.1, 1.0), FILT, omega),
-                       deltas)
+    def test_singular_grid_of_a_parameter_column_past_omega(self, omega, zero_d, column):
+        # A delta or a delta_f column broadcasts omega to three points; at
+        # omega = -1 the last, delta = delta_f = 1, is singular.  Each row has
+        # the float call's bits.
+        def notch(value, at):
+            if column == "delta":
+                return closed_form_notch(OptoCavityParams(10.0, value, 0.1, 1.0), FILT, at)
+            filt = FilterCavityParams.symmetric(1.0, value)
+            return closed_form_notch(OptoCavityParams(10.0, 1.0, 0.1, 1.0), filt, at)
+
+        values = [-1.0, 0.5, 1.0]
+        rows = per_row(lambda value: notch(value, omega), values)
         assert [row is None for row in rows] == [False, False, omega == -1.0]
-        cav = OptoCavityParams(10.0, np.array(deltas), 0.1, 1.0)
         at = np.array(omega) if zero_d else omega
-        assert_per_row(lambda: closed_form_notch(cav, FILT, at), rows, omega)
+        assert_per_row(lambda: notch(np.array(values), at), rows, omega)
 
 
 class TestSolver:
@@ -485,14 +502,18 @@ class TestSolver:
 
     @pytest.mark.parametrize("filt, tau, omega", [
         (FilterCavityParams(np.array([1.0, 0.5, 2.0]), 1.3, 0.2, 1.0), 0.5, 0.3),
+        # A delta_f or kappa_loss column alone, against the cavity's delta column.
+        (FilterCavityParams(1.0, 1.3, 0.2, np.array([0.5, 1.0, 2.0])), 0.5, 0.3),
+        (FilterCavityParams(1.0, 1.3, np.array([0.0, 0.1, 0.2]), 1.0), 0.0, 0.3),
         # e^{i omega tau} = 1 at omega = -1: the row with delta = delta_f = 1
         # is singular there, as its closed form is.
         (FILT, 2.0 * np.pi, -1.0),
-    ], ids=["delayed-lossy", "singular-row"])
+    ], ids=["delayed-lossy", "delta_f", "kappa_loss", "singular-row"])
     def test_float_omega_against_columns_is_the_per_row_solves(self, filt, tau, omega):
         deltas = [-1.0, 1.0, -2.0]
-        row_filts = [FilterCavityParams(k, filt.kappa2, filt.kappa_loss, filt.delta_f)
-                     for k in np.broadcast_to(filt.kappa1, 3).tolist()]
+        fields = [np.broadcast_to(v, 3).tolist()
+                  for v in (filt.kappa1, filt.kappa2, filt.kappa_loss, filt.delta_f)]
+        row_filts = [FilterCavityParams(*row) for row in zip(*fields)]
         rows = per_row(lambda i: solve_network(
             notch_network(OptoCavityParams(10.0, deltas[i], 0.1, 1.0), row_filts[i], tau), omega), range(3))
         net = notch_network(OptoCavityParams(10.0, np.array(deltas), 0.1, 1.0), filt, tau)
