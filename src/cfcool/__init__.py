@@ -39,15 +39,12 @@ from .netalg import (
     FilterCavityParams,
     NetworkSpec,
     OptoCavityParams,
-    bandpass_network,
     chi,
     closed_form_bandpass,
     closed_form_notch,
     delay_response,
-    notch_network,
     reflection_sys,
     scattering,
-    single_cavity_network,
     solve_network,
 )
 from .oracle import (

@@ -37,7 +37,8 @@ class Topology(Enum):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """A cavity, an optional controller, the wiring topology, and a loop delay."""
+    """A cavity, a controller (None exactly under Topology.NONE), the wiring
+    topology, and a loop delay."""
 
     cav: OptoCavityParams
     filt: FilterCavityParams | None
@@ -47,6 +48,8 @@ class SystemConfig:
     def __post_init__(self):
         if self.topology is not Topology.NONE and self.filt is None:
             raise InvalidParam(f"topology {self.topology.value} requires filter parameters")
+        if self.topology is Topology.NONE and self.filt is not None:
+            raise InvalidParam("topology none takes no filter parameters")
         netalg._check_tau(self.delay)
 
 
@@ -77,12 +80,22 @@ def make_bandpass(kappa, omega_m, g, kappa_f, delta_override=None) -> SystemConf
 
 
 def network_for(config: SystemConfig) -> netalg.NetworkSpec:
-    """Signal-flow graph realizing the configured loop."""
+    """Signal-flow graph realizing the configured loop: the cavity "sys"
+    alone, or controller "ctrl" driven from outside at port 0, whose reflected
+    (notch) or transmitted (band-pass) output drives the cavity, whose output
+    returns into controller port 1, through "lag" if the delay is nonzero."""
+    cavity = ("sys", netalg.CavityReflection(config.cav))
     if config.topology is Topology.NONE:
-        return netalg.single_cavity_network(config.cav)
-    if config.topology is Topology.NOTCH:
-        return netalg.notch_network(config.cav, config.filt, tau=config.delay)
-    return netalg.bandpass_network(config.cav, config.filt, tau=config.delay)
+        return netalg.NetworkSpec(elements=(cavity,), wiring=())
+    feed = 0 if config.topology is Topology.NOTCH else 1
+    elements = [("ctrl", netalg.FilterTwoPort(config.filt)), cavity]
+    wiring = [(("ctrl", feed), ("sys", 0))]
+    if config.delay != 0.0:
+        elements.append(("lag", netalg.DelayLine(config.delay)))
+        wiring += [(("sys", 0), ("lag", 0)), (("lag", 0), ("ctrl", 1))]
+    else:
+        wiring.append((("sys", 0), ("ctrl", 1)))
+    return netalg.NetworkSpec(elements=tuple(elements), wiring=tuple(wiring))
 
 
 def closed_loop_response(config: SystemConfig, method: str = "auto") -> ResponseFn:
@@ -228,6 +241,9 @@ def argmax_detuning_numeric(
     # The scan's samples have the bits of the objective, so its best point
     # starts as x and the bracket ends as v and w; a first step before last
     # of the bracket width lets the parabola through those three go first.
+    # Only a strict rise moves x: a tie, common where rounding flattens the
+    # peak (subnormal rates), says nothing of the side the maximum is on, so
+    # it only shrinks the bracket from u's side.
     a, b = float(xs[best - 1]), float(xs[best + 1])
     tol = max(tol, 8.0 * math.ulp(max(abs(a), abs(b))))
     step_min = 0.25 * tol
@@ -256,7 +272,7 @@ def argmax_detuning_numeric(
             d = _GOLDEN * e
         u = x + (d if abs(d) >= step_min else math.copysign(step_min, d))
         fu = objective(u)
-        if fu >= fx:
+        if fu > fx:
             if u < x:
                 b = x
             else:

@@ -448,16 +448,16 @@ class NetworkSpec:
     """Directed signal-flow graph with one external input and one tapped cavity.
 
     ``elements`` is an ordered (name, element) tuple; ``wiring`` directs each
-    edge from an element output port to an element input port.  Every element
-    input port must be driven exactly once, either by an edge or by being the
-    designated external ``input_port``.  ``tap`` names the
-    :class:`CavityReflection` whose intracavity field the solver reports.
+    edge from an element output port to an element input port.  Each input
+    port has at most one driving edge, and the one input port with none is
+    the external ``input_port``.  The one :class:`CavityReflection` is the
+    ``tap``, whose intracavity field the solver reports.
     """
 
     elements: tuple[tuple[str, Element], ...]
     wiring: tuple[Edge, ...]
-    input_port: Port
-    tap: str
+    input_port: Port = field(init=False, repr=False, compare=False)
+    tap: str = field(init=False, repr=False, compare=False)
     #: Row of each element input port in the solver's signal vector x.
     index: dict[Port, int] = field(init=False, repr=False, compare=False)
 
@@ -475,26 +475,24 @@ class NetworkSpec:
             if not 0 <= idx < count:
                 raise InvalidParam(f"port index out of range: {port!r}")
 
-        driven: dict[Port, int] = {}
+        drivers: dict[Port, Port] = {}
         for src, dst in self.wiring:
             check_port(src, is_output=True)
             check_port(dst, is_output=False)
-            driven[dst] = driven.get(dst, 0) + 1
+            if dst in drivers:
+                raise InvalidParam(f"input port {dst!r} is driven by {drivers[dst]!r} and {src!r}")
+            drivers[dst] = src
 
-        check_port(self.input_port, is_output=False)
-        index: dict[Port, int] = {}
-        for name, el in self.elements:
-            for k in range(el.n_inputs):
-                port = (name, k)
-                n_drivers = driven.get(port, 0) + (1 if port == self.input_port else 0)
-                if n_drivers != 1:
-                    raise InvalidParam(
-                        f"input port {port!r} must have exactly one driver, has {n_drivers}"
-                    )
-                index[port] = len(index)
-        if self.tap not in by_name or not isinstance(by_name[self.tap], CavityReflection):
-            raise InvalidParam(f"tap {self.tap!r} must name a CavityReflection element")
-        object.__setattr__(self, "index", index)
+        ports = [(name, k) for name, el in self.elements for k in range(el.n_inputs)]
+        undriven = [port for port in ports if port not in drivers]
+        if len(undriven) != 1:
+            raise InvalidParam(f"exactly one input port must be undriven, found {undriven}")
+        taps = [name for name, el in self.elements if isinstance(el, CavityReflection)]
+        if len(taps) != 1:
+            raise InvalidParam(f"exactly one element must be a CavityReflection, found {taps}")
+        object.__setattr__(self, "input_port", undriven[0])
+        object.__setattr__(self, "tap", taps[0])
+        object.__setattr__(self, "index", {port: row for row, port in enumerate(ports)})
 
 
 #: The (re, im) of an entry that no edge wires, where arithmetic needs a value.
@@ -674,50 +672,3 @@ def _eliminate(rows, t):
             x[j] = _mul(sr, si, *reciprocals[j])
         solutions.append(x[t])
     return det, solutions
-
-
-# ---------------------------------------------------------------------------
-# Preset networks
-# ---------------------------------------------------------------------------
-
-
-def single_cavity_network(cav: OptoCavityParams) -> NetworkSpec:
-    """The driven cavity alone; the solver then reproduces chi(omega)."""
-    return NetworkSpec(
-        elements=(("sys", CavityReflection(cav)),),
-        wiring=(),
-        input_port=("sys", 0),
-        tap="sys",
-    )
-
-
-def _loop_network(cav, filt, tau, feed_output):
-    # feed_output selects which controller output drives the cavity:
-    # port 0 (reflection side) blocks the band at -delta_f, port 1
-    # (transmission side) passes only that band.
-    elements = [("ctrl", FilterTwoPort(filt)), ("sys", CavityReflection(cav))]
-    wiring = [(("ctrl", feed_output), ("sys", 0))]
-    if tau != 0.0:  # a NaN, negative or infinite tau: DelayLine refuses it
-        elements.append(("lag", DelayLine(tau)))
-        wiring += [(("sys", 0), ("lag", 0)), (("lag", 0), ("ctrl", 1))]
-    else:
-        wiring.append((("sys", 0), ("ctrl", 1)))
-    return NetworkSpec(
-        elements=tuple(elements),
-        wiring=tuple(wiring),
-        input_port=("ctrl", 0),
-        tap="sys",
-    )
-
-
-def notch_network(cav: OptoCavityParams, filt: FilterCavityParams, tau: float = 0.0) -> NetworkSpec:
-    """Band-blocking loop: input -> controller port 1; the reflected output
-    drives the cavity; the cavity output returns into controller port 2
-    (through an optional delay) and leaves through the far side."""
-    return _loop_network(cav, filt, tau, feed_output=0)
-
-
-def bandpass_network(cav: OptoCavityParams, filt: FilterCavityParams, tau: float = 0.0) -> NetworkSpec:
-    """Band-passing loop: as the band-blocking wiring but the transmitted
-    output of the controller drives the cavity."""
-    return _loop_network(cav, filt, tau, feed_output=1)

@@ -6,6 +6,9 @@ hbar cancel against the rate normalization and never appear.  Phonon-creating
 (Stokes) scattering samples Sigma at -omega_m, phonon-annihilating
 (anti-Stokes) scattering at +omega_m.  The optical input is vacuum with unit
 flat spectral density; thermal or squeezed drives are out of scope.
+
+Known limitation: a lossy controller's loss port is a vacuum input too, and
+its noise is not counted, so a lossy loop's Sigma, rates and n_min are too low.
 """
 
 from __future__ import annotations

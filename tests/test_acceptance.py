@@ -24,7 +24,6 @@ from cfcool import (
     SystemConfig,
     Topology,
     bandpass_ground_state_feasible,
-    bandpass_network,
     build_state_space,
     closed_form_bandpass,
     closed_form_notch,
@@ -33,7 +32,6 @@ from cfcool import (
     heisenberg_defect,
     is_stable,
     make_notch,
-    notch_network,
     optimal_detuning,
     argmax_detuning_numeric,
     scattering,
@@ -42,6 +40,7 @@ from cfcool import (
     steady_covariance,
 )
 from cfcool.cli import main
+from cfcool.design import network_for
 
 KAPPA, OMEGA_M, G, KAPPA_F = 10.0, 1.0, 0.1, 1.0
 CAV = OptoCavityParams(KAPPA, -1.0, G, OMEGA_M)
@@ -67,7 +66,7 @@ def rel_err(a, b):
 def test_criterion_01_full_stokes_suppression():
     with criterion("1", "notch kills the Stokes rate, anti-Stokes stays 4g^2/kappa"):
         chi_form = lambda w: closed_form_notch(CAV, FILT, w)
-        net = notch_network(CAV, FILT)
+        net = network_for(SystemConfig(CAV, FILT, Topology.NOTCH))
         chi_solve = lambda w: solve_network(net, w)
         for chi_cl in (chi_form, chi_solve):
             r = scattering_rates(chi_cl, G, OMEGA_M)
@@ -85,7 +84,7 @@ def test_criterion_02_enhancement_factor_at_optimal_detuning():
             expected = 1.0 + (kf / OMEGA_M) ** 2
             assert rel_err(r_form.a_minus * KAPPA / (4.0 * G**2), expected) <= 1e-9
             assert r_form.a_plus == 0.0
-            net = notch_network(cav, filt)
+            net = network_for(SystemConfig(cav, filt, Topology.NOTCH))
             r_solve = scattering_rates(lambda w: solve_network(net, w), G, OMEGA_M)
             assert r_solve.a_plus <= 1e-12
             assert rel_err(r_solve.a_minus * KAPPA / (4.0 * G**2), expected) <= 1e-9
@@ -150,12 +149,12 @@ def test_criterion_07_solver_matches_closed_forms():
             )
             f = FilterCavityParams.symmetric(rng.uniform(0.01, 100.0), rng.uniform(-20.0, 20.0))
             w = rng.uniform(-50.0, 50.0)
-            for build, form in (
-                (notch_network, closed_form_notch),
-                (bandpass_network, closed_form_bandpass),
+            for topology, form in (
+                (Topology.NOTCH, closed_form_notch),
+                (Topology.BANDPASS, closed_form_bandpass),
             ):
                 try:
-                    got = solve_network(build(cav, f), w)
+                    got = solve_network(network_for(SystemConfig(cav, f, topology)), w)
                     ref = form(cav, f, w)
                 except SingularLoop:
                     singular += 1

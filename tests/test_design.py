@@ -72,6 +72,18 @@ class TestPresets:
         with pytest.raises(InvalidParam):
             SystemConfig(OptoCavityParams(10.0, -1.0, 0.1, 1.0), None, Topology.NOTCH)
 
+    def test_bare_cavity_takes_no_filter(self):
+        # No loop reads a bare cavity's controller, so a value there could only
+        # move the argmax's default bracket or feed a kappa_f sweep of
+        # identical rows; the config refuses it, and a kappa_f sweep of the
+        # bare cavity is refused as `cfcool sweep` refuses it (exit 1).
+        cav = OptoCavityParams(10.0, -1.0, 0.1, 1.0)
+        with pytest.raises(InvalidParam) as exc:
+            SystemConfig(cav, FilterCavityParams.symmetric(0.01, 1.0), Topology.NONE)
+        assert str(exc.value) == "topology none takes no filter parameters"
+        with pytest.raises(InvalidParam, match="sweeping kappa_f needs a symmetric lossless controller"):
+            sweep(SystemConfig(cav, None, Topology.NONE), "kappa_f", [1.0, 2.0, 3.0])
+
 
 class TestOptimalDetuning:
     def test_reference_value(self):
@@ -120,6 +132,16 @@ class TestArgmaxNumeric:
         cfg = make_notch(10.0, 1.0, 0.1, 1.0)
         with pytest.raises(BracketError):
             argmax_detuning_numeric(cfg, (-100.0, -50.0), tol=1e-6)
+
+    def test_ties_do_not_move_the_maximum(self):
+        # At g ~ 1e-158 the rates are subnormal (~9e-316) and their coarse
+        # rounding ties nearby detunings.  Moving the incumbent on a tie walked
+        # the bracket off the peak at -1.5332031 and ended 4.1e-4 from it;
+        # keeping it stays on the peak to the objective's resolution (4e-6).
+        cav = OptoCavityParams(1.3125, 0.0, 8.610040440996311e-159, 1.0)
+        filt = FilterCavityParams(kappa1=1.0, kappa2=4.0, kappa_loss=0.0, delta_f=0.625)
+        got = argmax_detuning_numeric(SystemConfig(cav, filt, Topology.BANDPASS), tol=1e-7)
+        assert abs(got - (-1.5332031)) <= 1e-5
 
     def test_default_bracket_uses_controller_linewidth(self):
         # The linewidth of an imbalanced controller is kappa_total/2; a bracket

@@ -15,23 +15,31 @@ from cfcool import (
     NetworkSpec,
     OptoCavityParams,
     SingularLoop,
-    bandpass_network,
+    SystemConfig,
+    Topology,
     chi,
     closed_form_bandpass,
     closed_form_notch,
     delay_response,
-    notch_network,
     reflection_sys,
     scattering,
-    single_cavity_network,
     solve_network,
 )
+from cfcool.design import network_for
 from cfcool.netalg import DEN_SINGULAR, CavityReflection, DelayLine, FilterTwoPort
 from cfcool.spectra import RateResult, sigma
 
 CAV = OptoCavityParams(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
 FILT = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=1.0)
 FILT_BP = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=-1.0)
+
+
+def notch_loop(cav, filt, tau=0.0):
+    return network_for(SystemConfig(cav, filt, Topology.NOTCH, delay=tau))
+
+
+def bandpass_loop(cav, filt, tau=0.0):
+    return network_for(SystemConfig(cav, filt, Topology.BANDPASS, delay=tau))
 
 
 def rel_err(a, b):
@@ -250,11 +258,11 @@ class TestDelay:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda tau: notch_network(CAV, FILT, tau=tau),
-            lambda tau: bandpass_network(CAV, FILT_BP, tau=tau),
+            lambda tau: notch_loop(CAV, FILT, tau=tau),
+            lambda tau: bandpass_loop(CAV, FILT_BP, tau=tau),
             DelayLine,
         ],
-        ids=["notch_network", "bandpass_network", "DelayLine"],
+        ids=["notch_loop", "bandpass_loop", "DelayLine"],
     )
     def test_bad_delay_refused_at_construction(self, build, tau):
         with pytest.raises(InvalidParam, match=r"tau must be finite and >= 0"):
@@ -360,7 +368,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize(
         "closed_form, network, filt",
-        [(closed_form_notch, notch_network, FILT), (closed_form_bandpass, bandpass_network, FILT_BP)],
+        [(closed_form_notch, notch_loop, FILT), (closed_form_bandpass, bandpass_loop, FILT_BP)],
         ids=["notch", "bandpass"],
     )
     def test_nan_frequency_is_singular_as_in_the_solver(self, closed_form, network, filt):
@@ -401,23 +409,23 @@ class TestClosedForms:
 
 class TestSolver:
     def test_trivial_network_equals_chi(self):
-        net = single_cavity_network(CAV)
+        net = network_for(SystemConfig(CAV, None, Topology.NONE))
         for w in (-2.3, 0.0, 1.0, 17.0):
             assert rel_err(solve_network(net, w), chi(CAV, w)) < 1e-14
 
     def test_notch_preset_matches_closed_form(self):
-        net = notch_network(CAV, FILT)
+        net = notch_loop(CAV, FILT)
         for w in (0.3, -1.0, 2.2):
             assert rel_err(solve_network(net, w), closed_form_notch(CAV, FILT, w)) <= 1e-10
 
     def test_bandpass_preset_matches_closed_form(self):
-        net = bandpass_network(CAV, FILT_BP)
+        net = bandpass_loop(CAV, FILT_BP)
         for w in (1.0, -1.0, 0.45):
             assert rel_err(solve_network(net, w), closed_form_bandpass(CAV, FILT_BP, w)) <= 1e-10
 
     def test_wide_filter_limit_consistency(self):
         f = FilterCavityParams.symmetric(1e6, 1.0)
-        got = solve_network(notch_network(CAV, f), 0.5)
+        got = solve_network(notch_loop(CAV, f), 0.5)
         assert rel_err(got, closed_form_notch(CAV, f, 0.5)) <= 1e-10
 
     def test_random_draw_equivalence(self):
@@ -431,8 +439,8 @@ class TestSolver:
             f = FilterCavityParams.symmetric(rng.uniform(0.01, 100.0), rng.uniform(-20.0, 20.0))
             w = rng.uniform(-50.0, 50.0)
             for build, form in (
-                (notch_network, closed_form_notch),
-                (bandpass_network, closed_form_bandpass),
+                (notch_loop, closed_form_notch),
+                (bandpass_loop, closed_form_bandpass),
             ):
                 try:
                     got = solve_network(build(cav, f), w)
@@ -446,7 +454,7 @@ class TestSolver:
     def test_solver_reports_singular_frequency(self):
         blue = OptoCavityParams(10.0, +1.0, 0.1, 1.0)
         with pytest.raises(SingularLoop) as exc:
-            solve_network(notch_network(blue, FILT), -1.0)
+            solve_network(notch_loop(blue, FILT), -1.0)
         assert exc.value.omega == -1.0
 
     def test_near_singular_point_finite_on_both_paths(self):
@@ -459,16 +467,16 @@ class TestSolver:
         assert 1.5e-13 < den < 2.5e-13
         closed = closed_form_notch(blue, f, w)
         assert abs(abs(closed) - 0.4) < 1e-12
-        assert rel_err(solve_network(notch_network(blue, f), w), closed) <= 1e-14 / den
+        assert rel_err(solve_network(notch_loop(blue, f), w), closed) <= 1e-14 / den
 
     def test_loop_delay_changes_response(self):
-        base = abs(solve_network(notch_network(CAV, FILT, tau=0.0), 0.5))
-        lagged = abs(solve_network(notch_network(CAV, FILT, tau=1.0), 0.5))
+        base = abs(solve_network(notch_loop(CAV, FILT, tau=0.0), 0.5))
+        lagged = abs(solve_network(notch_loop(CAV, FILT, tau=1.0), 0.5))
         assert abs(base - lagged) > 1e-6
 
     def test_asymmetric_filter_supported_by_solver(self):
         asym = FilterCavityParams(1.0, 1.2, 0.0, 1.0)
-        got = solve_network(notch_network(CAV, asym), -1.0)
+        got = solve_network(notch_loop(CAV, asym), -1.0)
         assert abs(got) > 0.0  # imbalance leaks the blocked sideband
 
     @pytest.mark.parametrize("cav, filt, omega", [
@@ -480,7 +488,7 @@ class TestSolver:
          FilterCavityParams.symmetric(np.array([0.5, 1.0, 2.0]), 1.0), np.array([-1.0])),
     ], ids=["cavity", "cavity-singular", "controller", "both-2d"])
     @pytest.mark.parametrize(
-        "build, form", [(notch_network, closed_form_notch), (bandpass_network, closed_form_bandpass)],
+        "build, form", [(notch_loop, closed_form_notch), (bandpass_loop, closed_form_bandpass)],
         ids=["notch", "bandpass"],
     )
     def test_parameter_columns_broadcast_past_the_grid(self, cav, filt, omega, build, form):
@@ -515,13 +523,13 @@ class TestSolver:
                   for v in (filt.kappa1, filt.kappa2, filt.kappa_loss, filt.delta_f)]
         row_filts = [FilterCavityParams(*row) for row in zip(*fields)]
         rows = per_row(lambda i: solve_network(
-            notch_network(OptoCavityParams(10.0, deltas[i], 0.1, 1.0), row_filts[i], tau), omega), range(3))
-        net = notch_network(OptoCavityParams(10.0, np.array(deltas), 0.1, 1.0), filt, tau)
+            notch_loop(OptoCavityParams(10.0, deltas[i], 0.1, 1.0), row_filts[i], tau), omega), range(3))
+        net = notch_loop(OptoCavityParams(10.0, np.array(deltas), 0.1, 1.0), filt, tau)
         assert_per_row(lambda: solve_network(net, omega), rows, omega)
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     @pytest.mark.parametrize(
-        "build, delta_f", [(notch_network, 1.0), (bandpass_network, -1.0)], ids=["notch", "bandpass"]
+        "build, delta_f", [(notch_loop, 1.0), (bandpass_loop, -1.0)], ids=["notch", "bandpass"]
     )
     def test_grid_solve_memory_per_point(self, build, delta_f, tau):
         # A grid solve holds only the values a later step reads, so its traced
@@ -601,8 +609,6 @@ def zero_pivot_network():
             (("sys", 0), ("amp", 1)),
             (("amp", 1), ("sys", 0)),
         ),
-        input_port=("amp", 2),
-        tap="sys",
     )
 
 
@@ -649,8 +655,6 @@ def series_network(rng):
             (("lag", 0), ("c1", 1)),
             (("c1", 1), ("c2", 1)),
         ),
-        input_port=("c1", 0),
-        tap="sys",
     )
 
 
@@ -667,8 +671,6 @@ class TestSolverKernel:
                 (("sys", 0), ("amp", 1)),
                 (("amp", 1), ("sys", 0)),
             ),
-            input_port=("amp", 2),
-            tap="sys",
         )
         grid = np.linspace(-3.0, 3.0, 7)
         a, _ = dense_system(net, 0.0)
@@ -718,17 +720,15 @@ class TestSolverKernel:
         filt = FilterCavityParams(1.0, 1.3, 0.2, 1.0)
         s = scattering(filt, grid)
         kept = s.copy()
-        stored = notch_network(CAV, filt, tau=0.5)
+        stored = notch_loop(CAV, filt, tau=0.5)
         stored = NetworkSpec(
             elements=tuple((name, Stored(s) if name == "ctrl" else el) for name, el in stored.elements),
             wiring=stored.wiring,
-            input_port=stored.input_port,
-            tap=stored.tap,
         )
         first, second = solve_network(stored, grid), solve_network(stored, grid)
         assert np.array_equal(bits(s), bits(kept))
         assert np.array_equal(bits(first), bits(second))
-        assert np.array_equal(bits(first), bits(solve_network(notch_network(CAV, filt, tau=0.5), grid)))
+        assert np.array_equal(bits(first), bits(solve_network(notch_loop(CAV, filt, tau=0.5), grid)))
 
     def test_singular_verdict_is_the_dense_determinants(self):
         # Blue-detuned notch loops, with and without a delay of 2*pi, whose
@@ -741,7 +741,7 @@ class TestSolverKernel:
             blue = OptoCavityParams(10.0, delta_f, 0.1, 1.0)
             f = FilterCavityParams.symmetric(kappa_f, delta_f)
             for tau in (0.0, 2.0 * math.pi):
-                cases.append((notch_network(blue, f, tau=tau), -delta_f))
+                cases.append((notch_loop(blue, f, tau=tau), -delta_f))
         offsets = np.concatenate([[0.0], np.logspace(-16.0, -8.0, 33)])
         verdicts = {True: 0, False: 0}
         for net, w0 in cases:
@@ -762,8 +762,24 @@ class TestSolverKernel:
 
 
 class TestNetworkValidation:
+    @pytest.mark.parametrize("topology, filt", [
+        (Topology.NONE, None), (Topology.NOTCH, FILT), (Topology.BANDPASS, FILT_BP),
+    ], ids=["none", "notch", "bandpass"])
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_network_for_derives_input_and_tap(self, topology, filt, tau):
+        # The external input is the one undriven port, the tap the one cavity;
+        # the ports keep their element order.
+        net = network_for(SystemConfig(CAV, filt, topology, delay=tau))
+        assert net.tap == "sys"
+        if topology is Topology.NONE:
+            assert (net.input_port, net.index) == (("sys", 0), {("sys", 0): 0})
+            return
+        ports = [("ctrl", 0), ("ctrl", 1), ("sys", 0)] + [("lag", 0)] * (tau > 0)
+        assert net.input_port == ("ctrl", 0)
+        assert net.index == {port: row for row, port in enumerate(ports)}
+
     def test_duplicate_drive_rejected(self):
-        with pytest.raises(InvalidParam):
+        with pytest.raises(InvalidParam) as exc:
             NetworkSpec(
                 elements=(("ctrl", FilterTwoPort(FILT)), ("sys", CavityReflection(CAV))),
                 wiring=(
@@ -771,32 +787,21 @@ class TestNetworkValidation:
                     (("ctrl", 1), ("sys", 0)),
                     (("sys", 0), ("ctrl", 1)),
                 ),
-                input_port=("ctrl", 0),
-                tap="sys",
             )
+        assert str(exc.value) == "input port ('sys', 0) is driven by ('ctrl', 0) and ('ctrl', 1)"
 
-    def test_edge_driven_input_port_rejected(self):
-        # The external input counts as a driver, so an edge into it is a second one.
-        with pytest.raises(InvalidParam, match=r"exactly one driver, has 2"):
+    @pytest.mark.parametrize("wiring, undriven", [
+        # An edge into the loop's external input leaves no port undriven.
+        (((("ctrl", 0), ("sys", 0)), (("sys", 0), ("ctrl", 1)), (("ctrl", 1), ("ctrl", 0))), "[]"),
+        (((("ctrl", 0), ("sys", 0)),), "[('ctrl', 0), ('ctrl', 1)]"),
+    ], ids=["none-undriven", "two-undriven"])
+    def test_exactly_one_undriven_port(self, wiring, undriven):
+        with pytest.raises(InvalidParam) as exc:
             NetworkSpec(
                 elements=(("ctrl", FilterTwoPort(FILT)), ("sys", CavityReflection(CAV))),
-                wiring=(
-                    (("ctrl", 0), ("sys", 0)),
-                    (("sys", 0), ("ctrl", 1)),
-                    (("ctrl", 1), ("ctrl", 0)),
-                ),
-                input_port=("ctrl", 0),
-                tap="sys",
+                wiring=wiring,
             )
-
-    def test_undriven_port_rejected(self):
-        with pytest.raises(InvalidParam):
-            NetworkSpec(
-                elements=(("ctrl", FilterTwoPort(FILT)), ("sys", CavityReflection(CAV))),
-                wiring=((("ctrl", 0), ("sys", 0)),),
-                input_port=("ctrl", 0),
-                tap="sys",
-            )
+        assert str(exc.value) == f"exactly one input port must be undriven, found {undriven}"
 
     @pytest.mark.parametrize("elements, wiring, message", [
         ((("sys", CavityReflection(CAV)), ("sys", DelayLine(1.0))), (),
@@ -808,17 +813,18 @@ class TestNetworkValidation:
     ], ids=["duplicate-name", "unknown-element", "port-index"])
     def test_names_and_ports_checked(self, elements, wiring, message):
         with pytest.raises(InvalidParam) as exc:
-            NetworkSpec(elements=elements, wiring=wiring, input_port=("sys", 0), tap="sys")
+            NetworkSpec(elements=elements, wiring=wiring)
         assert str(exc.value) == message
 
-    def test_tap_must_be_cavity(self):
-        with pytest.raises(InvalidParam):
-            NetworkSpec(
-                elements=(("sys", CavityReflection(CAV)),),
-                wiring=(),
-                input_port=("sys", 0),
-                tap="nope",
-            )
+    @pytest.mark.parametrize("elements, wiring, taps", [
+        ((("lag", DelayLine(1.0)),), (), "[]"),
+        ((("sys", CavityReflection(CAV)), ("aux", CavityReflection(CAV))),
+         ((("sys", 0), ("aux", 0)),), "['sys', 'aux']"),
+    ], ids=["no-cavity", "two-cavities"])
+    def test_exactly_one_cavity_is_the_tap(self, elements, wiring, taps):
+        with pytest.raises(InvalidParam) as exc:
+            NetworkSpec(elements=elements, wiring=wiring)
+        assert str(exc.value) == f"exactly one element must be a CavityReflection, found {taps}"
 
 
 @pytest.mark.xfail(

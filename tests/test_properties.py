@@ -59,6 +59,11 @@ LOOPS = st.sampled_from(sorted(FORMS, key=lambda t: t.value))
 TOPOLOGIES = st.sampled_from(sorted(Topology, key=lambda t: t.value))
 
 
+def system(cav, filt, topology, delay=0.0):
+    """The config of drawn parts: a bare cavity takes no controller."""
+    return SystemConfig(cav, None if topology is Topology.NONE else filt, topology, delay=delay)
+
+
 def rates(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
@@ -197,7 +202,7 @@ def test_closed_form_chosen_exactly_for_ideal_undelayed_loops(loop, cav, filt, t
     grid=grids(),
 )
 def test_grid_call_matches_per_point_calls(topology, cav, filt, tau, grid):
-    cfg = SystemConfig(cav, filt, topology, delay=tau)
+    cfg = system(cav, filt, topology, delay=tau)
     for response in loop_responses(cfg):
         assert_grid_matches_points(response, grid)
     # A float call to the solver returns a Python complex.
@@ -407,7 +412,7 @@ def sweep_cases(draw):
         grid = sorted(set(grid) | {filt.delta_f})
     if draw(st.booleans()):
         grid = grid[::-1]
-    return SystemConfig(cav, filt, topology, delay=tau), name, grid, bath
+    return system(cav, filt, topology, delay=tau), name, grid, bath
 
 
 @SETTINGS
@@ -449,7 +454,7 @@ def test_sweep_rows_are_the_per_row_loops(case):
 def test_argmax_coarse_scan_is_the_per_point_objective(topology, cav, filt, tau):
     # The argmax's scan over the default bracket, one array call, against
     # its objective loop_rates(...).a_minus at each detuning.
-    cfg = SystemConfig(cav, filt, topology, delay=tau)
+    cfg = system(cav, filt, topology, delay=tau)
     xs = np.linspace(*default_detuning_bracket(cfg), design._COARSE_POINTS)
     points = [outcome(lambda x: loop_rates(row_config(cfg, "delta", x)), x) for x in xs]
     if SingularLoop in points:
@@ -485,7 +490,7 @@ def test_argmax_refinement_matches_golden_section(topology, cav, filt, tau):
     # On the scan intervals around the best scan point, wherever the
     # objective is unimodal on a dense sample, Brent's refinement lands
     # where a golden-section search does.
-    cfg = SystemConfig(cav, filt, topology, delay=tau)
+    cfg = system(cav, filt, topology, delay=tau)
     xs = np.linspace(*default_detuning_bracket(cfg), design._COARSE_POINTS)
     try:
         ys = design._sideband_sigmas(cfg, "delta", xs)[:, 1]
@@ -534,7 +539,7 @@ def test_lossless_elements_are_unitary(cav, filt, omega):
     bath=MechanicalBath(gamma_m=1e-6, n_th=0.0),
 )
 def test_oracle_state_is_physical(topology, cav, filt, bath):
-    model = build_state_space(SystemConfig(cav, filt, topology), bath)
+    model = build_state_space(system(cav, filt, topology), bath)
     assume(is_stable(model))
     V = steady_covariance(model)
     phonon_number(V)  # raises NegativeOccupation below -1e-9
@@ -546,7 +551,7 @@ def test_oracle_state_is_physical(topology, cav, filt, bath):
 def test_lyapunov_operator_kron_bits(topology, cav, filt, bath):
     """``steady_covariance`` broadcasts its operator I (x) A + A (x) I; the
     covariance has the bits of the same solve on the ``np.kron`` operator."""
-    model = build_state_space(SystemConfig(cav, filt, topology), bath)
+    model = build_state_space(system(cav, filt, topology), bath)
     assume(is_stable(model))
     A, D = model.drift, model.diffusion
     n = A.shape[0]
@@ -571,7 +576,7 @@ def test_lyapunov_operator_kron_bits(topology, cav, filt, bath):
     ),
 )
 def test_batched_hurwitz_matches_per_row_oracle(topology, rows):
-    configs = [(SystemConfig(cav, filt, topology), bath) for cav, filt, bath in rows]
+    configs = [(system(cav, filt, topology), bath) for cav, filt, bath in rows]
     flags = is_hurwitz(np.stack([drift_matrix(cfg, bath) for cfg, bath in configs]))
     assert flags.tolist() == [is_stable(build_state_space(cfg, bath)) for cfg, bath in configs]
 
