@@ -215,9 +215,10 @@ def _digits17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n, k, bad
 
 
-def fmt17_rows(values: np.ndarray, empty: np.ndarray) -> str:
-    """The CSV rows of ``values`` (rows, columns), each cell as :func:`fmt17`
-    prints it and nothing where ``empty``, byte for byte.
+def fmt17_rows(values: np.ndarray, empty: np.ndarray, head: bytes = b"") -> memoryview:
+    """``head``, then the CSV rows of ``values`` (rows, columns), each cell as
+    :func:`fmt17` prints it and nothing where ``empty``, byte for byte, as a
+    view of the one uint8 buffer they are written into.
 
     Block by block, :func:`_digits17` gives each cell its digits and exponent
     (the scalar ``"%.16e"`` the few it marks bad), and C's ``%g`` layout is a
@@ -240,7 +241,9 @@ def fmt17_rows(values: np.ndarray, empty: np.ndarray) -> str:
     digits = np.zeros((19, per_block), np.uint8)  # d0..d16 in rows 1..17
     slot5, slot18 = np.arange(5, dtype=np.int8)[:, None], np.arange(18, dtype=np.int8)[:, None]
     flat, blank = values.ravel(), empty.ravel()
-    out, end = np.empty(25 * flat.size, np.uint8), 0  # no cell takes more than 25 bytes
+    end = len(head)
+    out = np.empty(end + 25 * flat.size, np.uint8)  # no cell takes more than 25 bytes
+    out[:end] = np.frombuffer(head, np.uint8)
     for start in range(0, flat.size, per_block):
         v, void = flat[start : start + per_block], blank[start : start + per_block]
         size = v.size
@@ -287,7 +290,7 @@ def fmt17_rows(values: np.ndarray, empty: np.ndarray) -> str:
         text = c.T[kp.T]
         out[end : end + text.size] = text
         end += text.size
-    return str(out[:end], "ascii")
+    return memoryview(out)[:end]
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,20 +553,27 @@ _rate_values = attrgetter(*_RATE_COLUMNS)
 def cmd_spectrum(cfg: RunConfig) -> OutputTable:
     """Shaped spectrum vs the bare-cavity reference, or the filter response."""
     grid = _grid(cfg, "omega_min", "omega_max", "points", fewest=2)
+    values = np.zeros((grid.size, 3))  # filled block by block by design.fill_rows
+    values[:, 0] = grid
     empty = np.zeros((grid.size, 3), dtype=bool)
     if cfg.element == "filter":
-        s = netalg.scattering(_filter_from(cfg), grid)
+        filt = _filter_from(cfg)
         columns = ("omega", "R2", "T2")
-        cells = [netalg.abs2(s[0, 0]), netalg.abs2(s[1, 0])]
+        design.fill_rows(
+            lambda w: netalg.abs2(netalg.scattering(filt, w)[:, 0].T), grid, values[:, 1:]
+        )
     else:
         config = system_config(cfg)
         # Reference curve: the same cavity without feedback at the preset
         # detuning, the baseline the shaped spectra are judged by.
         bare = replace(config.cav, delta=design.preset_detunings(Topology.NONE, cfg.omega_m)[0])
-        response, empty[:, 1] = design.response_on_grid(config, grid)  # singular: no Sigma
         columns = ("omega", "Sigma", "Sigma_uncontrolled")
-        cells = [spectra.sigma(cfg.g, response), spectra.sigma(cfg.g, netalg.chi(bare, grid))]
-    return OutputTable(metadata_pairs(cfg), columns, np.column_stack([grid, *cells]), empty)
+        chi_cl = design.closed_loop_response(config)
+        empty[:, 1] = design.fill_rows(  # singular: no Sigma
+            lambda w: spectra.sigma(cfg.g, chi_cl(w)), grid, values[:, 1]
+        )
+        design.fill_rows(lambda w: spectra.sigma(cfg.g, netalg.chi(bare, w)), grid, values[:, 2])
+    return OutputTable(metadata_pairs(cfg), columns, values, empty)
 
 
 def cmd_rates(cfg: RunConfig) -> OutputTable:
@@ -641,28 +651,30 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def render_csv(table: OutputTable) -> str:
-    """The metadata line, the header, then the cells: :func:`fmt17_rows` for
-    a table of at least _BLOCK_RENDER_CELLS cells, else one ``%`` operation
-    whose row templates hold a "%.17g" field (:func:`fmt17`) per cell and
-    nothing for an empty one (rows with no empty cell share one template).
-    Both give the same bytes; each is the faster on its side of the size rule,
-    where numpy's fixed cost meets ``%``'s cost per cell."""
-    head = "# " + " ".join(f"{k}={v}" for k, v in table.meta) + "\n" + ",".join(table.columns)
+def render_csv(table: OutputTable) -> bytes | memoryview:
+    """The metadata line, the header, then the cells: :func:`fmt17_rows`,
+    whose buffer is returned as it is, for a table of at least
+    _BLOCK_RENDER_CELLS cells, else one ``%`` operation whose row templates
+    hold a "%.17g" field (:func:`fmt17`) per cell and nothing for an empty
+    one (rows with no empty cell share one template).  Both give the same
+    bytes; each is the faster on its side of the size rule, where numpy's
+    fixed cost meets ``%``'s cost per cell."""
+    head = "# " + " ".join(f"{k}={v}" for k, v in table.meta) + "\n" + ",".join(table.columns) + "\n"
     if table.values.size >= _BLOCK_RENDER_CELLS:
-        return head + "\n" + fmt17_rows(table.values, table.empty)
+        return fmt17_rows(table.values, table.empty, head.encode())
     templates = [",".join(["%.17g"] * len(table.columns)) + "\n"] * len(table.values)
     for i in np.flatnonzero(table.empty.any(axis=1)).tolist():
         templates[i] = ",".join("" if e else "%.17g" for e in table.empty[i].tolist()) + "\n"
-    return head + "\n" + "".join(templates) % tuple(table.values[~table.empty].tolist())
+    return (head + "".join(templates) % tuple(table.values[~table.empty].tolist())).encode()
 
 
-def render_json(table: OutputTable) -> str:
+def render_json(table: OutputTable) -> bytes:
     payload = {"meta": dict(table.meta), "columns": list(table.columns), "rows": table.rows}
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    return (json.dumps(payload, indent=2, sort_keys=False) + "\n").encode()
 
 
-def render(table: OutputTable, fmt: str) -> str:
+def render(table: OutputTable, fmt: str) -> bytes | memoryview:
+    """The bytes of ``table`` in format ``fmt``, ``csv`` or ``json``."""
     return render_csv(table) if fmt == "csv" else render_json(table)
 
 
@@ -700,7 +712,7 @@ def _read_flags(tokens: Sequence[str], command: str | None = None) -> dict[str, 
     return {**(_read_config_file(config) if config is not None else {}), **given}
 
 
-def _write_output(path: str, data: bytes) -> None:
+def _write_output(path: str, data: bytes | memoryview) -> None:
     """Overwrite ``path`` with ``data`` in place, cutting a longer old file: on ext4
     an O_TRUNC open waits for the writeback that the last truncate and close started."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666),
@@ -728,14 +740,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         cfg = resolve_config(raw)
         table = _COMMANDS[command](cfg)
-        text = render(table, cfg.format)
+        data = render(table, cfg.format)
         if cfg.output:
             try:
-                _write_output(cfg.output, text.encode("utf-8"))
+                _write_output(cfg.output, data)
             except OSError as exc:
                 raise ConfigError(f"cannot write --output {cfg.output!r}: {exc.strerror}") from None
+        elif (stream := getattr(sys.stdout, "buffer", None)) is None:
+            sys.stdout.write(str(data, "utf-8"))  # a text-only stdout, such as a StringIO
         else:
-            sys.stdout.write(text)
+            sys.stdout.flush()  # text written before goes first
+            stream.write(data)
     except CfcoolError as exc:
         numeric = isinstance(exc, ArithmeticError)
         kind = "numeric failure" if numeric else "config error"

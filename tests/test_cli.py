@@ -1,7 +1,9 @@
 """Config parsing, command tables, rendering, determinism, and exit codes."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -233,6 +236,21 @@ class TestSpectrumCommand:
         assert flagged[0][0] == -1.0
         assert flagged[0][2] is not None
 
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--delta", "1"],  # singular at omega = -1, row 200
+        ["--delta", "1", "--omega-min", "-2", "--omega-max", "0", "--points", "41"],  # row 20
+        ["--element", "filter", "--delta-f", "1"],
+    ], ids=["loop", "singular", "singular-last-of-block", "filter"])
+    def test_blocked_table_is_one_grid_call(self, monkeypatch, extra):
+        cfg = spectrum_cfg(extra)
+        one_call = cmd_spectrum(cfg)
+        monkeypatch.setattr(design, "GRID_BLOCK", 7)
+        table = cmd_spectrum(cfg)
+        assert np.array_equal(table.values.view(np.int64), one_call.values.view(np.int64))
+        assert np.array_equal(table.empty, one_call.empty)
+        assert table.empty[:, 1].sum() == ("--delta" in extra)
+
     def test_grid_required(self):
         with pytest.raises(ConfigError, match="--omega-min"):
             cmd_spectrum(parse_config(NOTCH_FLAGS))
@@ -423,12 +441,12 @@ class TestRendering:
             rows=((1.0, None), (0.5, 2.0)),
         )
         text = render_csv(table)
-        lines = text.split("\n")
-        assert lines[0] == "# topology=notch kappa=10"
-        assert lines[1] == "a,b"
-        assert lines[2] == "1,"
-        assert lines[3] == "0.5,2"
-        assert text.endswith("\n")
+        lines = text.split(b"\n")
+        assert lines[0] == b"# topology=notch kappa=10"
+        assert lines[1] == b"a,b"
+        assert lines[2] == b"1,"
+        assert lines[3] == b"0.5,2"
+        assert text.endswith(b"\n")
 
     @pytest.mark.parametrize(
         "rows",
@@ -465,7 +483,7 @@ class TestRendering:
         table = OutputTable.from_rows(meta=(("k", "v"),), columns=columns, rows=rows)
         calls, vectorized = [], cli.fmt17_rows
         monkeypatch.setattr(cli, "fmt17_rows", lambda *a: calls.append(a) or vectorized(*a))
-        assert render_csv(table) == per_cell_csv(table)
+        assert render_csv(table) == per_cell_csv(table).encode()
         assert len(calls) == (table.values.size >= _BLOCK_RENDER_CELLS)
 
     @pytest.mark.parametrize("shift", [-1e-9, 1e-9], ids=["low", "high"])
@@ -480,7 +498,7 @@ class TestRendering:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
         text = cli.fmt17_rows(values, np.zeros(values.shape, bool))
-        assert text == "".join(f"{x:.17g}\n" for x in values.ravel().tolist())
+        assert text == "".join(f"{x:.17g}\n" for x in values.ravel().tolist()).encode()
 
     def test_one_pass_render_of_a_sweep_table(self):
         # Seven columns; the row at delta = +1 is singular (empty rate cells).
@@ -488,7 +506,7 @@ class TestRendering:
                                           "--sweep-max", "1", "--sweep-points", "3"])
         table = cmd_sweep(cfg)
         assert len(table.columns) == 7 and None in table.rows[2]
-        assert render_csv(table) == per_cell_csv(table)
+        assert render_csv(table) == per_cell_csv(table).encode()
 
     def test_json_layout(self):
         table = OutputTable.from_rows(meta=(("k", "v"),), columns=("c",), rows=((None,),))
@@ -500,7 +518,7 @@ class TestRendering:
     def test_empty_cells_are_not_checked(self):
         # A singular sweep row holds NaN rates under its empty cells.
         table = OutputTable((), ("a", "b"), np.array([[1.0, math.nan]]), np.array([[False, True]]))
-        assert render_csv(table) == "# \na,b\n1,\n"
+        assert render_csv(table) == b"# \na,b\n1,\n"
         assert table.rows == [[1.0, None]]
 
     def test_mask_of_another_shape_rejected(self):
@@ -988,6 +1006,15 @@ class TestOutputFile:
             assert main([*argv, "--output", str(path)]) == 0
             assert path.read_bytes() == self.stdout_of(capsys, argv)
 
+    @pytest.mark.parametrize("argv", [RATES, ["spectrum", *NOTCH_FLAGS, *GRID_FLAGS]],
+                             ids=["percent", "fmt17_rows"])
+    def test_text_only_stdout_gets_the_same_text(self, capsys, argv):
+        expected = self.stdout_of(capsys, argv)
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main(argv) == 0
+        assert text.getvalue().encode("utf-8") == expected
+
     @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
     def test_new_file_mode_follows_the_umask(self, tmp_path, capsys):
         path = tmp_path / "new.csv"
@@ -1027,6 +1054,31 @@ class TestOutputFile:
         assert proc.stderr == (f"cfcool: config error: cannot write --output {str(path)!r}: "
                                f"{os.strerror(errno.EFBIG)}\n")
         assert b"\xff" not in path.read_bytes()
+
+
+class TestBoundedMemory:
+    """The traced peak of a 10^5-row command and its render, per row.  The
+    table (8 B per cell), its empty mask and the render buffer (at most 25 B
+    per cell) are whole; the evaluation holds one block of the grid."""
+
+    ROWS = 10**5
+
+    @pytest.mark.parametrize("argv, most_per_row", [
+        (["spectrum", *NOTCH_FLAGS, "--omega-min", "-3", "--omega-max", "3",
+          "--points", str(ROWS)], 160),
+        (["sweep", *NOTCH_FLAGS, "--sweep-param", "delta", "--sweep-min", "-5",
+          "--sweep-max", "0", "--sweep-points", str(ROWS)], 320),
+    ], ids=["spectrum", "sweep"])
+    def test_peak_per_row(self, argv, most_per_row):
+        cfg = parse_config(argv[1:])
+        tracemalloc.start()
+        try:
+            data = cli.render(_COMMANDS[argv[0]](cfg), cfg.format)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= most_per_row * self.ROWS
+        assert bytes(data).count(b"\n") == self.ROWS + 2
 
 
 #: Float values of the edge-value fuzz: 0, the domain's ends, values outside

@@ -449,6 +449,55 @@ def test_sweep_rows_are_the_per_row_loops(case):
         assert np.array_equal(bits(stack), bits(rows))
 
 
+#: A notch loop with delta = delta_f = 1, singular at omega = -1: in the
+#: closed form, and in the solver at tau = 2 pi, where e^{i omega tau} = 1.
+SINGULAR_CAV = OptoCavityParams(kappa=10.0, delta=1.0, g=0.1, omega_m=1.0)
+SINGULAR_FILT = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=1.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    SystemConfig(SINGULAR_CAV, SINGULAR_FILT, Topology.NOTCH),
+    SystemConfig(SINGULAR_CAV, SINGULAR_FILT, Topology.NOTCH, delay=2.0 * math.pi),
+    SystemConfig(SINGULAR_CAV, None, Topology.NONE),
+], ids=["closed-form", "solver", "bare"])
+def test_blocked_response_on_grid_is_one_call(cfg, monkeypatch):
+    # 31 points in blocks of 7: the singular omega = -1 at index 3 (block 0),
+    # 10 (block 1), and 13 and 14, the last point of block 1 and the first of
+    # block 2.
+    grid = np.linspace(-3.0, 3.0, 31)
+    grid[[3, 10, 13, 14]] = -1.0
+    one_call = design.response_on_grid(cfg, grid)
+    monkeypatch.setattr(design, "GRID_BLOCK", 7)
+    values, singular = design.response_on_grid(cfg, grid)
+    assert np.array_equal(singular, one_call[1])
+    assert np.flatnonzero(singular).tolist() == ([] if cfg.topology is Topology.NONE else [3, 10, 13, 14])
+    assert np.array_equal(bits(values), bits(one_call[0]))
+
+
+@pytest.mark.parametrize("cfg, name, grid", [
+    # Stable and unstable rows, and a singular row (delta = delta_f) in block 3.
+    (make_notch(10.0, 1.0, 0.1, 1.0), "delta", np.union1d(np.linspace(-3.0, 3.0, 41), [1.0])),
+    # Every row singular, in every block.
+    (SystemConfig(SINGULAR_CAV, SINGULAR_FILT, Topology.NOTCH), "g", np.linspace(0.01, 0.3, 20)),
+    (make_notch(10.0, 1.0, 0.1, 1.0), "kappa_f", np.geomspace(0.05, 20.0, 15)),
+    # A delayed loop: no flags, its rates from the solver.
+    (replace(make_notch(10.0, 1.0, 0.1, 1.0), delay=0.1), "delta", np.linspace(-3.0, 3.0, 22)),
+], ids=["delta", "all-singular", "kappa_f", "delayed"])
+def test_blocked_sweep_rows_are_one_grid_call(cfg, name, grid, monkeypatch):
+    bath = MechanicalBath(1e-3, 10.0)
+    one_call = sweep(cfg, name, grid, bath=bath)
+    monkeypatch.setattr(design, "GRID_BLOCK", 7)
+    table = sweep(cfg, name, grid, bath=bath)
+    assert np.array_equal(bits(table.value), bits(one_call.value))
+    for field in ("a_plus", "a_minus", "gamma_opt", "n_min"):
+        assert np.array_equal(bits(getattr(table.rates, field)), bits(getattr(one_call.rates, field)))
+    assert np.array_equal(table.singular, one_call.singular)
+    if cfg.delay:
+        assert table.stable is one_call.stable is None
+    else:
+        assert np.array_equal(table.stable, one_call.stable)
+
+
 @SETTINGS
 @given(topology=TOPOLOGIES, cav=cavities(), filt=any_controllers(), tau=st.just(0.0) | rates(1e-3, 3.0))
 def test_argmax_coarse_scan_is_the_per_point_objective(topology, cav, filt, tau):
@@ -641,4 +690,4 @@ FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float6
 @example(x=1e17)
 @example(x=99999999999999999.0)
 def test_format17_rows_match_percent_format(x):
-    assert fmt17_rows(np.array([[x]]), np.array([[False]])) == "%.17g\n" % x
+    assert fmt17_rows(np.array([[x]]), np.array([[False]])) == ("%.17g\n" % x).encode()
