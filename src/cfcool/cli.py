@@ -14,7 +14,8 @@ Commands, and the flags each takes besides the common ones (``--config``,
   design    resolved design point: none
 
 ``--sweep-param`` is ``delta``, ``kappa`` or ``g`` (a cavity field) or
-``kappa_f``, which needs a symmetric lossless controller.  Both grids, of
+``kappa_f``, which needs a symmetric lossless controller; its own flag may
+be left out, since the grid sets it on every row.  Both grids, of
 ``spectrum`` (at least 2 points) and of ``sweep`` (at least 1), must be
 strictly increasing; a one-point sweep evaluates ``--sweep-min`` alone.
 
@@ -564,15 +565,13 @@ def cmd_spectrum(cfg: RunConfig) -> OutputTable:
         )
     else:
         config = system_config(cfg)
-        # Reference curve: the same cavity without feedback at the preset
-        # detuning, the baseline the shaped spectra are judged by.
-        bare = replace(config.cav, delta=design.preset_detunings(Topology.NONE, cfg.omega_m)[0])
+        # Sigma, empty on singular rows, and the same cavity without feedback
+        # at the preset detuning: the baseline the shaped spectra are judged by.
+        delta = design.preset_detunings(Topology.NONE, cfg.omega_m)[0]
+        bare = SystemConfig(replace(config.cav, delta=delta), None, Topology.NONE)
         columns = ("omega", "Sigma", "Sigma_uncontrolled")
-        chi_cl = design.closed_loop_response(config)
-        empty[:, 1] = design.fill_rows(  # singular: no Sigma
-            lambda w: spectra.sigma(cfg.g, chi_cl(w)), grid, values[:, 1]
-        )
-        design.fill_rows(lambda w: spectra.sigma(cfg.g, netalg.chi(bare, w)), grid, values[:, 2])
+        empty[:, 1] = design.fill_rows(design.loop_sigma(config), grid, values[:, 1])
+        design.fill_rows(design.loop_sigma(bare), grid, values[:, 2])
     return OutputTable(metadata_pairs(cfg), columns, values, empty)
 
 
@@ -600,12 +599,14 @@ def cmd_sweep(cfg: RunConfig) -> OutputTable:
     """Rates and stability along a parameter grid."""
     _require(cfg, "sweep_param")
     grid = _grid(cfg, "sweep_min", "sweep_max", "sweep_points", fewest=1)
-    config = system_config(cfg)
+    keys = ("kappa1", "kappa2") if cfg.sweep_param == "kappa_f" else (cfg.sweep_param,)
+    unset = {key: grid[0] for key in keys if getattr(cfg, key) is None}  # set on every row
+    config = system_config(replace(cfg, **unset))
     table = design.sweep(config, cfg.sweep_param, grid, bath=_bath(cfg))
     stable = np.zeros(grid.size) if table.stable is None else table.stable
     empty = np.zeros((grid.size, 7), dtype=bool)
     empty[:, 1:4] = table.singular[:, None]  # the rates of a singular row
-    empty[:, 4] = table.rates.gamma_opt <= 0  # n_min, undefined without net cooling
+    empty[:, 4] = np.isnan(table.rates.n_min)  # undefined without net cooling
     empty[:, 5] = table.stable is None  # no flags without a state space
     values = (table.value, *_rate_values(table.rates), stable, table.singular)
     columns = (cfg.sweep_param, *_RATE_COLUMNS, "stable", "singular")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -151,20 +151,14 @@ def fill_rows(evaluate, values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return singular
 
 
-def response_on_grid(config: SystemConfig, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """chi_cl at every point of a frequency grid, and a mask of the points
-    where the loop is singular (their values are 0).
-
-    The flat grid is evaluated in blocks of ``GRID_BLOCK`` points, one array
-    call each, which gives every value the bits of the call at that point;
-    where a call raises, the points of the exception's mask are flagged and
-    the rest of the block evaluated again, so a block costs at most two
-    calls.  Both arrays have the grid's shape.
-    """
-    chi_cl = closed_loop_response(config)
-    values = np.zeros(grid.size, dtype=complex)
-    singular = fill_rows(chi_cl, grid.ravel(), values)
-    return values.reshape(grid.shape), singular.reshape(grid.shape)
+def loop_sigma(config: SystemConfig) -> Callable[[float | np.ndarray], float | np.ndarray]:
+    """Sigma(omega) = g^2 |chi_cl(omega)|^2 of the configured loop, from one
+    :func:`closed_loop_response`.  It takes a float omega, a grid of any
+    shape, or a grid against a config whose fields hold parameter columns,
+    and gives each value the bits of the call at that point; it raises
+    :class:`SingularLoop` with the mask of the singular points."""
+    chi_cl, g = closed_loop_response(config), config.cav.g
+    return lambda omega: spectra.sigma(g, chi_cl(omega))
 
 
 def loop_rates(config: SystemConfig) -> RateResult:
@@ -181,8 +175,7 @@ def _sideband_sigmas(config: SystemConfig, name: str, values: np.ndarray) -> np.
     singular points."""
     cfg = _with_parameter(config, name, values[:, None])
     omega_m = cfg.cav.omega_m
-    omegas = np.tile([-omega_m, +omega_m], (values.size, 1))
-    return spectra.sigma(cfg.cav.g, closed_loop_response(cfg)(omegas))
+    return loop_sigma(cfg)(np.tile([-omega_m, +omega_m], (values.size, 1)))
 
 
 def optimal_detuning(omega_m: float, kappa: float, kappa_f: float) -> float:
@@ -371,7 +364,9 @@ class SweepTable:
 def _with_parameter(config: SystemConfig, name: str, value: float | np.ndarray) -> SystemConfig:
     if name != "kappa_f":
         return replace(config, cav=replace(config.cav, **{name: value}))
-    if config.filt is None or not config.filt.is_symmetric_ideal:
+    if config.filt is None:
+        raise InvalidParam("topology none has no controller to sweep kappa_f")
+    if not config.filt.is_symmetric_ideal:
         raise InvalidParam("sweeping kappa_f needs a symmetric lossless controller")
     return replace(
         config,

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 try:
@@ -23,7 +24,7 @@ except ImportError:  # not POSIX
 import numpy as np
 import pytest
 
-from cfcool import cli, design, oracle
+from cfcool import SingularLoop, SystemConfig, Topology, cli, design, oracle
 from cfcool.cli import (
     _BLOCK_CELLS,
     _BLOCK_RENDER_CELLS,
@@ -251,6 +252,36 @@ class TestSpectrumCommand:
         assert np.array_equal(table.empty, one_call.empty)
         assert table.empty[:, 1].sum() == ("--delta" in extra)
 
+    @pytest.mark.parametrize("flags, singular_rows", [
+        (NOTCH_FLAGS, []),
+        (["--topology", "bandpass", "--kappa", "10", "--g", "0.1", "--kappa1", "1",
+          "--kappa2", "1.3", "--kappa-loss", "0.2", "--tau", "0.5"], []),
+        ([*NOTCH_FLAGS, "--delta", "1"], [200]),  # singular at omega = -1
+        (["--topology", "none", "--kappa", "10", "--g", "0.1", "--delta", "-0.5"], []),
+    ], ids=["closed-form", "delayed-solver", "singular", "bare"])
+    def test_sigma_columns_are_loop_sigma_on_the_grid(self, flags, singular_rows):
+        # Sigma is the loop's, Sigma_uncontrolled the bare cavity's at the
+        # preset detuning -omega_m, each from one loop_sigma call on the
+        # grid (on its regular points where the loop is singular).
+        cfg = parse_config(flags + GRID_FLAGS)
+        table = cmd_spectrum(cfg)
+        grid = table.values[:, 0]
+        config = cli.system_config(cfg)
+        sigma = np.zeros(grid.size)
+        singular = np.zeros(grid.size, bool)
+        try:
+            sigma[:] = design.loop_sigma(config)(grid)
+        except SingularLoop as exc:
+            singular = exc.singular
+            sigma[~singular] = design.loop_sigma(config)(grid[~singular])
+        assert np.flatnonzero(singular).tolist() == singular_rows
+        assert np.array_equal(table.empty[:, 1], singular)
+        assert np.array_equal(table.values[:, 1].view(np.int64), sigma.view(np.int64))
+        bare = SystemConfig(replace(config.cav, delta=-1.0), None, Topology.NONE)
+        uncontrolled = design.loop_sigma(bare)(grid)
+        assert not table.empty[:, 2].any()
+        assert np.array_equal(table.values[:, 2].view(np.int64), uncontrolled.view(np.int64))
+
     def test_grid_required(self):
         with pytest.raises(ConfigError, match="--omega-min"):
             cmd_spectrum(parse_config(NOTCH_FLAGS))
@@ -302,6 +333,28 @@ class TestSweepCommand:
         rows = cmd_sweep(cfg).rows
         a_plus = [row[1] for row in rows]
         assert a_plus[0] < a_plus[1] < a_plus[2]
+
+    @pytest.mark.parametrize("param, flag", [
+        ("g", ["--g", "0.1"]), ("kappa", ["--kappa", "10"]), ("kappa_f", ["--kappa-f", "1"]),
+    ])
+    def test_swept_parameter_needs_no_flag(self, capsys, param, flag):
+        # The grid sets the swept parameter on every row; a given flag is
+        # still taken, and changes only the metadata line.
+        grid = ["--sweep-param", param, "--sweep-min", "0.5", "--sweep-max", "3",
+                "--sweep-points", "11"]
+        start = NOTCH_FLAGS.index(flag[0])
+        without = NOTCH_FLAGS[:start] + NOTCH_FLAGS[start + 2:]
+        assert main(["sweep", *without, *grid]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert main(["sweep", *NOTCH_FLAGS, *grid]) == 0
+        assert rows == capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 12
+
+    def test_bare_cavity_has_no_controller_to_sweep(self, capsys):
+        argv = ["sweep", "--topology", "none", "--kappa", "10", "--g", "0.1", "--sweep-param",
+                "kappa_f", "--sweep-min", "0.5", "--sweep-max", "3", "--sweep-points", "3"]
+        assert main(argv) == 1
+        assert "topology none has no controller to sweep kappa_f" in capsys.readouterr().err
 
     def test_empty_grid_rejected(self):
         cfg = parse_config(NOTCH_FLAGS + ["--sweep-param", "delta", "--sweep-min", "-5",

@@ -76,13 +76,15 @@ class TestPresets:
         # No loop reads a bare cavity's controller, so a value there could only
         # move the argmax's default bracket or feed a kappa_f sweep of
         # identical rows; the config refuses it, and a kappa_f sweep of the
-        # bare cavity is refused as `cfcool sweep` refuses it (exit 1).
+        # bare cavity, which has no controller to sweep, is refused as
+        # `cfcool sweep` refuses it (exit 1).
         cav = OptoCavityParams(10.0, -1.0, 0.1, 1.0)
         with pytest.raises(InvalidParam) as exc:
             SystemConfig(cav, FilterCavityParams.symmetric(0.01, 1.0), Topology.NONE)
         assert str(exc.value) == "topology none takes no filter parameters"
-        with pytest.raises(InvalidParam, match="sweeping kappa_f needs a symmetric lossless controller"):
+        with pytest.raises(InvalidParam) as exc:
             sweep(SystemConfig(cav, None, Topology.NONE), "kappa_f", [1.0, 2.0, 3.0])
+        assert str(exc.value) == "topology none has no controller to sweep kappa_f"
 
 
 class TestOptimalDetuning:
@@ -259,7 +261,7 @@ class TestLoopRates:
             assert np.array_equal(bits(getattr(rates, field)), bits(expected))
 
 
-class TestResponseOnGrid:
+class TestLoopSigmaOnGrid:
     # A symmetric notch loop with delta = delta_f = 1 is singular at
     # omega = -1: the controller reflection vanishes there and T = r_sys = -1.
     CAV = OptoCavityParams(kappa=10.0, delta=1.0, g=0.1, omega_m=1.0)
@@ -276,11 +278,11 @@ class TestResponseOnGrid:
     ])
     def test_singular_points_flagged_and_the_rest_per_point(self, monkeypatch, tau, grid):
         config = SystemConfig(self.CAV, self.FILT, Topology.NOTCH, delay=tau)
-        chi_cl = closed_loop_response(config)
+        sigma_at = design.loop_sigma(config)
         points = []
         for w in grid.tolist():
             try:
-                points.append(chi_cl(w))
+                points.append(sigma_at(w))
             except SingularLoop:
                 points.append(None)
         expected = np.array([p is None for p in points])
@@ -298,7 +300,8 @@ class TestResponseOnGrid:
             return call
 
         monkeypatch.setattr(design, "closed_loop_response", recording)
-        values, singular = design.response_on_grid(config, grid)
+        values = np.zeros(grid.size)
+        singular = design.fill_rows(design.loop_sigma(config), grid, values)
         assert np.array_equal(singular, expected)
         assert np.all(values[singular] == 0.0)
         assert np.array_equal(bits(values[~singular]), bits([p for p in points if p is not None]))
@@ -307,15 +310,17 @@ class TestResponseOnGrid:
         assert len(calls) == 1 + expected.any()
 
     def test_2d_grid_keeps_its_shape(self):
-        # Row-major order: the values and flags of the flat grid's call.
+        # Row-major order: the values of the flat grid's call, and on a
+        # singular grid the flat call's mask.
         config = SystemConfig(self.CAV, self.FILT, Topology.NOTCH)
-        grid = np.array([[-1.0, 0.0], [1.0, 2.0]])
-        values, singular = design.response_on_grid(config, grid)
-        flat_values, flat_singular = design.response_on_grid(config, grid.ravel())
-        assert values.shape == singular.shape == grid.shape
-        assert singular.tolist() == [[True, False], [False, False]]
-        assert np.array_equal(singular.ravel(), flat_singular)
-        assert np.array_equal(bits(values.ravel()), bits(flat_values))
+        sigma_at = design.loop_sigma(config)
+        grid = np.array([[-2.0, 0.0], [1.0, 2.0]])
+        values = sigma_at(grid)
+        assert values.shape == grid.shape
+        assert np.array_equal(bits(values.ravel()), bits(sigma_at(grid.ravel())))
+        with pytest.raises(SingularLoop) as exc:
+            sigma_at(np.array([[-1.0, 0.0], [1.0, 2.0]]))
+        assert exc.value.singular.tolist() == [True, False, False, False]
 
 
 class TestSweep:

@@ -460,15 +460,20 @@ SINGULAR_FILT = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=1.0)
     SystemConfig(SINGULAR_CAV, SINGULAR_FILT, Topology.NOTCH, delay=2.0 * math.pi),
     SystemConfig(SINGULAR_CAV, None, Topology.NONE),
 ], ids=["closed-form", "solver", "bare"])
-def test_blocked_response_on_grid_is_one_call(cfg, monkeypatch):
+def test_blocked_loop_sigma_is_one_call(cfg, monkeypatch):
     # 31 points in blocks of 7: the singular omega = -1 at index 3 (block 0),
     # 10 (block 1), and 13 and 14, the last point of block 1 and the first of
     # block 2.
     grid = np.linspace(-3.0, 3.0, 31)
     grid[[3, 10, 13, 14]] = -1.0
-    one_call = design.response_on_grid(cfg, grid)
+
+    def filled():
+        values = np.zeros(grid.size)
+        return values, design.fill_rows(design.loop_sigma(cfg), grid, values)
+
+    one_call = filled()
     monkeypatch.setattr(design, "GRID_BLOCK", 7)
-    values, singular = design.response_on_grid(cfg, grid)
+    values, singular = filled()
     assert np.array_equal(singular, one_call[1])
     assert np.flatnonzero(singular).tolist() == ([] if cfg.topology is Topology.NONE else [3, 10, 13, 14])
     assert np.array_equal(bits(values), bits(one_call[0]))

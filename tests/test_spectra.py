@@ -26,7 +26,7 @@ from cfcool import (
     steady_phonon,
 )
 from cfcool.cli import cmd_spectrum, parse_config, system_config
-from cfcool.design import response_on_grid
+from cfcool.design import loop_sigma
 from cfcool.spectra import sigma
 
 CAV = OptoCavityParams(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
@@ -254,10 +254,8 @@ def panel_integrals(config, lo, hi):
     """Gauss-Legendre integrals of Sigma/g^2 over the panels [lo, hi], one
     grid call for all of them, Sigma computed as `cfcool spectrum` does."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    chi_cl, singular = response_on_grid(config, mid[:, None] + half[:, None] * GL_NODES)
-    assert not singular.any()
     g = config.cav.g
-    return sigma(g, chi_cl) / (g * g) @ GL_WEIGHTS * half
+    return loop_sigma(config)(mid[:, None] + half[:, None] * GL_NODES) / (g * g) @ GL_WEIGHTS * half
 
 
 def spectral_weight(config, half_width=2000.0, tol=1e-10):

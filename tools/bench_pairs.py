@@ -63,11 +63,20 @@ def bench_run(root: Path, workload: str, seed: int) -> dict:
 
 
 def side_summary(runs: list[dict]) -> dict:
+    """Medians over the runs that exited 0 (None without one), and the
+    quartiles of their op_p50 (None below two)."""
     ok = [run for run in runs if run["exit"] == 0]
-    out = {m: statistics.median(run[m] for run in ok) for m in METRICS}
-    out["op_p50_quartiles"] = statistics.quantiles([run["op_p50_ms"] for run in ok], n=4)
+    out = {m: statistics.median(run[m] for run in ok) if ok else None for m in METRICS}
+    p50 = [run["op_p50_ms"] for run in ok]
+    out["op_p50_quartiles"] = statistics.quantiles(p50, n=4) if len(p50) > 1 else None
     out.update(runs=len(ok), failed_ops=sum(run["failed_ops"] for run in ok))
     return out
+
+
+def change_frac(parent: float | None, change: float | None) -> float | None:
+    if parent is None or change is None:
+        return None
+    return change / parent - 1.0 if parent else 0.0
 
 
 def large_run(root: Path, argv: list[str], path: str) -> dict:
@@ -108,8 +117,7 @@ def main() -> None:
             "pairs": len(pairs),
             "change_wins_op_p50": sum(c["op_p50_ms"] < p["op_p50_ms"] for p, c in pairs),
             "median_change_frac": {
-                m: summary["change"][m] / summary["parent"][m] - 1.0 if summary["parent"][m] else 0.0
-                for m in METRICS
+                m: change_frac(summary["parent"][m], summary["change"][m]) for m in METRICS
             },
             "exit_codes_not_0": [run for run in by_side["parent"] + by_side["change"] if run["exit"]],
         }
@@ -122,8 +130,11 @@ def main() -> None:
                 for side in ("parent", "change")[:: 1 if repeat % 2 == 0 else -1]:
                     rows[side].append(large_run(roots[side], command.split(), f"{tmp}/{side}.out"))
             # filecmp reads in chunks: a child's ru_maxrss starts from the RSS of
-            # the process it was forked from, so this one stays small.
-            same = filecmp.cmp(f"{tmp}/parent.out", f"{tmp}/change.out", shallow=False)
+            # the process it was forked from, so this one stays small.  A
+            # failed last run leaves no output to compare.
+            same = None
+            if rows["parent"][-1]["exit"] == rows["change"][-1]["exit"] == 0:
+                same = filecmp.cmp(f"{tmp}/parent.out", f"{tmp}/change.out", shallow=False)
             large[name] = {"command": f"cfcool {command}", "same_bytes": same, **{
                 side: {"wall_s": statistics.median(r["wall_s"] for r in rs),
                        "max_rss_mb": statistics.median(r["max_rss_mb"] for r in rs),
@@ -141,7 +152,8 @@ def main() -> None:
         "large_tables": {
             "what": "one fresh process per command, side and repeat, sides alternating; medians of "
                     f"{LARGE_REPEATS} repeats; wall time includes interpreter start; max RSS "
-                    "is the process's ru_maxrss; same_bytes compares the last outputs",
+                    "is the process's ru_maxrss; same_bytes compares the last outputs (None "
+                    "unless both exited 0)",
             "commands": large,
         },
     }, indent=1) + "\n")
