@@ -211,13 +211,13 @@ def argmax_detuning_numeric(
 ) -> float:
     """Maximize the anti-Stokes rate over the cavity detuning by bracketed search.
 
-    A coarse scan, one array call over 65 detunings, localizes the maximum
-    (raising :class:`BracketError` when the objective is flat or monotone
-    over the bracket, e.g. g = 0).  Brent's method (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 5) then refines it inside
-    the two scan intervals around the best point, with parabolic steps and a
-    golden-section step as the fallback, until the maximizer lies in a
-    bracket of width ``tol``.  A ``tol`` below the float spacing of the
+    A coarse scan of the objective, Sigma(+omega_m) from :func:`loop_sigma`,
+    one call on a column of 65 detunings, localizes the maximum (raising
+    :class:`BracketError` when it is flat or monotone over the bracket, e.g.
+    g = 0).  Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5), one float call per step, refines it inside
+    the two scan intervals around the best point until the maximizer lies in
+    a bracket of width ``tol``; a ``tol`` below the float spacing of the
     detuning is raised to eight units in the last place.
 
     The bracket holds the maximum of the computed objective, which is the
@@ -234,10 +234,10 @@ def argmax_detuning_numeric(
         raise InvalidParam(f"bad bracket {(lo, hi)!r}")
 
     def objective(delta):
-        return loop_rates(_with_parameter(config, "delta", delta)).a_minus
+        return loop_sigma(_with_parameter(config, "delta", delta))(config.cav.omega_m)
 
     xs = np.linspace(lo, hi, _COARSE_POINTS)
-    ys = _sideband_sigmas(config, "delta", xs)[:, 1]
+    ys = objective(xs)
     best = int(np.argmax(ys))
     if ys.max() == ys.min():
         raise BracketError("objective is flat over the bracket (zero coupling?)")

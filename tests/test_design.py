@@ -1,5 +1,6 @@
 """Preset construction, optimal detuning, feasibility, and sweeps."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -179,15 +180,68 @@ class TestArgmaxNumeric:
 
     def test_refinement_evaluations_on_criterion_3_grid(self, monkeypatch):
         # Brent's method needs 5-10 objective evaluations per argmax here,
-        # where a golden-section search needs 29-39.
+        # where a golden-section search needs 29-39.  An evaluation is a
+        # call of loop_sigma's Sigma at a float detuning (the scan's column
+        # is not one).
         calls = []
-        loop_rates = design.loop_rates
-        monkeypatch.setattr(design, "loop_rates", lambda cfg: calls.append(cfg) or loop_rates(cfg))
+        loop_sigma = design.loop_sigma
+
+        def counting(cfg):
+            sigma_at = loop_sigma(cfg)
+
+            def call(omega):
+                if isinstance(cfg.cav.delta, float):
+                    calls.append(omega)
+                return sigma_at(omega)
+
+            return call
+
+        monkeypatch.setattr(design, "loop_sigma", counting)
         for kappa in (1.0, 3.0, 10.0, 30.0):
             for kf in (0.25, 1.0, 4.0):
                 calls.clear()
                 argmax_detuning_numeric(make_notch(kappa, 1.0, 0.1, kf), (-1.0 - kappa * kf, -1e-3), tol=1e-7)
-                assert len(calls) <= 20, (kappa, kf, len(calls))
+                assert 1 <= len(calls) <= 20, (kappa, kf, len(calls))
+
+    def test_one_objective(self, monkeypatch):
+        # The scan and every Brent step evaluate loop_sigma at +omega_m:
+        # neither the sweep's sideband pairs nor a RateResult is built.
+        def refused(*args):
+            raise AssertionError("the argmax evaluates only loop_sigma")
+
+        monkeypatch.setattr(design, "loop_rates", refused)
+        monkeypatch.setattr(design, "_sideband_sigmas", refused)
+        got = argmax_detuning_numeric(make_notch(10.0, 1.0, 0.1, 1.0), tol=1e-7)
+        assert repr(got) == "-3.5000000499907125"
+
+    def test_golden_bits(self):
+        # No command calls the argmax, so these reprs pin its bits: notch,
+        # band-pass and bare loops, symmetric, imbalanced and lossy
+        # controllers, with and without delay, at two tolerances.
+        notch, bandpass, bare = Topology.NOTCH, Topology.BANDPASS, Topology.NONE
+        cases = [
+            (OptoCavityParams(10.0, -1.0, 0.1, 1.0), (1.0, 1.0, 0.0, 1.0), notch, 0.0, 1e-7),
+            (OptoCavityParams(10.0, -1.0, 0.1, 1.0), (1.0, 1.0, 0.0, 1.0), notch, 0.0, 1e-9),
+            (OptoCavityParams(10.0, -1.0, 0.1, 1.0), (1.0, 1.3, 0.2, 1.0), notch, 0.5, 1e-7),
+            (OptoCavityParams(3.0, -1.0, 0.05, 1.0), (0.4, 0.9, 0.0, 1.0), notch, 0.0, 1e-9),
+            (OptoCavityParams(20.0, -1.0, 0.3, 1.0), (2.0, 2.0, 0.3, 1.0), notch, 1.7, 1e-9),
+            (OptoCavityParams(10.0, -1.0, 0.1, 1.0), (1.0, 1.0, 0.0, -1.0), bandpass, 0.0, 1e-7),
+            (OptoCavityParams(10.0, -1.0, 0.1, 1.0), (1.0, 1.3, 0.2, -1.0), bandpass, 0.5, 1e-7),
+            (OptoCavityParams(3.0, -1.0, 0.02, 1.0), (0.5, 0.65, 0.0, -1.0), bandpass, 0.3, 1e-9),
+            (OptoCavityParams(5.0, -1.0, 0.1, 1.0), (1.5, 1.5, 0.1, -1.0), bandpass, 0.0, 1e-9),
+            (OptoCavityParams(10.0, -1.0, 0.1, 1.0), None, bare, 0.0, 1e-7),
+            (OptoCavityParams(0.5, -1.0, 0.01, 1.0), None, bare, 0.0, 1e-9),
+            (OptoCavityParams(2.0, -1.0, 0.04, 1.0), None, bare, 0.0, 1e-7),
+        ]
+        reprs = [
+            repr(argmax_detuning_numeric(
+                SystemConfig(cav, filt if filt is None else FilterCavityParams(*filt), topology, delay=tau),
+                tol=tol,
+            ))
+            for cav, filt, topology, tau, tol in cases
+        ]
+        digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+        assert digest == "7743fb3a6f2fe2eddfe54ac684f491a8640b9c92881a6ca223b9747682f4e8e3", reprs
 
 
 class TestEnhancementFactor:

@@ -1,8 +1,8 @@
 """Property tests over random loops: closed forms, solver, path selection,
 grid calls against per-point calls, the bits of the array kernels, sweeps and
-the argmax scan against per-row calls, controller unitarity, the physicality
-of the state-space oracle, the batched stability rule, the rate floor at
-weak coupling and the CSV formatter's bytes."""
+the argmax's objective against per-row calls, controller unitarity, the
+physicality of the state-space oracle, the batched stability rule, the rate
+floor at weak coupling and the CSV formatter's bytes."""
 
 import math
 from dataclasses import replace
@@ -506,8 +506,8 @@ def test_blocked_sweep_rows_are_one_grid_call(cfg, name, grid, monkeypatch):
 @SETTINGS
 @given(topology=TOPOLOGIES, cav=cavities(), filt=any_controllers(), tau=st.just(0.0) | rates(1e-3, 3.0))
 def test_argmax_coarse_scan_is_the_per_point_objective(topology, cav, filt, tau):
-    # The argmax's scan over the default bracket, one array call, against
-    # its objective loop_rates(...).a_minus at each detuning.
+    # The sweep's sideband pairs over the argmax's scan column, one array
+    # call, against loop_rates(...).a_minus at each detuning.
     cfg = system(cav, filt, topology, delay=tau)
     xs = np.linspace(*default_detuning_bracket(cfg), design._COARSE_POINTS)
     points = [outcome(lambda x: loop_rates(row_config(cfg, "delta", x)), x) for x in xs]
@@ -517,6 +517,46 @@ def test_argmax_coarse_scan_is_the_per_point_objective(topology, cav, filt, tau)
         return
     scan = design._sideband_sigmas(cfg, "delta", xs)[:, 1]
     assert np.array_equal(bits(scan), bits([p.a_minus for p in points]))
+
+
+#: Notch loops whose default bracket (-1.999, -0.001) puts the scan's 33rd
+#: detuning at -1 = delta_f, where the loop is singular at +omega_m.
+SCAN_SINGULAR = dict(
+    topology=Topology.NOTCH,
+    cav=OptoCavityParams(kappa=0.999, delta=-1.0, g=0.1, omega_m=1.0),
+    filt=FilterCavityParams.symmetric(kappa_f=1.0, delta_f=-1.0),
+)
+
+
+@SETTINGS
+@given(topology=TOPOLOGIES, cav=cavities(), filt=any_controllers(), tau=st.just(0.0) | rates(1e-3, 3.0))
+@example(**SCAN_SINGULAR, tau=0.0)
+@example(**SCAN_SINGULAR, tau=2.0 * math.pi)
+def test_argmax_scan_is_the_float_objective(topology, cav, filt, tau):
+    # The argmax's objective, loop_sigma at +omega_m, on the column of the
+    # scan's 65 detunings: the bits of its float calls and of the sweep's
+    # anti-Stokes column, or SingularLoop with the float calls' verdicts.
+    cfg = system(cav, filt, topology, delay=tau)
+    xs = np.linspace(*default_detuning_bracket(cfg), design._COARSE_POINTS)
+
+    def objective(delta):
+        return design.loop_sigma(design._with_parameter(cfg, "delta", delta))(cav.omega_m)
+
+    points = [outcome(lambda x: design.loop_sigma(row_config(cfg, "delta", x))(cav.omega_m), x) for x in xs]
+    if SingularLoop in points:
+        with pytest.raises(SingularLoop) as exc:
+            objective(xs)
+        assert exc.value.singular.tolist() == [p is SingularLoop for p in points]
+        return
+    scan = objective(xs)
+    assert np.array_equal(bits(scan), bits(points))
+    try:
+        sidebands = design._sideband_sigmas(cfg, "delta", xs)
+    except SingularLoop as exc:
+        # Singular only at the Stokes sideband, which the objective never reads.
+        assert not exc.value.singular.reshape(xs.size, 2)[:, 1].any()
+        return
+    assert np.array_equal(bits(scan), bits(sidebands[:, 1]))
 
 
 def golden_section_max(f, a, b, tol):
