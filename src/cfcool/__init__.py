@@ -23,7 +23,6 @@ from .design import (
 from .errors import (
     BracketError,
     CfcoolError,
-    ClosedFormInapplicable,
     ConfigError,
     InvalidParam,
     LyapunovResidual,

@@ -101,9 +101,9 @@ def network_for(config: SystemConfig) -> netalg.NetworkSpec:
 def closed_loop_response(config: SystemConfig, method: str = "auto") -> ResponseFn:
     """Return chi_cl(omega) for the configured loop.
 
-    ``method`` is "auto" (the closed form when it applies, otherwise the
-    network solver) or "solver".  The closed forms apply to a symmetric
-    lossless controller at zero delay.
+    ``method`` is "auto" (the preset wiring's closed form, which holds for
+    any controller and delay) or "solver" (the network solver on
+    :func:`network_for`, the independent check).
     """
     if method not in ("auto", "solver"):
         raise InvalidParam(f"unknown method {method!r}")
@@ -111,14 +111,14 @@ def closed_loop_response(config: SystemConfig, method: str = "auto") -> Response
         cav = config.cav
         return lambda omega: netalg.chi(cav, omega)
 
-    if method == "auto" and config.filt.is_symmetric_ideal and config.delay == 0.0:
+    if method == "auto":
         form = (
             netalg.closed_form_notch
             if config.topology is Topology.NOTCH
             else netalg.closed_form_bandpass
         )
-        cav, filt = config.cav, config.filt
-        return lambda omega: form(cav, filt, omega)
+        cav, filt, tau = config.cav, config.filt, config.delay
+        return lambda omega: form(cav, filt, omega, tau)
 
     net = network_for(config)
     return lambda omega: netalg.solve_network(net, omega)
@@ -136,8 +136,10 @@ def fill_rows(evaluate, values: np.ndarray, out: np.ndarray) -> np.ndarray:
     block of ``GRID_BLOCK`` rows.  Where a call raises :class:`SingularLoop`,
     each row of the block holding a point of the exception's mask is flagged
     and keeps its value in ``out``, and the rest of the block is evaluated
-    again, so a block costs at most two calls.  Returns the mask of the
-    singular rows."""
+    again, so a block costs at most two calls.  A 0-d mask, the verdict of
+    a response without grid axes (a float omega against a ``g`` column,
+    which no response reads), flags every row of the block.  Returns the
+    mask of the singular rows."""
     singular = np.zeros(len(values), dtype=bool)
     for start in range(0, len(values), GRID_BLOCK):
         block = slice(start, start + GRID_BLOCK)
@@ -146,6 +148,9 @@ def fill_rows(evaluate, values: np.ndarray, out: np.ndarray) -> np.ndarray:
             out[block] = evaluate(rows)
             continue
         except SingularLoop as exc:
+            if not exc.singular.ndim:  # a verdict without grid axes holds for every row
+                flagged[:] = True
+                continue
             flagged[:] = exc.singular.reshape(len(rows), -1).any(axis=1)
         out[block][~flagged] = evaluate(rows[~flagged])
     return singular

@@ -14,18 +14,14 @@ class SingularLoop(CfcoolError, ArithmeticError):
     closed forms' loop denominator, is below ``netalg.DEN_SINGULAR`` or NaN.
 
     ``omega`` is the frequency of the first such point, and ``singular`` the
-    flat bool mask of every such point in a grid call (None for a float
-    call), which tells grid rows apart even where every row samples the same
-    frequency."""
+    bool mask of every such point: flat in a call with grid axes, which tells
+    grid rows apart even where every row samples the same frequency, and 0-d
+    in a call without (a float omega and no parameter columns)."""
 
-    def __init__(self, omega: float, singular=None):
+    def __init__(self, omega: float, singular):
         self.omega = omega
         self.singular = singular
         super().__init__(f"algebraic loop is singular at omega={omega!r}")
-
-
-class ClosedFormInapplicable(CfcoolError, ValueError):
-    """A closed-form response was requested outside its assumptions."""
 
 
 class NoNetCooling(CfcoolError, ArithmeticError):

@@ -29,7 +29,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import ClosedFormInapplicable, InvalidParam, SingularLoop
+from .errors import InvalidParam, SingularLoop
 
 #: Sign s in the delay phase exp(s * 1j * omega * tau) implied by the
 #: d/dt -> -i*omega convention above.  A single constant keeps every element
@@ -41,7 +41,8 @@ DELAY_PHASE_SIGN = +1.0
 #: (a NaN frequency): ``not |det| >= DEN_SINGULAR`` on both paths.  It then
 #: raises :class:`SingularLoop` instead of returning a huge, meaningless gain.
 #: For the preset loops det(I - M) is the closed forms' loop denominator
-#: 1 - r_sys*S_fb, so both paths apply one rule to one quantity.
+#: 1 - r_sys*e^{i omega tau}*S[feed, 1], so both paths apply one rule to one
+#: quantity.
 DEN_SINGULAR = 1e-13
 
 
@@ -306,11 +307,10 @@ def _np_quot(ar, ai, br, bi):
 
 
 def _singular(omega, small):
-    # SingularLoop at the points of a float or grid call that ``small`` flags;
-    # a float omega against parameter columns flags an array of them.
-    if not isinstance(omega, np.ndarray) and not isinstance(small, np.ndarray):
-        return SingularLoop(omega)
-    singular = small.ravel()
+    # SingularLoop at the points that ``small`` flags: a flat mask of a call
+    # with grid axes, a 0-d one of a call without (a float omega, no columns).
+    small = np.asarray(small)
+    singular = small.ravel() if small.ndim else small
     return SingularLoop(np.broadcast_to(omega, small.shape).flat[singular.argmax()].item(), singular)
 
 
@@ -341,51 +341,56 @@ def abs2(z: complex | np.ndarray) -> float | np.ndarray:
     return math.pow(abs(z), 2.0)
 
 
-def _closed_loop(cav, f, omega, wiring, fwd, fb):
-    # The loop equation chi*S_fwd / (1 - r_sys*S_fb) shared by both wirings;
-    # fwd and fb pick the controller entries [R, T] on the feed and feedback paths.
-    if not f.is_symmetric_ideal:
-        raise ClosedFormInapplicable(
-            f"the {wiring} closed form assumes kappa1 == kappa2 and no loss"
-        )
+def _closed_loop(cav, f, omega, tau, feed):
+    # The loop equation chi*S[feed, 0] / (1 - r_sys*e^{i omega tau}*S[feed, 1])
+    # of both wirings: controller output ``feed`` drives the cavity, whose
+    # output returns into controller input 1.  tau == 0 takes no phase factor.
     s = scattering(f, omega)
     if isinstance(omega, np.ndarray) or cav.has_columns or f.has_columns:
         c = chi(cav, omega)
         root = np.sqrt(cav.kappa)
         # reflection_sys as a float call forms it: 1.0 + root*chi.
         r_sys = _complex(1.0 + root * c.real, 0.0 + root * c.imag)
-        loop_r, loop_i = _prod(r_sys, s[0, fb])
+        if tau:
+            r_sys = _complex(*_prod(r_sys, delay_response(tau, omega)))
+        loop_r, loop_i = _prod(r_sys, s[feed, 1])
         den_r, den_i = 1.0 - loop_r, 0.0 - loop_i
         small = ~(np.hypot(den_r, den_i) >= DEN_SINGULAR)  # the solver's test: NaN is singular
         if small.any():
             raise _singular(omega, small)
-        return _complex(*_np_quot(*_prod(c, s[0, fwd]), den_r, den_i))
-    den = 1.0 - reflection_sys(cav, omega) * s[0, fb]
+        return _complex(*_np_quot(*_prod(c, s[feed, 0]), den_r, den_i))
+    r_sys = reflection_sys(cav, omega)
+    if tau:
+        r_sys = r_sys * delay_response(tau, omega)
+    den = 1.0 - r_sys * s[feed, 1]
     if not abs(den) >= DEN_SINGULAR:
-        raise SingularLoop(omega)
-    return chi(cav, omega) * s[0, fwd] / den
+        raise _singular(omega, True)
+    return chi(cav, omega) * s[feed, 0] / den
 
 
 def closed_form_notch(
-    cav: OptoCavityParams, f: FilterCavityParams, omega: float | np.ndarray
+    cav: OptoCavityParams, f: FilterCavityParams, omega: float | np.ndarray, tau: float = 0.0
 ) -> complex | np.ndarray:
-    """Loop response chi*R / (1 - (sqrt(kappa)*chi + 1)*T) of the band-blocking wiring.
+    """Loop response chi*R11 / (1 - r_sys*e^{i omega tau}*T12) of the band-blocking wiring,
+    with r_sys = sqrt(kappa)*chi + 1 and a loop delay tau >= 0.
 
-    Valid for symmetric lossless controllers; the controller reflection feeds
-    the cavity, so the response has an exact zero at omega = -delta_f.
+    Holds for any controller; the controller reflection feeds the cavity, so
+    the response vanishes where R11 does: exactly at omega = -delta_f for a
+    symmetric lossless controller.
     """
-    return _closed_loop(cav, f, omega, "band-blocking", 0, 1)
+    return _closed_loop(cav, f, omega, tau, 0)
 
 
 def closed_form_bandpass(
-    cav: OptoCavityParams, f: FilterCavityParams, omega: float | np.ndarray
+    cav: OptoCavityParams, f: FilterCavityParams, omega: float | np.ndarray, tau: float = 0.0
 ) -> complex | np.ndarray:
-    """Loop response chi*T / (1 - (sqrt(kappa)*chi + 1)*R) of the band-passing wiring.
+    """Loop response chi*T21 / (1 - r_sys*e^{i omega tau}*R22) of the band-passing wiring,
+    with r_sys = sqrt(kappa)*chi + 1 and a loop delay tau >= 0.
 
-    Valid for symmetric lossless controllers; only the band transmitted by the
-    controller (centred at omega = -delta_f) reaches the cavity.
+    Holds for any controller; only the band transmitted by the controller
+    (centred at omega = -delta_f) reaches the cavity.
     """
-    return _closed_loop(cav, f, omega, "band-passing", 1, 0)
+    return _closed_loop(cav, f, omega, tau, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ class TestSpectrumCommand:
           "--kappa2", "1.3", "--kappa-loss", "0.2", "--tau", "0.5"], []),
         ([*NOTCH_FLAGS, "--delta", "1"], [200]),  # singular at omega = -1
         (["--topology", "none", "--kappa", "10", "--g", "0.1", "--delta", "-0.5"], []),
-    ], ids=["closed-form", "delayed-solver", "singular", "bare"])
+    ], ids=["closed-form", "delayed-lossy", "singular", "bare"])
     def test_sigma_columns_are_loop_sigma_on_the_grid(self, flags, singular_rows):
         # Sigma is the loop's, Sigma_uncontrolled the bare cavity's at the
         # preset detuning -omega_m, each from one loop_sigma call on the
@@ -791,8 +791,8 @@ class TestExitCodes:
             ["spectrum", "--topology", "bandpass", "--kappa-f", "1", *GRID_FLAGS],
             ["spectrum", "--topology", "notch", "--kappa1", "1", "--kappa2", "1.2", *GRID_FLAGS],
         ],
-        ids=["rates-none", "rates-closed-form", "rates-solver",
-             "spectrum-none", "spectrum-closed-form", "spectrum-solver"],
+        ids=["rates-none", "rates-closed-form", "rates-imbalanced",
+             "spectrum-none", "spectrum-closed-form", "spectrum-imbalanced"],
     )
     def test_overflowing_sigma_names_g(self, capsys, argv):
         # g * g = 1e308 is finite, but at kappa = 0.5, delta = -1 the bare
@@ -820,7 +820,7 @@ class TestExitCodes:
               "--sweep-max", "1e308", "--sweep-points", "2"], "--omega-m"),
             (["oracle", *OVERFLOW_FLAGS, "--kappa-f", "1"], "--omega-m"),
         ],
-        ids=["spectrum-delta", "spectrum-reference", "spectrum-filter", "rates-solver",
+        ids=["spectrum-delta", "spectrum-reference", "spectrum-filter", "rates-imbalanced",
              "rates-closed-form", "sweep", "sweep-delta", "oracle"],
     )
     def test_overflowing_frequency_sum_names_flags(self, capsys, argv, flag):
@@ -1252,6 +1252,21 @@ class TestFlagLists:
         assert (set(self.FLAG.findall(common_text)), own) == self.expected()
 
 
+#: The asymmetric, lossy, delayed README commands of :class:`TestGoldenBytes`,
+#: with their loops on the network solver.
+SOLVER_PATH_DIGESTS = [
+    ("rates --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 --kappa-loss 0.2 --tau 0.5",
+     "4b632b95b84d1d3a9116aea1bb0f3ea063053112dd6fb8833ef91debfe160829"),
+    ("spectrum --topology bandpass --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 --kappa-loss 0.2 "
+     "--tau 0.5 --omega-min -3 --omega-max 3 --points 601",
+     "4907ee391f24a8d8891270a4b85aa63c43f931bcf00e562798057dba1ccff1e9"),
+    ("sweep --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 --kappa-loss 0.2 "
+     "--tau 6.283185307179586 --delta-f 1 --sweep-param delta --sweep-min -3 --sweep-max 1 "
+     "--sweep-points 5",
+     "0b37b3aed5a16b36bea23855ee5192e3f0858c4138ac3a02810d95affd454217"),
+]
+
+
 class TestGoldenBytes:
     """SHA-256 of the full output of the README commands.
 
@@ -1279,13 +1294,14 @@ class TestGoldenBytes:
              "5e58b407e29539732b64ae7232558d2245c4e774466b58fe33b543d66958f93f"),
             ("design --topology notch --kappa 10 --g 0.1 --kappa-f 1",
              "cb6b1460a52c1c0987518090452bf31f3706b0bce1b3a7814a93b59778b35b8a"),
-            # Asymmetric, lossy, delayed loops: the network solver and the delay line.
+            # Asymmetric, lossy, delayed loops: the closed forms with the
+            # delay's phase factor (their solver path: SOLVER_PATH_DIGESTS).
             ("rates --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
              "--kappa-loss 0.2 --tau 0.5",
-             "4b632b95b84d1d3a9116aea1bb0f3ea063053112dd6fb8833ef91debfe160829"),
+             "524774a07c74e98cf89fcf31ad6f51e6e6335d5f27ba60582e94a999d5ce50bb"),
             ("spectrum --topology bandpass --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
              "--kappa-loss 0.2 --tau 0.5 --omega-min -3 --omega-max 3 --points 601",
-             "4907ee391f24a8d8891270a4b85aa63c43f931bcf00e562798057dba1ccff1e9"),
+             "c1edd6c66f352097a4411bb5c561c0e7ad6c78d13df30a004232850b5533be02"),
             # Sweeps whose empty cells come from the columns: a singular,
             # unstable last row (JSON nulls in the second), and a delayed
             # lossy loop with no stability flags and a heating row.
@@ -1298,7 +1314,7 @@ class TestGoldenBytes:
             ("sweep --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
              "--kappa-loss 0.2 --tau 6.283185307179586 --delta-f 1 "
              "--sweep-param delta --sweep-min -3 --sweep-max 1 --sweep-points 5",
-             "0b37b3aed5a16b36bea23855ee5192e3f0858c4138ac3a02810d95affd454217"),
+             "504e70707c87230bcc837f38bf7afda4e0f9de70c69be02b32bea8b59e6fa6f0"),
             # Empty cells of the other commands: the spectrum's singular row
             # at omega = -1 (a JSON null in the second), a heating rates row
             # and an unstable oracle row.
@@ -1316,6 +1332,13 @@ class TestGoldenBytes:
         ],
     )
     def test_readme_command_digest(self, capsys, command, digest):
+        assert main(command.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, digest", SOLVER_PATH_DIGESTS)
+    def test_solver_path_digest(self, capsys, solver_for_nonideal_loops, command, digest):
+        # The asymmetric, lossy, delayed README commands with their loops on
+        # the network solver and the delay line: the solver's own bits.
         assert main(command.split()) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -214,10 +214,17 @@ class TestArgmaxNumeric:
         got = argmax_detuning_numeric(make_notch(10.0, 1.0, 0.1, 1.0), tol=1e-7)
         assert repr(got) == "-3.5000000499907125"
 
-    def test_golden_bits(self):
+    @pytest.mark.parametrize("route, digest", [
+        ("closed-form", "4154c33938c8ae133dea0ee2101b267bc231bc6ee0dd4dc054db3baacb276b0a"),
+        # Imbalanced, lossy and delayed loops on the network solver.
+        ("solver", "7743fb3a6f2fe2eddfe54ac684f491a8640b9c92881a6ca223b9747682f4e8e3"),
+    ])
+    def test_golden_bits(self, request, route, digest):
         # No command calls the argmax, so these reprs pin its bits: notch,
         # band-pass and bare loops, symmetric, imbalanced and lossy
         # controllers, with and without delay, at two tolerances.
+        if route == "solver":
+            request.getfixturevalue("solver_for_nonideal_loops")
         notch, bandpass, bare = Topology.NOTCH, Topology.BANDPASS, Topology.NONE
         cases = [
             (OptoCavityParams(10.0, -1.0, 0.1, 1.0), (1.0, 1.0, 0.0, 1.0), notch, 0.0, 1e-7),
@@ -240,8 +247,7 @@ class TestArgmaxNumeric:
             ))
             for cav, filt, topology, tau, tol in cases
         ]
-        digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
-        assert digest == "7743fb3a6f2fe2eddfe54ac684f491a8640b9c92881a6ca223b9747682f4e8e3", reprs
+        assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == digest, reprs
 
 
 class TestEnhancementFactor:
@@ -282,8 +288,7 @@ class TestLoopRates:
         ("delta", [-1.0, -0.5, -2.0]),
         ("g", [0.0, 0.1, 0.5]),
         ("omega_m", [0.5, 1.0, 2.0]),
-        # Controller columns: the closed form, and the solver once lossy (a
-        # lossless row would take the closed form as a float config).
+        # Controller columns, lossless and lossy.
         ("delta_f", [0.5, 1.0, 2.0]),
         ("kappa_loss", [0.1, 0.2, 0.3]),
     ])
@@ -327,7 +332,7 @@ class TestLoopSigmaOnGrid:
     @pytest.mark.parametrize("tau, grid", [
         pytest.param(0.0, GRID, id="closed-form"),
         # e^{i omega tau} = 1 at omega = -1: |det(I - M)| is about 2.4e-16 there.
-        pytest.param(2.0 * np.pi, GRID, id="solver"),
+        pytest.param(2.0 * np.pi, GRID, id="delayed"),
         pytest.param(0.0, np.array([-1.0]), id="only-point-singular"),
     ])
     def test_singular_points_flagged_and_the_rest_per_point(self, monkeypatch, tau, grid):
@@ -362,6 +367,25 @@ class TestLoopSigmaOnGrid:
         # One array call, plus one more on the regular points if any is singular.
         assert all(isinstance(omega, np.ndarray) for omega in calls)
         assert len(calls) == 1 + expected.any()
+
+    @pytest.mark.parametrize("omega", [-1.0, 0.3])
+    def test_g_column_at_a_float_omega(self, omega):
+        # g enters no response, so a g column at a float omega is a response
+        # call without grid axes: at the singular omega = -1 its 0-d verdict
+        # flags every row, which keeps its value; elsewhere each row has the
+        # bits of its float config.
+        config = SystemConfig(self.CAV, self.FILT, Topology.NOTCH)
+        g = np.linspace(0.01, 0.3, 5)
+        values = np.full(g.size, 7.0)
+        singular = design.fill_rows(
+            lambda rows: design.loop_sigma(design._with_parameter(config, "g", rows))(omega), g, values
+        )
+        if omega == -1.0:
+            assert singular.all() and np.all(values == 7.0)
+            return
+        assert not singular.any()
+        rows = [design.loop_sigma(design._with_parameter(config, "g", x))(omega) for x in g.tolist()]
+        assert np.array_equal(bits(values), bits(rows))
 
     def test_2d_grid_keeps_its_shape(self):
         # Row-major order: the values of the flat grid's call, and on a

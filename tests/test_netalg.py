@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cfcool import (
-    ClosedFormInapplicable,
     DELAY_PHASE_SIGN,
     FilterCavityParams,
     InvalidParam,
@@ -348,14 +347,17 @@ class TestClosedForms:
         got = abs(closed_form_bandpass(CAV, f, -1.0)) ** 2
         assert rel_err(got, 10.0 / 29.0) < 1e-4
 
-    def test_inapplicable_for_asymmetric_or_lossy(self):
-        asym = FilterCavityParams(1.0, 1.2, 0.0, 1.0)
-        lossy = FilterCavityParams(1.0, 1.0, 0.1, 1.0)
-        for f in (asym, lossy):
-            with pytest.raises(ClosedFormInapplicable):
-                closed_form_notch(CAV, f, 0.3)
-            with pytest.raises(ClosedFormInapplicable):
-                closed_form_bandpass(CAV, f, 0.3)
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_imbalanced_lossy_bandpass_matches_the_solver(self, tau):
+        # The band-pass loop feeds T21 to the cavity and returns through R22,
+        # which differs from R11 once kappa2 != kappa1.
+        filt = FilterCavityParams(1.0, 1.3, 0.2, -1.0)
+        net = bandpass_loop(CAV, filt, tau)
+        grid = np.linspace(-3.0, 3.0, 61)
+        closed = closed_form_bandpass(CAV, filt, grid, tau)
+        for w, value in zip(grid.tolist(), closed.tolist()):
+            assert rel_err(value, solve_network(net, w)) <= 1e-10
+            assert value == closed_form_bandpass(CAV, filt, w, tau)
 
     def test_singular_loop_detected(self):
         # Blue-detuned cavity with delta == delta_f puts the loop on resonance
@@ -384,8 +386,39 @@ class TestClosedForms:
                 assert closed.value.singular.argmax() == solved.value.singular.argmax() == 1
                 assert closed.value.singular.tolist() == [False, True, False]
                 assert solved.value.singular.tolist() == [False, True, False]
-            else:
-                assert closed.value.singular is solved.value.singular is None
+            else:  # a 0-d mask: the verdict of a call without grid axes
+                assert closed.value.singular.shape == solved.value.singular.shape == ()
+                assert closed.value.singular and solved.value.singular
+
+    @pytest.mark.parametrize("wiring, filt, delta, tau, at", [
+        # delta = delta_f gives r_sys = T12 = -1 at omega = -delta_f, so the
+        # delayed notch loop is singular there where e^{i omega tau} = 1.
+        ("notch", FILT, 1.0, 2.0 * np.pi, -1.0),
+        ("notch", FilterCavityParams.symmetric(0.5, 2.0), 2.0, np.pi, -2.0),
+        ("notch", FilterCavityParams.symmetric(3.0, 0.5), 0.5, 4.0 * np.pi, -0.5),
+        # |T12| < 1 and |R22| < 1 keep an imbalanced or lossy loop regular at
+        # every real frequency: only a NaN one is singular.
+        ("notch", FilterCavityParams(1.0, 1.3, 0.2, 1.0), 1.0, 0.5, math.nan),
+        ("bandpass", FilterCavityParams(1.0, 1.3, 0.2, -1.0), -1.0, 0.5, math.nan),
+        ("bandpass", FilterCavityParams(0.5, 0.7, 0.0, -1.0), -1.0, 0.0, math.nan),
+    ], ids=["tau-2pi", "tau-pi", "tau-4pi", "lossy-notch", "lossy-bandpass", "imbalanced-bandpass"])
+    def test_singular_grid_gives_one_mask_on_both_paths(self, wiring, filt, delta, tau, at):
+        # The singular frequency at three places of a grid: both paths flag
+        # exactly those points, and refuse it as a float call.
+        cav = OptoCavityParams(10.0, delta, 0.1, 1.0)
+        form, build = {"notch": (closed_form_notch, notch_loop),
+                       "bandpass": (closed_form_bandpass, bandpass_loop)}[wiring]
+        grid = np.linspace(-2.9, 3.1, 25)  # off the singular frequencies
+        grid[[0, 7, 24]] = at
+        expected = [False] * grid.size
+        expected[0] = expected[7] = expected[24] = True
+        for call in (lambda w: form(cav, filt, w, tau), lambda w: solve_network(build(cav, filt, tau), w)):
+            with pytest.raises(SingularLoop) as exc:
+                call(grid)
+            assert exc.value.singular.tolist() == expected
+            with pytest.raises(SingularLoop) as exc:
+                call(at)
+            assert exc.value.singular.shape == ()
 
     @pytest.mark.parametrize("column", ["delta", "delta_f"])
     @pytest.mark.parametrize("zero_d", [False, True], ids=["float-omega", "0d-omega"])

@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfcool import (
-    ClosedFormInapplicable,
     FilterCavityParams,
     InvalidParam,
     MechanicalBath,
@@ -28,6 +27,7 @@ from cfcool import (
     closed_form_notch,
     closed_loop_response,
     consistency_check,
+    delay_response,
     drift_matrix,
     heisenberg_defect,
     is_hurwitz,
@@ -55,6 +55,8 @@ SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 FORMS = {Topology.NOTCH: closed_form_notch, Topology.BANDPASS: closed_form_bandpass}
 #: Controller entry [R, T] on each wiring's feedback path.
 FEEDBACK = {Topology.NOTCH: 1, Topology.BANDPASS: 0}
+#: Controller output that drives the cavity: the row S[feed, :] of the loop.
+FEED = {Topology.NOTCH: 0, Topology.BANDPASS: 1}
 LOOPS = st.sampled_from(sorted(FORMS, key=lambda t: t.value))
 TOPOLOGIES = st.sampled_from(sorted(Topology, key=lambda t: t.value))
 
@@ -113,11 +115,11 @@ def grids(lo=-50.0, hi=50.0):
 
 
 def loop_responses(cfg):
-    """The solver, and the closed form where it applies."""
+    """The solver, and the closed form of a preset loop."""
     net = network_for(cfg)
     responses = [lambda w: solve_network(net, w)]
-    if cfg.topology in FORMS and cfg.filt.is_symmetric_ideal and cfg.delay == 0.0:
-        responses.append(lambda w: FORMS[cfg.topology](cfg.cav, cfg.filt, w))
+    if cfg.topology in FORMS:
+        responses.append(lambda w: FORMS[cfg.topology](cfg.cav, cfg.filt, w, cfg.delay))
     return responses
 
 
@@ -173,24 +175,62 @@ def test_notch_stokes_rate_is_exactly_zero(kappa, omega_m, g, kappa_f, delta):
     assert scattering_rates(closed_loop_response(cfg), g, omega_m).a_plus == 0.0
 
 
+def imbalanced_controllers():
+    """kappa2/kappa1 in [0.5, 2], lossless or kappa_loss <= 1."""
+    return st.builds(
+        lambda k1, ratio, loss, delta_f: FilterCavityParams(k1, k1 * ratio, loss, delta_f),
+        rates(0.01, 100.0),
+        rates(0.5, 2.0),
+        st.just(0.0) | rates(1e-3, 1.0),
+        rates(-20.0, 20.0),
+    )
+
+
+@SETTINGS
+@given(
+    loop=LOOPS,
+    cav=cavities(),
+    filt=imbalanced_controllers(),
+    tau=st.just(0.0) | rates(1e-3, 10.0),
+    omega=rates(-50.0, 50.0),
+)
+def test_closed_form_matches_solver_for_any_controller_and_delay(loop, cav, filt, tau, omega):
+    # Criterion 7 off the ideal loop: the loop equation with S[feed, 0],
+    # S[feed, 1] and e^{i omega tau} against the solver on network_for.
+    closed = outcome(lambda w: FORMS[loop](cav, filt, w, tau), omega)
+    solved = outcome(lambda w: solve_network(network_for(SystemConfig(cav, filt, loop, delay=tau)), w), omega)
+    gain = reflection_sys(cav, omega) * delay_response(tau, omega) * scattering(filt, omega)[FEED[loop], 1]
+    den = abs(1.0 - gain)
+    if (closed is SingularLoop) != (solved is SingularLoop):
+        # One quantity against DEN_SINGULAR on both paths (see above).
+        assert abs(den - DEN_SINGULAR) <= 1e-15
+    elif closed is not SingularLoop:
+        assert rel_err(solved, closed) <= max(1e-10, 1e-14 / den)
+
+
 @SETTINGS
 @given(
     loop=LOOPS,
     cav=cavities(),
     filt=any_controllers(),
-    tau=st.just(0.0) | rates(1e-3, 1.0),
-    omega=rates(-50.0, 50.0),
+    tau=st.just(0.0) | rates(1e-3, 10.0),
+    grid=grids(),
 )
-def test_closed_form_chosen_exactly_for_ideal_undelayed_loops(loop, cav, filt, tau, omega):
-    cfg = SystemConfig(cav, filt, loop, delay=tau)
-    got = outcome(closed_loop_response(cfg), omega)
-    if filt.is_symmetric_ideal and tau == 0.0:
-        assert got == outcome(lambda w: FORMS[loop](cav, filt, w), omega)
-        return
-    assert got == outcome(lambda w: solve_network(network_for(cfg), w), omega)
-    if not filt.is_symmetric_ideal:
-        with pytest.raises(ClosedFormInapplicable):
-            FORMS[loop](cav, filt, omega)
+def test_auto_is_the_closed_form_for_every_preset_loop(loop, cav, filt, tau, grid):
+    # "auto" takes the wiring's closed form for any controller and delay:
+    # its bits at each float omega and on the grid, or its singular verdict.
+    response = closed_loop_response(SystemConfig(cav, filt, loop, delay=tau))
+
+    def form(w):
+        return FORMS[loop](cav, filt, w, tau)
+
+    for w in [*grid, np.array(grid)]:
+        got, expected = outcome(response, w), outcome(form, w)
+        if expected is SingularLoop:
+            assert got is SingularLoop
+        else:
+            assert type(got) is type(expected)
+            assert np.array_equal(bits(np.atleast_1d(got)), bits(np.atleast_1d(expected)))
 
 
 @SETTINGS
@@ -449,8 +489,8 @@ def test_sweep_rows_are_the_per_row_loops(case):
         assert np.array_equal(bits(stack), bits(rows))
 
 
-#: A notch loop with delta = delta_f = 1, singular at omega = -1: in the
-#: closed form, and in the solver at tau = 2 pi, where e^{i omega tau} = 1.
+#: A notch loop with delta = delta_f = 1, singular at omega = -1: at tau = 0,
+#: and at tau = 2 pi, where e^{i omega tau} = 1.
 SINGULAR_CAV = OptoCavityParams(kappa=10.0, delta=1.0, g=0.1, omega_m=1.0)
 SINGULAR_FILT = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=1.0)
 
@@ -459,7 +499,7 @@ SINGULAR_FILT = FilterCavityParams.symmetric(kappa_f=1.0, delta_f=1.0)
     SystemConfig(SINGULAR_CAV, SINGULAR_FILT, Topology.NOTCH),
     SystemConfig(SINGULAR_CAV, SINGULAR_FILT, Topology.NOTCH, delay=2.0 * math.pi),
     SystemConfig(SINGULAR_CAV, None, Topology.NONE),
-], ids=["closed-form", "solver", "bare"])
+], ids=["closed-form", "delayed", "bare"])
 def test_blocked_loop_sigma_is_one_call(cfg, monkeypatch):
     # 31 points in blocks of 7: the singular omega = -1 at index 3 (block 0),
     # 10 (block 1), and 13 and 14, the last point of block 1 and the first of
@@ -485,7 +525,7 @@ def test_blocked_loop_sigma_is_one_call(cfg, monkeypatch):
     # Every row singular, in every block.
     (SystemConfig(SINGULAR_CAV, SINGULAR_FILT, Topology.NOTCH), "g", np.linspace(0.01, 0.3, 20)),
     (make_notch(10.0, 1.0, 0.1, 1.0), "kappa_f", np.geomspace(0.05, 20.0, 15)),
-    # A delayed loop: no flags, its rates from the solver.
+    # A delayed loop: no flags.
     (replace(make_notch(10.0, 1.0, 0.1, 1.0), delay=0.1), "delta", np.linspace(-3.0, 3.0, 22)),
 ], ids=["delta", "all-singular", "kappa_f", "delayed"])
 def test_blocked_sweep_rows_are_one_grid_call(cfg, name, grid, monkeypatch):

@@ -35,7 +35,7 @@ NOTCH = "--topology notch --kappa 10 --g 0.1 --kappa-f 1"
 LARGE = {
     "spectrum, README notch (closed form)":
         f"spectrum {NOTCH} --omega-min -3 --omega-max 3 --points 1000000",
-    "spectrum, delayed lossy imbalanced notch (solver)":
+    "spectrum, delayed lossy imbalanced notch (closed form with delay)":
         "spectrum --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 --kappa-loss 0.2"
         " --tau 0.5 --omega-min -3 --omega-max 3 --points 1000000",
     "sweep --sweep-param delta, README notch":
