@@ -257,9 +257,12 @@ def fmt17_rows(values: np.ndarray, empty: np.ndarray, head: bytes = b"") -> memo
             n[i], k[i] = int(text[0] + text[2:18]), int(text[19:])
         n[zero] = 0
         k[zero] = 0
-        # The digits as four 4-digit groups after d0, and the trailing zeros.
-        d0, high = np.divmod(n // 10**8, 10**8)
-        groups = np.array([*np.divmod(high, 10**4), *np.divmod(n % 10**8, 10**4)])
+        # The digits as four 4-digit groups after d0, and the trailing zeros
+        # (x % u as x - (x // u)*u for n >= 0: int64 // has the fast loop).
+        d0, top = n // 10**16, n // 10**8
+        high, low = top - d0 * 10**8, n - top * 10**8
+        groups = np.array([high // 10**4, high, low // 10**4, low])
+        groups[1::2] -= groups[0::2] * 10**4
         d = digits[:, :size]
         d[1] = d0 + ord("0")
         d[2:18].reshape(4, 4, size)[...] = (

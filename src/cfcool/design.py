@@ -136,23 +136,25 @@ def fill_rows(evaluate, values: np.ndarray, out: np.ndarray) -> np.ndarray:
     block of ``GRID_BLOCK`` rows.  Where a call raises :class:`SingularLoop`,
     each row of the block holding a point of the exception's mask is flagged
     and keeps its value in ``out``, and the rest of the block is evaluated
-    again, so a block costs at most two calls.  A 0-d mask, the verdict of
-    a response without grid axes (a float omega against a ``g`` column,
-    which no response reads), flags every row of the block.  Returns the
-    mask of the singular rows."""
+    again, so a block costs at most two calls.  A flat mask with a point per
+    value of the block's ``out`` flags each row by its own points.  Any other
+    (a ``g`` column, which no response reads) broadcasts against the block's
+    shape from the right, by numpy's rule, and then flags every row with no
+    second call.  Returns the mask of the singular rows."""
     singular = np.zeros(len(values), dtype=bool)
     for start in range(0, len(values), GRID_BLOCK):
         block = slice(start, start + GRID_BLOCK)
-        rows, flagged = values[block], singular[block]
+        rows, flagged, part = values[block], singular[block], out[block]
         try:
-            out[block] = evaluate(rows)
+            part[...] = evaluate(rows)
             continue
         except SingularLoop as exc:
-            if not exc.singular.ndim:  # a verdict without grid axes holds for every row
-                flagged[:] = True
+            per_point = exc.singular.ndim > 0 and exc.singular.size == part.size
+            mask = exc.singular if per_point else np.broadcast_to(exc.singular, part.shape)
+            flagged[:] = mask.reshape(len(rows), -1).any(axis=1)
+            if not per_point:  # the same points in every row, so every row is flagged
                 continue
-            flagged[:] = exc.singular.reshape(len(rows), -1).any(axis=1)
-        out[block][~flagged] = evaluate(rows[~flagged])
+        part[~flagged] = evaluate(rows[~flagged])
     return singular
 
 

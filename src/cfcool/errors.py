@@ -11,12 +11,12 @@ class InvalidParam(CfcoolError, ValueError):
 
 class SingularLoop(CfcoolError, ArithmeticError):
     """The loop is singular at the requested frequency: |det(I - M)|, the
-    closed forms' loop denominator, is below ``netalg.DEN_SINGULAR`` or NaN.
+    closed forms' loop denominator, fails ``netalg._regular``: below ``DEN_SINGULAR`` or NaN.
 
     ``omega`` is the frequency of the first such point, and ``singular`` the
-    bool mask of every such point: flat in a call with grid axes, which tells
-    grid rows apart even where every row samples the same frequency, and 0-d
-    in a call without (a float omega and no parameter columns)."""
+    bool mask of every such point: flat in a call with grid axes, 0-d in one
+    without (a float omega, no columns); ``design.fill_rows`` broadcasts a mask
+    smaller than its block's output against that shape, aligned from the right."""
 
     def __init__(self, omega: float, singular):
         self.omega = omega

@@ -229,18 +229,11 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
     R = i*(omega + delta_f) / (i*(omega + delta_f) - kappa_f) and
     T = kappa_f / (i*(omega + delta_f) - kappa_f), with |R|^2 + |T|^2 = 1.
     The internal-loss channel enters only through kappa_total; its vacuum
-    input and outgoing field are not part of the 2x2 block.
+    input and outgoing field are not part of the 2x2 block.  An array call divides
+    by d in one :func:`_controller_quot`, which a closed form calls for S[feed, 0] and S[feed, 1] only.
     """
     if isinstance(omega, np.ndarray) or f.has_columns:
-        # kappa1/d, sqrt(kappa1*kappa2)/d and kappa2/d in one broadcast division.
-        k1, k2 = f.kappa1, f.kappa2
-        root = np.sqrt(k1 * k2)
-        d = _detuned(omega + f.delta_f, f.kappa_total)
-        # The leading axis of three, then root's axes aligned from the right
-        # against d's, which omega, delta_f and kappa_loss may widen.
-        a = np.empty((3,) + (1,) * (np.broadcast(*d, root).ndim - root.ndim) + root.shape)
-        a[0], a[1], a[2] = k1, root, k2
-        q = _complex(*_py_quot(a, *d))
+        q = _complex(*_controller_quot(f, omega, f.kappa1, np.sqrt(f.kappa1 * f.kappa2), f.kappa2))
         return np.array([[1.0 + q[0], q[1]], [q[1], 1.0 + q[2]]])
     d = 1j * (omega + f.delta_f) - f.kappa_total / 2.0
     t = math.sqrt(f.kappa1 * f.kappa2) / d
@@ -257,13 +250,14 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
 # complex and numpy complex128 scalars; the array branch repeats that
 # arithmetic on float arrays of real and imaginary parts, one IEEE operation
 # per ufunc call and in the scalar code's order, so neither complex SIMD loops
-# nor fused multiply-adds can round differently.  The solver runs one code on
-# Python floats or on such arrays, so no BLAS kernel decides its bits (see
-# ``solve_network``).  The two complex divisions differ:
-# ``float / complex`` is CPython's, ``complex128 / complex128`` numpy's.
-# Parameters broadcast the same way: a field holding one value per grid row
-# enters the same elementwise operations (``np.sqrt`` for ``math.sqrt``, both
-# correctly rounded), so each point has the bits of its row's float call.
+# nor fused multiply-adds can round differently.  A closed form reads only
+# S[feed, 0] and S[feed, 1] of scattering's quotient (``_controller_quot``).
+# The solver runs one code on Python floats or on such arrays, so no BLAS
+# kernel decides its bits; both test |det(I - M)| by ``_regular``.  The two
+# complex divisions differ: ``float / complex`` is CPython's, ``complex128 /
+# complex128`` numpy's.  A field holding one value per grid row enters the
+# same elementwise operations (``np.sqrt`` for ``math.sqrt``, both correctly
+# rounded), so each point has the bits of its row's float call.
 # ---------------------------------------------------------------------------
 
 
@@ -293,6 +287,24 @@ def _py_quot(a, br, bi):
     return re / denom, im / denom
 
 
+def _controller_quot(f, omega, *numerators):
+    """(re, im) of each numerator / d, d = i*(omega + delta_f) - kappa_total/2, stacked
+    on a leading axis by one :func:`_py_quot`: scattering entries, reflections less 1."""
+    d = _detuned(omega + f.delta_f, f.kappa_total)
+    shape = np.broadcast(*numerators).shape  # aligned from the right against d's axes
+    a = np.empty((len(numerators),) + (1,) * (np.broadcast(*d, *numerators).ndim - len(shape)) + shape)
+    for i, x in enumerate(numerators):
+        a[i] = x
+    return _py_quot(a, *d)
+
+
+def _regular(re, im):
+    """``np.hypot(re, im) >= DEN_SINGULAR`` on floats or arrays.  hypot runs only where its
+    faithful lower bound max(|re|, |im|), NaN if either is, leaves a verdict open."""
+    regular = np.maximum(abs(re), abs(im)) >= DEN_SINGULAR
+    return regular if regular.all() else np.hypot(re, im) >= DEN_SINGULAR
+
+
 def _np_quot(ar, ai, br, bi):
     """numpy's complex128 division (ar + i*ai) / (br + i*bi), elementwise:
     Smith's method with a reciprocal scale (``CDOUBLE_divide``).  Returns the
@@ -306,12 +318,12 @@ def _np_quot(ar, ai, br, bi):
     return (p + q * ratio) * scale, np.where(m, q - pr, pr - q) * scale
 
 
-def _singular(omega, small):
-    # SingularLoop at the points that ``small`` flags: a flat mask of a call
-    # with grid axes, a 0-d one of a call without (a float omega, no columns).
-    small = np.asarray(small)
-    singular = small.ravel() if small.ndim else small
-    return SingularLoop(np.broadcast_to(omega, small.shape).flat[singular.argmax()].item(), singular)
+def _refuse_singular(omega, regular):
+    # SingularLoop unless ``regular`` holds everywhere; its mask is flat, or 0-d without grid axes.
+    if not regular.all():
+        small = ~np.asarray(regular)
+        singular = small.ravel() if small.ndim else small
+        raise SingularLoop(np.broadcast_to(omega, small.shape).flat[singular.argmax()].item(), singular)
 
 
 def _mul(ar, ai, br, bi):
@@ -322,10 +334,6 @@ def _mul(ar, ai, br, bi):
     im = ar * bi
     im += ai * br
     return re, im
-
-
-def _prod(a, b):
-    return _mul(a.real, a.imag, b.real, b.imag)
 
 
 def abs2(z: complex | np.ndarray) -> float | np.ndarray:
@@ -345,26 +353,30 @@ def _closed_loop(cav, f, omega, tau, feed):
     # The loop equation chi*S[feed, 0] / (1 - r_sys*e^{i omega tau}*S[feed, 1])
     # of both wirings: controller output ``feed`` drives the cavity, whose
     # output returns into controller input 1.  tau == 0 takes no phase factor.
-    s = scattering(f, omega)
     if isinstance(omega, np.ndarray) or cav.has_columns or f.has_columns:
-        c = chi(cav, omega)
+        if isinstance(omega, np.ndarray) or f.has_columns:  # S[feed, feed] = 1 + kappa_feed/d
+            (qr, tr), (qi, ti) = _controller_quot(
+                f, omega, f.kappa2 if feed else f.kappa1, np.sqrt(f.kappa1 * f.kappa2))
+            s = [(1.0 + qr, 0.0 + qi), (tr, ti)][::-1 if feed else 1]
+        else:  # a float controller at a float omega, against cavity columns
+            s = [(z.real, z.imag) for z in scattering(f, omega)[feed]]
         root = np.sqrt(cav.kappa)
-        # reflection_sys as a float call forms it: 1.0 + root*chi.
-        r_sys = _complex(1.0 + root * c.real, 0.0 + root * c.imag)
+        cr, ci = _py_quot(root, *_detuned(cav.delta + omega, cav.kappa))  # chi
+        rr, ri = 1.0 + root * cr, 0.0 + root * ci  # reflection_sys
         if tau:
-            r_sys = _complex(*_prod(r_sys, delay_response(tau, omega)))
-        loop_r, loop_i = _prod(r_sys, s[feed, 1])
+            e = delay_response(tau, omega)
+            rr, ri = _mul(rr, ri, e.real, e.imag)
+        loop_r, loop_i = _mul(rr, ri, *s[1])
         den_r, den_i = 1.0 - loop_r, 0.0 - loop_i
-        small = ~(np.hypot(den_r, den_i) >= DEN_SINGULAR)  # the solver's test: NaN is singular
-        if small.any():
-            raise _singular(omega, small)
-        return _complex(*_np_quot(*_prod(c, s[feed, 0]), den_r, den_i))
+        _refuse_singular(omega, _regular(den_r, den_i))
+        return _complex(*_np_quot(*_mul(cr, ci, *s[0]), den_r, den_i))
+    s = scattering(f, omega)
     r_sys = reflection_sys(cav, omega)
     if tau:
         r_sys = r_sys * delay_response(tau, omega)
     den = 1.0 - r_sys * s[feed, 1]
     if not abs(den) >= DEN_SINGULAR:
-        raise _singular(omega, True)
+        _refuse_singular(omega, np.False_)
     return chi(cav, omega) * s[feed, 0] / den
 
 
@@ -525,11 +537,9 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
         rows, grid = _system(net, omega)
         try:
             det, [(xr, xi)] = _eliminate(rows, net.index[(net.tap, 0)])
-        except ZeroDivisionError:  # an exactly zero pivot of a float call
-            raise _singular(omega, True) from None
-        regular = np.hypot(*det) >= DEN_SINGULAR
-    if not regular.all():
-        raise _singular(omega, ~regular)
+        except ZeroDivisionError:  # an exactly zero pivot of a float call: det is 0
+            det = _ZERO
+        _refuse_singular(omega, _regular(*det))
     gain = dict(net.elements)[net.tap].tap_gain(omega)
     # _mul, not a complex multiply, whose SIMD loops may fuse or reorder on a grid.
     out = _mul(gain.real, gain.imag, xr, xi)

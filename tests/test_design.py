@@ -387,6 +387,25 @@ class TestLoopSigmaOnGrid:
         rows = [design.loop_sigma(design._with_parameter(config, "g", x))(omega) for x in g.tolist()]
         assert np.array_equal(bits(values), bits(rows))
 
+    @pytest.mark.parametrize("rows", [3, 2])
+    def test_g_column_against_an_omega_grid(self, rows):
+        # g enters no response, so the response's mask covers the omega
+        # grid only: broadcast against each row, it flags every row, which
+        # keeps its value, and the block takes no second call.  Two rows
+        # against two frequencies is the case a per-row reading would take.
+        config = SystemConfig(self.CAV, self.FILT, Topology.NOTCH)
+        calls = []
+
+        def evaluate(g):
+            calls.append(g)
+            return design.loop_sigma(design._with_parameter(config, "g", g[:, None]))(
+                np.array([-1.0, 0.5]))
+
+        values = np.full((rows, 2), 7.0)
+        singular = design.fill_rows(evaluate, np.linspace(0.01, 0.3, rows), values)
+        assert singular.all() and np.all(values == 7.0)
+        assert len(calls) == 1
+
     def test_2d_grid_keeps_its_shape(self):
         # Row-major order: the values of the flat grid's call, and on a
         # singular grid the flat call's mask.

@@ -1,5 +1,6 @@
 """Element responses, closed forms, and the interconnection solver."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from cfcool import (
     solve_network,
 )
 from cfcool.design import network_for
-from cfcool.netalg import DEN_SINGULAR, CavityReflection, DelayLine, FilterTwoPort
+from cfcool.netalg import DEN_SINGULAR, CavityReflection, DelayLine, FilterTwoPort, _regular
 from cfcool.spectra import RateResult, sigma
 
 CAV = OptoCavityParams(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
@@ -792,6 +793,29 @@ class TestSolverKernel:
                 assert singular == (det < DEN_SINGULAR), (w, det)
                 verdicts[singular] += 1
         assert min(verdicts.values()) >= 20
+
+
+class TestRegular:
+    # The threshold, one ulp either side of it, signed zeros, the least
+    # subnormal, NaN and the infinities: every pair of them as (re, im).
+    PARTS = [DEN_SINGULAR, np.nextafter(DEN_SINGULAR, 0.0), np.nextafter(DEN_SINGULAR, 1.0),
+             0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf]
+    PAIRS = list(itertools.product(PARTS, repeat=2))
+
+    def test_is_the_hypot_threshold_on_arrays_0d_values_and_floats(self):
+        re, im = np.array(self.PAIRS).T
+        expected = np.hypot(re, im) >= DEN_SINGULAR
+        assert expected.any() and not expected.all()
+        got = _regular(re, im)
+        assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+        for (r, i), want in zip(self.PAIRS, expected.tolist()):
+            # Alone, each pair takes the bound's verdict where it settles
+            # one, and the hypot otherwise.
+            assert _regular(np.array([r]), np.array([i])).tolist() == [want], (r, i)
+            assert bool(_regular(np.array(r), np.array(i))) is want, (r, i)
+            assert bool(_regular(r, i)) is want, (r, i)
+        regular = expected.nonzero()[0]  # a grid that the bound settles whole
+        assert _regular(re[regular], im[regular]).all()
 
 
 class TestNetworkValidation:
