@@ -552,23 +552,17 @@ def _system(net, omega):
     axes (a float omega against parameter columns).  Row i is the
     identity's, minus the S-matrix row of the output that drives port i; the
     input port has no driver, so its row is e_in's.  None marks an entry that
-    no edge wires.  Where the elements' grid shapes differ (a parameter
-    column against a shorter omega), their parts broadcast to one shape, so
-    that a pivot swap can write into any entry.  Every entry is a new value,
-    so the elements' S-matrices are free once this returns."""
+    no edge wires.  Each entry keeps its element's grid shape, which differs
+    between elements for a parameter column against a shorter omega; numpy
+    broadcasting resolves the shapes as the elimination combines entries.
+    Every entry is a new value, so the elements' S-matrices are free once
+    this returns."""
     index = net.index
     n = len(index)
     mats = {name: el.s_matrix(omega) for name, el in net.elements}
     grid = isinstance(omega, np.ndarray) or any(s.ndim > 2 for s in mats.values())
     parts = {name: (s.real, s.imag) if grid else (s.real.tolist(), s.imag.tolist())
              for name, s in mats.items()}
-    shapes = {re.shape[2:] for re, _ in parts.values()} if grid else ()
-    if len(shapes) > 1:
-        shape = np.broadcast_shapes(*shapes)
-        for name, part in parts.items():
-            ports = part[0].shape[:2]  # then the grid axes, aligned from the right
-            lead = ports + (1,) * (len(shape) + 2 - part[0].ndim)
-            parts[name] = [np.broadcast_to(x.reshape(lead + x.shape[2:]), ports + shape) for x in part]
     rows = [[(1.0, 0.0) if j == i else None for j in range(n + 1)] for i in range(n)]
     rows[index[net.input_port]][n] = (1.0, 0.0)
     for (src, p_out), dst in net.wiring:
@@ -590,19 +584,9 @@ def _pick(mask, a, b):
     return a if mask else b
 
 
-def _put(mask, a, b):
-    # _pick(mask, a, b), written into b where both are grid arrays.
-    if isinstance(mask, np.ndarray) and isinstance(b, np.ndarray):
-        np.copyto(b, a, where=mask)
-        return b
-    return _pick(mask, a, b)
-
-
 def _abs1(z):
     # LAPACK's pivot size |re| + |im| (izamax).
-    size = abs(z[0])
-    size += abs(z[1])
-    return size
+    return abs(z[0]) + abs(z[1])
 
 
 def _reciprocal(br, bi):
@@ -616,17 +600,15 @@ def _reciprocal(br, bi):
 
 
 def _reduce(row, upper, k, r):
-    # Subtract (row[k] * r) * upper from row, in place, and drop row[k]; r is
-    # the reciprocal of the pivot upper[k].
+    # Replace row by row - (row[k] * r) * upper, entry by entry, and drop
+    # row[k]; r is the reciprocal of the pivot upper[k].
     lr, li = _mul(*row[k], *r)
     row[k] = None
     for j in range(k + 1, len(row)):
         if upper[j] is not None:
             tr, ti = _mul(lr, li, *upper[j])
             ar, ai = row[j] or _ZERO
-            ar -= tr
-            ai -= ti
-            row[j] = (ar, ai)
+            row[j] = (ar - tr, ai - ti)
 
 
 def _eliminate(rows, t):
@@ -644,10 +626,10 @@ def _eliminate(rows, t):
     reads.  Step k drops the pivot, which det and its reciprocal then hold,
     and each entry it eliminates once its multiplier is formed; for k < t it
     also drops row k and its reciprocal, since back substitution reads only
-    rows t..n-1.  Surviving entries are updated in place, and a pivot swap
-    writes the displaced row into that row's own arrays: every array in
-    ``rows`` is one this solve made.  On Python floats the same statements
-    rebind, so a float call runs the same arithmetic.
+    rows t..n-1.  A pivot swap or a row update makes new entries, each of
+    the grid shape numpy broadcasts its operands to, and never writes into
+    an array it was given; on Python floats the same statements run the
+    same arithmetic.
     """
     n, width = len(rows), len(rows[0])
     det, reciprocals = None, []
@@ -665,7 +647,7 @@ def _eliminate(rows, t):
                 if a is not None or b is not None:
                     (ar, ai), (br, bi) = a or _ZERO, b or _ZERO
                     rows[k][j] = (_pick(swap, br, ar), _pick(swap, bi, ai))
-                    rows[i][j] = (_put(swap, ar, br), _put(swap, ai, bi))
+                    rows[i][j] = (_pick(swap, ar, br), _pick(swap, ai, bi))
 
         det = rows[k][k] if det is None else _mul(*det, *rows[k][k])
         reciprocals.append(_reciprocal(*rows[k][k]))

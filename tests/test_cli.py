@@ -465,6 +465,44 @@ class TestDesignCommand:
         assert row["bandpass_feasible"] == 1.0
 
 
+class TestSolverRouting:
+    """Every preset loop takes its closed form, so no command runs the
+    network solver: it is the closed forms' independent check only."""
+
+    COMMANDS = [
+        lambda loop: ["spectrum", *loop, *GRID_FLAGS],
+        lambda loop: ["spectrum", "--element", "filter", *loop, *GRID_FLAGS],
+        lambda loop: ["rates", *loop],
+        lambda loop: ["sweep", *loop, "--sweep-param", "delta", "--sweep-min", "-5",
+                      "--sweep-max", "0", "--sweep-points", "51"],
+        lambda loop: ["oracle", *loop, "--gamma-m", "1e-5", "--n-th", "100"],
+        lambda loop: ["design", *loop],
+    ]
+
+    @pytest.mark.parametrize("loop", [
+        NOTCH_FLAGS,
+        ["--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa1", "1", "--kappa2", "1.3",
+         "--kappa-loss", "0.2", "--tau", "0.5"],
+        ["--topology", "bandpass", "--kappa", "10", "--g", "0.1", "--kappa1", "1",
+         "--kappa2", "1.3", "--kappa-loss", "0.2"],
+        ["--topology", "none", "--kappa", "10", "--g", "0.1", "--tau", "0.5"],
+    ], ids=["readme-notch", "lossy-delayed-notch", "lossy-bandpass", "delayed-cavity"])
+    def test_no_command_runs_the_solver(self, capsys, monkeypatch, loop):
+        def run():
+            results = []
+            for command in self.COMMANDS:
+                code = main(command(loop))
+                results.append((code, capsys.readouterr().out))
+            return results
+
+        def solver(*args):
+            raise AssertionError("a command ran the network solver")
+
+        expected = run()
+        monkeypatch.setattr("cfcool.netalg.solve_network", solver)
+        assert run() == expected
+
+
 def per_cell_csv(table):
     """CSV rendered one ``fmt17`` call per cell."""
     lines = ["# " + " ".join(f"{k}={v}" for k, v in table.meta), ",".join(table.columns)]

@@ -581,6 +581,28 @@ class TestSolver:
             tracemalloc.stop()
         assert peak <= 400 * grid.size, peak / grid.size
 
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "build, delta_f", [(notch_loop, 1.0), (bandpass_loop, -1.0)], ids=["notch", "bandpass"]
+    )
+    def test_column_solve_memory_per_point(self, build, delta_f, tau):
+        # Each entry of I - M keeps its own grid shape: the controller's and
+        # the delay's stay one row of omega against a 64-row cavity column,
+        # so the traced peak stays within 215 B per output point.
+        cav = OptoCavityParams(10.0, np.linspace(-2.0, 2.0, 64).reshape(64, 1), 0.1, 1.0)
+        net = build(cav, FilterCavityParams(1.0, 1.3, 0.2, delta_f), tau=tau)
+        grid = np.linspace(-3.0, 3.0, 501)
+        size = solve_network(net, grid).size
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_network(net, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert size == 64 * grid.size
+        assert peak <= 215 * size, peak / size
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -732,8 +754,8 @@ class TestSolverKernel:
 
     def test_series_networks_give_the_float_bits(self):
         # The shuffled element order puts the tap row t at every index, so the
-        # rows dropped above it, the entries updated in place below it and
-        # the rows a pivot swap displaces differ from draw to draw.
+        # rows dropped above it, the entries updated below it and the rows a
+        # pivot swap displaces differ from draw to draw.
         rng = np.random.default_rng(22)
         grid = np.linspace(-6.0, 6.0, 49)
         taps = set()
@@ -749,7 +771,7 @@ class TestSolverKernel:
         assert_float_bits(net, np.linspace(-3.0, 3.0, 7))
 
     def test_stored_s_matrix_is_left_unchanged(self):
-        # The solver updates its own entries in place, never an element's.
+        # The solver makes new entries and never writes into an element's.
         grid = np.linspace(-4.0, 4.0, 201)
         filt = FilterCavityParams(1.0, 1.3, 0.2, 1.0)
         s = scattering(filt, grid)
