@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedDelay,
 )
 from .netalg import FilterCavityParams, OptoCavityParams
-from .spectra import MechanicalBath, RateResult, ResponseFn, scattering_rates
+from .spectra import MechanicalBath, RateResult, ResponseFn
 
 
 class Topology(Enum):
@@ -169,8 +169,11 @@ def loop_sigma(config: SystemConfig) -> Callable[[float | np.ndarray], float | n
 
 
 def loop_rates(config: SystemConfig) -> RateResult:
-    """Sideband rates of the configured loop at its own g and omega_m."""
-    return scattering_rates(closed_loop_response(config), config.cav.g, config.cav.omega_m)
+    """Sideband rates of the configured loop: :func:`loop_sigma` at -omega_m
+    (Stokes, ``a_plus``) and +omega_m (anti-Stokes, ``a_minus``).  Swapping
+    the signs turns cooling into heating; tests lock them."""
+    sigma_at, omega_m = loop_sigma(config), config.cav.omega_m
+    return RateResult(a_plus=sigma_at(-omega_m), a_minus=sigma_at(+omega_m))
 
 
 def _sideband_sigmas(config: SystemConfig, name: str, values: np.ndarray) -> np.ndarray:

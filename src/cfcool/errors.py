@@ -11,7 +11,7 @@ class InvalidParam(CfcoolError, ValueError):
 
 class SingularLoop(CfcoolError, ArithmeticError):
     """The loop is singular at the requested frequency: |det(I - M)|, the
-    closed forms' loop denominator, fails ``netalg._regular``: below ``DEN_SINGULAR`` or NaN.
+    closed forms' loop denominator, is below ``netalg.DEN_SINGULAR`` or NaN.
 
     ``omega`` is the frequency of the first such point, and ``singular`` the
     bool mask of every such point: flat in a call with grid axes, 0-d in one

@@ -253,11 +253,11 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
 # nor fused multiply-adds can round differently.  A closed form reads only
 # S[feed, 0] and S[feed, 1] of scattering's quotient (``_controller_quot``).
 # The solver runs one code on Python floats or on such arrays, so no BLAS
-# kernel decides its bits; both test |det(I - M)| by ``_regular``.  The two
-# complex divisions differ: ``float / complex`` is CPython's, ``complex128 /
-# complex128`` numpy's.  A field holding one value per grid row enters the
-# same elementwise operations (``np.sqrt`` for ``math.sqrt``, both correctly
-# rounded), so each point has the bits of its row's float call.
+# kernel decides its bits; both test |det(I - M)| by ``_refuse_singular``.
+# The two complex divisions differ: ``float / complex`` is CPython's,
+# ``complex128 / complex128`` numpy's.  A field holding one value per grid
+# row enters the same elementwise operations (``np.sqrt`` for ``math.sqrt``,
+# both correctly rounded), so each point has the bits of its row's float call.
 # ---------------------------------------------------------------------------
 
 
@@ -298,13 +298,6 @@ def _controller_quot(f, omega, *numerators):
     return _py_quot(a, *d)
 
 
-def _regular(re, im):
-    """``np.hypot(re, im) >= DEN_SINGULAR`` on floats or arrays.  hypot runs only where its
-    faithful lower bound max(|re|, |im|), NaN if either is, leaves a verdict open."""
-    regular = np.maximum(abs(re), abs(im)) >= DEN_SINGULAR
-    return regular if regular.all() else np.hypot(re, im) >= DEN_SINGULAR
-
-
 def _np_quot(ar, ai, br, bi):
     """numpy's complex128 division (ar + i*ai) / (br + i*bi), elementwise:
     Smith's method with a reciprocal scale (``CDOUBLE_divide``).  Returns the
@@ -318,10 +311,14 @@ def _np_quot(ar, ai, br, bi):
     return (p + q * ratio) * scale, np.where(m, q - pr, pr - q) * scale
 
 
-def _refuse_singular(omega, regular):
-    # SingularLoop unless ``regular`` holds everywhere; its mask is flat, or 0-d without grid axes.
-    if not regular.all():
-        small = ~np.asarray(regular)
+def _refuse_singular(omega, re, im):
+    """Raise :class:`SingularLoop` where ``np.hypot(re, im) >= DEN_SINGULAR`` fails, on floats
+    or arrays; its mask is flat, or 0-d without grid axes.  hypot runs only where its faithful
+    lower bound max(|re|, |im|), NaN if either is, leaves a verdict open."""
+    if (np.maximum(abs(re), abs(im)) >= DEN_SINGULAR).all():
+        return
+    small = np.asarray(~(np.hypot(re, im) >= DEN_SINGULAR))
+    if small.any():
         singular = small.ravel() if small.ndim else small
         raise SingularLoop(np.broadcast_to(omega, small.shape).flat[singular.argmax()].item(), singular)
 
@@ -368,7 +365,7 @@ def _closed_loop(cav, f, omega, tau, feed):
             rr, ri = _mul(rr, ri, e.real, e.imag)
         loop_r, loop_i = _mul(rr, ri, *s[1])
         den_r, den_i = 1.0 - loop_r, 0.0 - loop_i
-        _refuse_singular(omega, _regular(den_r, den_i))
+        _refuse_singular(omega, den_r, den_i)
         return _complex(*_np_quot(*_mul(cr, ci, *s[0]), den_r, den_i))
     s = scattering(f, omega)
     r_sys = reflection_sys(cav, omega)
@@ -376,7 +373,7 @@ def _closed_loop(cav, f, omega, tau, feed):
         r_sys = r_sys * delay_response(tau, omega)
     den = 1.0 - r_sys * s[feed, 1]
     if not abs(den) >= DEN_SINGULAR:
-        _refuse_singular(omega, np.False_)
+        _refuse_singular(omega, den.real, den.imag)
     return chi(cav, omega) * s[feed, 0] / den
 
 
@@ -539,7 +536,7 @@ def solve_network(net: NetworkSpec, omega: float | np.ndarray) -> complex | np.n
             det, [(xr, xi)] = _eliminate(rows, net.index[(net.tap, 0)])
         except ZeroDivisionError:  # an exactly zero pivot of a float call: det is 0
             det = _ZERO
-        _refuse_singular(omega, _regular(*det))
+        _refuse_singular(omega, *det)
     gain = dict(net.elements)[net.tap].tap_gain(omega)
     # _mul, not a complex multiply, whose SIMD loops may fuse or reorder on a grid.
     out = _mul(gain.real, gain.imag, xr, xi)

@@ -54,7 +54,8 @@ class MechanicalBath:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Rate spectrum Sigma(omega) sampled on a monotone frequency grid."""
+    """Rate spectrum Sigma(omega) sampled on a monotone frequency grid, as
+    :func:`rate_spectrum` returns it; only the benchmark and the tests use it."""
 
     omegas: np.ndarray
     values: np.ndarray
@@ -109,12 +110,12 @@ class RateResult:
 def rate_spectrum(chi_cl: ResponseFn, g: float, grid: Sequence[float] | np.ndarray) -> Spectrum:
     """Evaluate Sigma(omega) = g^2 |chi_cl(omega)|^2 on a frequency grid.
 
-    ``chi_cl`` is called once, on the whole grid as a float ndarray, and must
-    return an array of its shape; :func:`sigma` squares it, so each value has
-    the bits of the per-point Sigma.  ``chi_cl`` may raise
+    No command calls it; it serves the benchmark's ``spectrum_solver`` op and
+    the tests.  ``chi_cl`` is called once, on the whole grid as a float
+    ndarray, and must return an array of its shape; :func:`sigma` squares it,
+    so each value has the bits of the per-point Sigma.  ``chi_cl`` may raise
     :class:`~cfcool.errors.SingularLoop`; the exception (carrying the first
-    singular grid frequency and the mask of all) propagates unchanged.
-    """
+    singular grid frequency and the mask of all) propagates unchanged."""
     omegas = np.asarray(grid, dtype=float)
     return Spectrum(omegas=omegas, values=sigma(g, chi_cl(omegas)))
 
@@ -142,12 +143,10 @@ def sigma(g: float | np.ndarray, response: complex | np.ndarray) -> float | np.n
 
 
 def scattering_rates(chi_cl: ResponseFn, g: float, omega_m: float) -> RateResult:
-    """Sideband rates from the loop response.
-
-    The phonon-creating rate samples the spectrum at -omega_m and the
-    phonon-annihilating rate at +omega_m; the sign crossing is deliberate and
-    locked by tests, since swapping it turns cooling into heating.
-    """
+    """Sideband rates from the loop response: Sigma at -omega_m (``a_plus``)
+    and +omega_m (``a_minus``), as :func:`cfcool.design.loop_rates` gives a
+    configured loop's.  No command calls it: it serves the benchmark's sweep
+    check and the tests."""
     # An omega_m column (one value per row) gives a column RateResult.
     netalg._check((omega_m > 0) | (omega_m != omega_m), omega_m, "omega_m must be > 0, got {}")
     return RateResult(a_plus=sigma(g, chi_cl(-omega_m)), a_minus=sigma(g, chi_cl(+omega_m)))

@@ -465,6 +465,31 @@ class TestDesignCommand:
         assert row["bandpass_feasible"] == 1.0
 
 
+class TestNumpyOnly:
+    """numpy is the one runtime dependency that pyproject.toml declares: each
+    command gives the same stdout in a process where scipy and hypothesis,
+    which the test extra installs, cannot be imported."""
+
+    RUN = ("import sys; sys.modules['scipy'] = sys.modules['hypothesis'] = None; "
+           "from cfcool.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", *NOTCH_FLAGS, *GRID_FLAGS],
+        ["rates", *NOTCH_FLAGS],
+        ["sweep", *NOTCH_FLAGS, "--sweep-param", "delta", "--sweep-min", "-5", "--sweep-max", "0",
+         "--sweep-points", "51"],
+        ["oracle", *NOTCH_FLAGS, "--gamma-m", "1e-5", "--n-th", "100"],
+        ["design", *NOTCH_FLAGS],
+    ], ids=["spectrum", "rates", "sweep", "oracle", "design"])
+    def test_command_runs_without_scipy_or_hypothesis(self, capsysbinary, argv):
+        assert main(argv) == 0
+        expected = capsysbinary.readouterr().out
+        assert expected.startswith(b"# ")
+        proc = subprocess.run([sys.executable, "-c", self.RUN, *argv], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+
+
 class TestSolverRouting:
     """Every preset loop takes its closed form, so no command runs the
     network solver: it is the closed forms' independent check only."""

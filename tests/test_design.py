@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cfcool
 from cfcool import (
     BracketError,
     FilterCavityParams,
     InvalidParam,
     MechanicalBath,
     OptoCavityParams,
+    RateResult,
     SingularLoop,
     SystemConfig,
     Topology,
@@ -26,7 +28,7 @@ from cfcool import (
     scattering_rates,
     sweep,
 )
-from cfcool import design, oracle
+from cfcool import cli, design, netalg, oracle, spectra
 
 NAN = float("nan")
 
@@ -318,6 +320,118 @@ class TestLoopRates:
         for field in ("a_plus", "a_minus", "gamma_opt", "n_min"):
             expected = [NAN if getattr(row, field) is None else getattr(row, field) for row in rows]
             assert np.array_equal(bits(getattr(rates, field)), bits(expected))
+
+
+def random_loop(rng):
+    """A bare, notch or band-pass loop with random rates and detunings; a
+    controller is imbalanced or lossy half the time, and the loop delayed
+    (tau <= 5) half the time."""
+    cav = OptoCavityParams(kappa=10.0 ** rng.uniform(-1.0, 1.5), delta=rng.uniform(-4.0, 1.0),
+                           g=10.0 ** rng.uniform(-3.0, 0.0), omega_m=10.0 ** rng.uniform(-0.5, 0.5))
+    delay = float(rng.uniform(0.0, 5.0)) if rng.random() < 0.5 else 0.0
+    topology = [Topology.NONE, Topology.NOTCH, Topology.BANDPASS][rng.integers(3)]
+    if topology is Topology.NONE:
+        return SystemConfig(cav, None, topology, delay)
+    kappa1 = 10.0 ** rng.uniform(-1.0, 1.0)
+    filt = FilterCavityParams(
+        kappa1=kappa1,
+        kappa2=kappa1 * (rng.uniform(0.5, 2.0) if rng.random() < 0.5 else 1.0),
+        kappa_loss=rng.uniform(0.0, 1.0) if rng.random() < 0.5 else 0.0,
+        delta_f=rng.uniform(-2.0, 2.0),
+    )
+    return SystemConfig(cav, filt, topology, delay)
+
+
+class TestRatesAreSigmaAtTheSidebands:
+    """The sideband rates are the loop's Sigma sampled at -omega_m (Stokes,
+    a_plus) and +omega_m (anti-Stokes, a_minus)."""
+
+    @staticmethod
+    def sidebands(call):
+        """Bits of (a_plus, a_minus) from ``call``, or its SingularLoop's omega and mask."""
+        try:
+            rates = call()
+        except SingularLoop as exc:
+            return exc.omega, exc.singular.tolist()
+        return bits([rates.a_plus, rates.a_minus]).tolist()
+
+    def test_loop_rates_has_the_bits_of_loop_sigma_at_the_sidebands(self):
+        rng = np.random.default_rng(39)
+        delayed = lossy = 0
+        for _ in range(300):
+            cfg = random_loop(rng)
+            delayed += cfg.delay > 0.0
+            lossy += cfg.filt is not None and cfg.filt.kappa_loss > 0.0
+            omega_m = cfg.cav.omega_m
+            got = self.sidebands(lambda: design.loop_rates(cfg))
+            sigma_at = design.loop_sigma(cfg)
+            assert got == self.sidebands(lambda: RateResult(sigma_at(-omega_m), sigma_at(+omega_m)))
+            # The same bits as the response squared by scattering_rates.
+            assert got == self.sidebands(
+                lambda: scattering_rates(closed_loop_response(cfg), cfg.cav.g, omega_m))
+        assert min(delayed, lossy) >= 50
+
+    @pytest.mark.parametrize("topology", [Topology.NOTCH, Topology.BANDPASS])
+    def test_stokes_is_sampled_at_minus_omega_m(self, topology):
+        # The notch's zero sits at -omega_m, so only the Stokes rate
+        # vanishes; sampling the other sides would put the zero on the
+        # anti-Stokes rate.  The band-pass window at +omega_m passes the
+        # anti-Stokes rate and suppresses the Stokes one.
+        cfg = (make_notch if topology is Topology.NOTCH else make_bandpass)(10.0, 1.0, 0.1, 1.0)
+        rates = design.loop_rates(cfg)
+        sigma_at = design.loop_sigma(cfg)
+        assert (rates.a_plus, rates.a_minus) == (sigma_at(-1.0), sigma_at(+1.0))
+        swapped = RateResult(a_plus=sigma_at(+1.0), a_minus=sigma_at(-1.0))
+        assert rates.gamma_opt > 0.0 and swapped.gamma_opt < 0.0
+        if topology is Topology.NOTCH:
+            assert rates.a_plus == 0.0 and rates.a_minus > 0.0
+            assert swapped.a_minus == 0.0 and swapped.a_plus > 0.0
+
+
+class TestOneRatePath:
+    """No command squares the response outside ``loop_sigma``:
+    ``scattering_rates`` and ``rate_spectrum`` serve only the benchmark and
+    the tests."""
+
+    COMMANDS = [
+        lambda loop: ["spectrum", *loop, "--omega-min", "-3", "--omega-max", "3", "--points", "601"],
+        lambda loop: ["rates", *loop],
+        lambda loop: ["sweep", *loop, "--sweep-param", "delta", "--sweep-min", "-5",
+                      "--sweep-max", "0", "--sweep-points", "51"],
+        lambda loop: ["oracle", *loop, "--gamma-m", "1e-5", "--n-th", "100"],
+        lambda loop: ["design", *loop],
+    ]
+
+    @pytest.mark.parametrize("loop", [
+        ["--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa-f", "1"],
+        ["--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa1", "1", "--kappa2", "1.3",
+         "--kappa-loss", "0.2", "--tau", "0.5"],
+        ["--topology", "bandpass", "--kappa", "10", "--g", "0.1", "--kappa1", "1",
+         "--kappa2", "1.3", "--kappa-loss", "0.2"],
+        ["--topology", "none", "--kappa", "10", "--g", "0.1", "--tau", "0.5"],
+        # delta = delta_f = omega_m: singular at the Stokes sideband.
+        ["--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa-f", "1", "--delta", "1"],
+    ], ids=["readme-notch", "lossy-delayed-notch", "lossy-bandpass", "delayed-cavity",
+            "singular-notch"])
+    def test_no_command_calls_scattering_rates_or_rate_spectrum(self, capsys, monkeypatch, loop):
+        def run():
+            results = []
+            for command in self.COMMANDS:
+                code = cli.main(command(loop))
+                results.append((code, capsys.readouterr().out))
+            return results
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a command squared the response outside loop_sigma")
+
+        expected = run()
+        # Replace each function under every cfcool module attribute that holds it.
+        for original in (spectra.scattering_rates, spectra.rate_spectrum):
+            for holder in (cfcool, netalg, spectra, design, oracle, cli):
+                for key, value in list(vars(holder).items()):
+                    if value is original:
+                        monkeypatch.setattr(holder, key, refused)
+        assert run() == expected
 
 
 class TestLoopSigmaOnGrid:

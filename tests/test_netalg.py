@@ -26,7 +26,7 @@ from cfcool import (
     solve_network,
 )
 from cfcool.design import network_for
-from cfcool.netalg import DEN_SINGULAR, CavityReflection, DelayLine, FilterTwoPort, _regular
+from cfcool.netalg import DEN_SINGULAR, CavityReflection, DelayLine, FilterTwoPort, _refuse_singular
 from cfcool.spectra import RateResult, sigma
 
 CAV = OptoCavityParams(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
@@ -824,20 +824,37 @@ class TestRegular:
              0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf]
     PAIRS = list(itertools.product(PARTS, repeat=2))
 
+    @staticmethod
+    def refusal(omega, re, im):
+        """The SingularLoop that _refuse_singular raises, or None where it returns."""
+        try:
+            _refuse_singular(omega, re, im)
+        except SingularLoop as exc:
+            assert isinstance(exc.singular, np.ndarray) and exc.singular.dtype == bool
+            return exc
+        return None
+
     def test_is_the_hypot_threshold_on_arrays_0d_values_and_floats(self):
         re, im = np.array(self.PAIRS).T
         expected = np.hypot(re, im) >= DEN_SINGULAR
         assert expected.any() and not expected.all()
-        got = _regular(re, im)
-        assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
-        for (r, i), want in zip(self.PAIRS, expected.tolist()):
+        omega = np.arange(float(len(self.PAIRS)))
+        exc = self.refusal(omega, re, im)
+        assert np.array_equal(exc.singular, ~expected)
+        assert exc.omega == omega[exc.singular.argmax()]
+        for w, (r, i), want in zip(omega.tolist(), self.PAIRS, expected.tolist()):
             # Alone, each pair takes the bound's verdict where it settles
             # one, and the hypot otherwise.
-            assert _regular(np.array([r]), np.array([i])).tolist() == [want], (r, i)
-            assert bool(_regular(np.array(r), np.array(i))) is want, (r, i)
-            assert bool(_regular(r, i)) is want, (r, i)
+            for args, shape in [((np.array([w]), np.array([r]), np.array([i])), (1,)),
+                                ((w, np.array(r), np.array(i)), ()), ((w, r, i), ())]:
+                exc = self.refusal(*args)
+                if want:
+                    assert exc is None, (r, i)
+                else:
+                    assert exc.singular.shape == shape and exc.singular.all(), (r, i)
+                    assert exc.omega == w, (r, i)
         regular = expected.nonzero()[0]  # a grid that the bound settles whole
-        assert _regular(re[regular], im[regular]).all()
+        assert self.refusal(omega[regular], re[regular], im[regular]) is None
 
 
 class TestNetworkValidation:
