@@ -159,13 +159,19 @@ def fill_rows(evaluate, values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def loop_sigma(config: SystemConfig) -> Callable[[float | np.ndarray], float | np.ndarray]:
-    """Sigma(omega) = g^2 |chi_cl(omega)|^2 of the configured loop, from one
-    :func:`closed_loop_response`.  It takes a float omega, a grid of any
+    """Sigma(omega) of the configured loop, summed over its vacuum inputs:
+    g^2 |chi_cl(omega)|^2 from one :func:`closed_loop_response`, plus, unless
+    kappa_loss is 0 at every row, the loss port's share from the same loop
+    equation (:func:`netalg._closed_loop`).  It takes a float omega, a grid of any
     shape, or a grid against a config whose fields hold parameter columns,
     and gives each value the bits of the call at that point; it raises
     :class:`SingularLoop` with the mask of the singular points."""
-    chi_cl, g = closed_loop_response(config), config.cav.g
-    return lambda omega: spectra.sigma(g, chi_cl(omega))
+    chi_cl, g, filt = closed_loop_response(config), config.cav.g, config.filt
+    if filt is None or netalg._all(filt.kappa_loss == 0.0):
+        return lambda omega: spectra.sigma(g, chi_cl(omega))
+    cav, tau, feed = config.cav, config.delay, 0 if config.topology is Topology.NOTCH else 1
+    return lambda omega: spectra.sigma(
+        g, chi_cl(omega), netalg._closed_loop(cav, filt, omega, tau, feed, port=2))
 
 
 def loop_rates(config: SystemConfig) -> RateResult:

@@ -228,9 +228,10 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
     In the symmetric lossless case this reduces to
     R = i*(omega + delta_f) / (i*(omega + delta_f) - kappa_f) and
     T = kappa_f / (i*(omega + delta_f) - kappa_f), with |R|^2 + |T|^2 = 1.
-    The internal-loss channel enters only through kappa_total; its vacuum
-    input and outgoing field are not part of the 2x2 block.  An array call divides
-    by d in one :func:`_controller_quot`, which a closed form calls for S[feed, 0] and S[feed, 1] only.
+    The internal-loss channel enters the 2x2 block only through kappa_total;
+    its vacuum input, S[j, loss] = sqrt(kappa_j*kappa_loss)/d, is the loss
+    column of the loop equation (:func:`_closed_loop`).  An array call divides
+    by d in one :func:`_controller_quot`, as the loop equation does for the entries it reads.
     """
     if isinstance(omega, np.ndarray) or f.has_columns:
         q = _complex(*_controller_quot(f, omega, f.kappa1, np.sqrt(f.kappa1 * f.kappa2), f.kappa2))
@@ -250,8 +251,9 @@ def scattering(f: FilterCavityParams, omega: float | np.ndarray) -> np.ndarray:
 # complex and numpy complex128 scalars; the array branch repeats that
 # arithmetic on float arrays of real and imaginary parts, one IEEE operation
 # per ufunc call and in the scalar code's order, so neither complex SIMD loops
-# nor fused multiply-adds can round differently.  A closed form reads only
-# S[feed, 0] and S[feed, 1] of scattering's quotient (``_controller_quot``).
+# nor fused multiply-adds can round differently.  The loop equation reads only
+# S[feed, 0] and S[feed, 1] of scattering's quotient (``_controller_quot``),
+# and S[feed, loss] for the loss column.
 # The solver runs one code on Python floats or on such arrays, so no BLAS
 # kernel decides its bits; both test |det(I - M)| by ``_refuse_singular``.
 # The two complex divisions differ: ``float / complex`` is CPython's,
@@ -346,17 +348,20 @@ def abs2(z: complex | np.ndarray) -> float | np.ndarray:
     return math.pow(abs(z), 2.0)
 
 
-def _closed_loop(cav, f, omega, tau, feed):
-    # The loop equation chi*S[feed, 0] / (1 - r_sys*e^{i omega tau}*S[feed, 1])
-    # of both wirings: controller output ``feed`` drives the cavity, whose
-    # output returns into controller input 1.  tau == 0 takes no phase factor.
+def _closed_loop(cav, f, omega, tau, feed, port=0):
+    # The loop equation chi*S[feed, port] / (1 - r_sys*e^{i omega tau}*S[feed, 1])
+    # of both wirings: controller output ``feed`` drives the cavity, whose output returns
+    # into controller input 1.  Input ``port`` is 0, the external one, or 2, the loss port,
+    # S[feed, 2] = sqrt(kappa_feed*kappa_loss)/d.  tau == 0 takes no phase factor.
     if isinstance(omega, np.ndarray) or cav.has_columns or f.has_columns:
         if isinstance(omega, np.ndarray) or f.has_columns:  # S[feed, feed] = 1 + kappa_feed/d
-            (qr, tr), (qi, ti) = _controller_quot(
-                f, omega, f.kappa2 if feed else f.kappa1, np.sqrt(f.kappa1 * f.kappa2))
-            s = [(1.0 + qr, 0.0 + qi), (tr, ti)][::-1 if feed else 1]
+            k = f.kappa2 if feed else f.kappa1
+            loss = (np.sqrt(k * f.kappa_loss),) if port else ()
+            (qr, tr, *lr), (qi, ti, *li) = _controller_quot(
+                f, omega, k, np.sqrt(f.kappa1 * f.kappa2), *loss)
+            s = [(1.0 + qr, 0.0 + qi), (tr, ti)][::-1 if feed else 1] + list(zip(lr, li))
         else:  # a float controller at a float omega, against cavity columns
-            s = [(z.real, z.imag) for z in scattering(f, omega)[feed]]
+            s = [(z.real, z.imag) for z in (*scattering(f, omega)[feed], _loss_entry(f, omega, feed))]
         root = np.sqrt(cav.kappa)
         cr, ci = _py_quot(root, *_detuned(cav.delta + omega, cav.kappa))  # chi
         rr, ri = 1.0 + root * cr, 0.0 + root * ci  # reflection_sys
@@ -366,7 +371,7 @@ def _closed_loop(cav, f, omega, tau, feed):
         loop_r, loop_i = _mul(rr, ri, *s[1])
         den_r, den_i = 1.0 - loop_r, 0.0 - loop_i
         _refuse_singular(omega, den_r, den_i)
-        return _complex(*_np_quot(*_mul(cr, ci, *s[0]), den_r, den_i))
+        return _complex(*_np_quot(*_mul(cr, ci, *s[port]), den_r, den_i))
     s = scattering(f, omega)
     r_sys = reflection_sys(cav, omega)
     if tau:
@@ -374,7 +379,13 @@ def _closed_loop(cav, f, omega, tau, feed):
     den = 1.0 - r_sys * s[feed, 1]
     if not abs(den) >= DEN_SINGULAR:
         _refuse_singular(omega, den.real, den.imag)
-    return chi(cav, omega) * s[feed, 0] / den
+    return chi(cav, omega) * (_loss_entry(f, omega, feed) if port else s[feed, 0]) / den
+
+
+def _loss_entry(f, omega, feed):
+    # S[feed, 2] of a float controller at a float omega, from scattering's d.
+    d = 1j * (omega + f.delta_f) - f.kappa_total / 2.0
+    return math.sqrt((f.kappa2 if feed else f.kappa1) * f.kappa_loss) / d
 
 
 def closed_form_notch(

@@ -1,14 +1,13 @@
 """Normalized radiation-pressure noise spectra and sideband scattering rates.
 
-The working quantity is the rate spectrum Sigma(omega) = g^2 |chi_cl(omega)|^2
-referred to the loop's external vacuum input; the zero-point amplitude and
-hbar cancel against the rate normalization and never appear.  Phonon-creating
-(Stokes) scattering samples Sigma at -omega_m, phonon-annihilating
-(anti-Stokes) scattering at +omega_m.  The optical input is vacuum with unit
-flat spectral density; thermal or squeezed drives are out of scope.
-
-Known limitation: a lossy controller's loss port is a vacuum input too, and
-its noise is not counted, so a lossy loop's Sigma, rates and n_min are too low.
+The working quantity is the rate spectrum Sigma(omega), the total force-noise
+spectrum over the loop's vacuum inputs: g^2 |chi_k(omega)|^2 summed over every
+open port k, the external input and a lossy controller's loss port; the
+zero-point amplitude and hbar cancel against the rate normalization and never
+appear.  Phonon-creating (Stokes) scattering samples Sigma at -omega_m,
+phonon-annihilating (anti-Stokes) scattering at +omega_m.  Every optical input
+is vacuum with unit flat spectral density; thermal or squeezed drives are out
+of scope.
 """
 
 from __future__ import annotations
@@ -108,45 +107,54 @@ class RateResult:
 
 
 def rate_spectrum(chi_cl: ResponseFn, g: float, grid: Sequence[float] | np.ndarray) -> Spectrum:
-    """Evaluate Sigma(omega) = g^2 |chi_cl(omega)|^2 on a frequency grid.
+    """Evaluate the external input's share g^2 |chi_cl(omega)|^2 of Sigma on a grid.
 
-    No command calls it; it serves the benchmark's ``spectrum_solver`` op and
-    the tests.  ``chi_cl`` is called once, on the whole grid as a float
-    ndarray, and must return an array of its shape; :func:`sigma` squares it,
-    so each value has the bits of the per-point Sigma.  ``chi_cl`` may raise
-    :class:`~cfcool.errors.SingularLoop`; the exception (carrying the first
-    singular grid frequency and the mask of all) propagates unchanged."""
+    No command calls it; it serves the benchmark's ``spectrum_solver`` op and the
+    tests until the benchmark stops naming it.  ``chi_cl`` is called once, on the
+    whole grid as a float ndarray, and must return an array of its shape;
+    :func:`sigma` squares it, so each value has the bits of the per-point share.
+    ``chi_cl`` may raise :class:`~cfcool.errors.SingularLoop`; the exception (carrying
+    the first singular grid frequency and the mask of all) propagates unchanged."""
     omegas = np.asarray(grid, dtype=float)
     return Spectrum(omegas=omegas, values=sigma(g, chi_cl(omegas)))
 
 
-def sigma(g: float | np.ndarray, response: complex | np.ndarray) -> float | np.ndarray:
-    """Sigma = g^2 |chi_cl|^2 of one response value or an array of them; an
-    array g (one value per row) broadcasts against the array.
+def sigma(g: float | np.ndarray, response: complex | np.ndarray,
+          *others: complex | np.ndarray) -> float | np.ndarray:
+    """Sigma = g^2 |chi_cl|^2 of one response value or an array of them, plus
+    g^2 |chi_k|^2 of each response to another vacuum input in ``others``, in
+    order; an array g (one value per row) broadcasts against the arrays.
 
-    Each value has the bits of the scalar ``g * g * abs(chi_cl) ** 2`` (see
+    Each term has the bits of the scalar ``g * g * abs(chi) ** 2`` (see
     :func:`netalg.abs2`).  Raises :class:`InvalidParam` for g < 0 and,
     naming the g of the first overflowing value, where Sigma overflows.
     """
     # A NaN g is not refused: its Sigma is NaN.
     netalg._check((g >= 0) | (g != g), g, "g must be >= 0, got {}")
-    if isinstance(response, np.ndarray):
-        with np.errstate(over="ignore"):
-            values = g * g * netalg.abs2(response)
-    else:
-        try:
-            values = g * g * netalg.abs2(response)
-        except OverflowError:  # |chi_cl|^2 itself
-            values = math.inf
+    values = _share(g, response)
+    for other in others:
+        with np.errstate(over="ignore"):  # a sum of finite shares may overflow
+            values = values + _share(g, other)
     netalg._check(values != math.inf, g, "Sigma = g * g * |chi_cl|^2 overflows at g = {!r}")
     return values
 
 
+def _share(g, response):
+    # g * g * |chi|^2 of one input, inf where it overflows.
+    if isinstance(response, np.ndarray):
+        with np.errstate(over="ignore"):
+            return g * g * netalg.abs2(response)
+    try:
+        return g * g * netalg.abs2(response)
+    except OverflowError:  # |chi|^2 itself
+        return math.inf
+
+
 def scattering_rates(chi_cl: ResponseFn, g: float, omega_m: float) -> RateResult:
-    """Sideband rates from the loop response: Sigma at -omega_m (``a_plus``)
-    and +omega_m (``a_minus``), as :func:`cfcool.design.loop_rates` gives a
-    configured loop's.  No command calls it: it serves the benchmark's sweep
-    check and the tests."""
+    """Sideband rates from the loop response: its share of Sigma at -omega_m (``a_plus``)
+    and +omega_m (``a_minus``), all of :func:`cfcool.design.loop_rates` only without a
+    loss port.  No command calls it: it serves the benchmark's sweep check and the
+    tests until the benchmark stops naming it."""
     # An omega_m column (one value per row) gives a column RateResult.
     netalg._check((omega_m > 0) | (omega_m != omega_m), omega_m, "omega_m must be > 0, got {}")
     return RateResult(a_plus=sigma(g, chi_cl(-omega_m)), a_minus=sigma(g, chi_cl(+omega_m)))

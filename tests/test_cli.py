@@ -24,7 +24,7 @@ except ImportError:  # not POSIX
 import numpy as np
 import pytest
 
-from cfcool import SingularLoop, SystemConfig, Topology, cli, design, oracle
+from cfcool import SingularLoop, SystemConfig, Topology, cli, design, netalg, oracle
 from cfcool.cli import (
     _BLOCK_CELLS,
     _BLOCK_RENDER_CELLS,
@@ -525,6 +525,36 @@ class TestSolverRouting:
 
         expected = run()
         monkeypatch.setattr("cfcool.netalg.solve_network", solver)
+        assert run() == expected
+
+
+class TestLosslessLoopsFormNoLossColumn:
+    """Only a controller with a loss port adds the loss column to Sigma: a
+    lossless loop's commands never ask the loop equation for it."""
+
+    @pytest.mark.parametrize("loop", [
+        NOTCH_FLAGS,
+        ["--topology", "notch", "--kappa", "10", "--g", "0.1", "--kappa1", "1", "--kappa2", "1.3"],
+        ["--topology", "bandpass", "--kappa", "10", "--g", "0.1", "--kappa-f", "1", "--tau", "0.5"],
+        ["--topology", "none", "--kappa", "10", "--g", "0.1"],
+    ], ids=["readme-notch", "imbalanced-notch", "delayed-bandpass", "bare-cavity"])
+    def test_no_command_forms_the_loss_column(self, capsys, monkeypatch, loop):
+        def run():
+            results = []
+            for command in TestSolverRouting.COMMANDS:
+                code = main(command(loop))
+                results.append((code, capsys.readouterr().out))
+            return results
+
+        closed_loop = netalg._closed_loop
+
+        def external_only(cav, f, omega, tau, feed, port=0):
+            if port:
+                raise AssertionError("a lossless loop formed the loss column")
+            return closed_loop(cav, f, omega, tau, feed)
+
+        expected = run()
+        monkeypatch.setattr(netalg, "_closed_loop", external_only)
         assert run() == expected
 
 
@@ -1319,14 +1349,14 @@ class TestFlagLists:
 #: with their loops on the network solver.
 SOLVER_PATH_DIGESTS = [
     ("rates --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 --kappa-loss 0.2 --tau 0.5",
-     "4b632b95b84d1d3a9116aea1bb0f3ea063053112dd6fb8833ef91debfe160829"),
+     "142ed54ed3fef3ec43dcf9f39b7aab1c94f0b0c929055f254d21a6d2f83703fc"),
     ("spectrum --topology bandpass --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 --kappa-loss 0.2 "
      "--tau 0.5 --omega-min -3 --omega-max 3 --points 601",
-     "4907ee391f24a8d8891270a4b85aa63c43f931bcf00e562798057dba1ccff1e9"),
+     "6469915873c0137066a1114bde34cfff9170ab766a5783180decfb61e10d6689"),
     ("sweep --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 --kappa-loss 0.2 "
      "--tau 6.283185307179586 --delta-f 1 --sweep-param delta --sweep-min -3 --sweep-max 1 "
      "--sweep-points 5",
-     "0b37b3aed5a16b36bea23855ee5192e3f0858c4138ac3a02810d95affd454217"),
+     "087f45425e8715569726f18b24d0919e3d2acc6f604e359d6fbd1c6010a37a8e"),
 ]
 
 
@@ -1361,13 +1391,13 @@ class TestGoldenBytes:
             # delay's phase factor (their solver path: SOLVER_PATH_DIGESTS).
             ("rates --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
              "--kappa-loss 0.2 --tau 0.5",
-             "524774a07c74e98cf89fcf31ad6f51e6e6335d5f27ba60582e94a999d5ce50bb"),
+             "964797bd363167582fbcccde135893fe7d5c517cc82e84f1a6de5ba0d17913c0"),
             ("spectrum --topology bandpass --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
              "--kappa-loss 0.2 --tau 0.5 --omega-min -3 --omega-max 3 --points 601",
-             "c1edd6c66f352097a4411bb5c561c0e7ad6c78d13df30a004232850b5533be02"),
+             "0a3d43c96729d4281676089fbacda2fca80919fccb9ca5b422f14b355b37dcad"),
             # Sweeps whose empty cells come from the columns: a singular,
             # unstable last row (JSON nulls in the second), and a delayed
-            # lossy loop with no stability flags and a heating row.
+            # lossy loop with no stability flags and two heating rows.
             ("sweep --topology notch --kappa 10 --g 0.1 --kappa-f 1 "
              "--sweep-param delta --sweep-min -3 --sweep-max 1 --sweep-points 5",
              "849f92a4e213403b4b6f8491520a785100512ab5b595ddc74c628b8d092fa9aa"),
@@ -1377,7 +1407,7 @@ class TestGoldenBytes:
             ("sweep --topology notch --kappa 10 --g 0.1 --kappa1 1 --kappa2 1.3 "
              "--kappa-loss 0.2 --tau 6.283185307179586 --delta-f 1 "
              "--sweep-param delta --sweep-min -3 --sweep-max 1 --sweep-points 5",
-             "504e70707c87230bcc837f38bf7afda4e0f9de70c69be02b32bea8b59e6fa6f0"),
+             "f6ab9e92955f8d7cd857cafa20143ee9f75f7baa6480ff69ffc94af10fa718cd"),
             # Empty cells of the other commands: the spectrum's singular row
             # at omega = -1 (a JSON null in the second), a heating rates row
             # and an unstable oracle row.

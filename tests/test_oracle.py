@@ -369,13 +369,6 @@ class TestConsistency:
         assert abs(report.n_oracle - 25.0 / 484.0) / (25.0 / 484.0) < 0.05
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the rates leave out the vacuum noise of the controller's loss "
-    "port, so the rate equation misses the oracle by 0.07-0.17 on these "
-    "lossy loops until every open port is a vacuum input (ROADMAP item 1)",
-)
 @pytest.mark.parametrize("topology, kappa, kappa1, kappa2, kappa_loss, delta", [
     (Topology.NOTCH, 10.0, 1.0, 1.0, 0.1, -1.0),
     (Topology.NOTCH, 20.0, 2.0, 1.4, 0.05, -2.0),

@@ -754,6 +754,28 @@ def test_oracle_matches_rates_at_weak_coupling(loop, kappa, kappa1, imbalance, d
     assert consistency_check(cfg, bath).rel_dev <= 1e-3
 
 
+@SETTINGS
+@given(
+    loop=LOOPS,
+    kappa=rates(1.0, 10.0),
+    kappa1=rates(0.25, 4.0),
+    imbalance=rates(0.7, 1.5),
+    kappa_loss=rates(0.02, 0.5),
+    delta=rates(-3.0, -0.5),
+)
+def test_oracle_matches_rates_on_lossy_loops_at_weak_coupling(loop, kappa, kappa1, imbalance,
+                                                              kappa_loss, delta):
+    # The loss port is a vacuum input of the oracle's model, and its share of
+    # Sigma brings the rate equation to the same weak-coupling gate as a
+    # lossless loop's.  Only stable, cooling loops have a stationary
+    # occupation for both to predict.
+    filt = FilterCavityParams(kappa1, kappa1 * imbalance, kappa_loss, preset_detunings(loop, 1.0)[1])
+    cfg = SystemConfig(OptoCavityParams(kappa, delta, 3e-4 * kappa, 1.0), filt, loop)
+    bath = MechanicalBath(gamma_m=1e-6, n_th=10.0)
+    assume(is_stable(build_state_space(cfg, bath)) and loop_rates(cfg).gamma_opt > 0.0)
+    assert consistency_check(cfg, bath).rel_dev <= 1e-3
+
+
 #: Every finite float64, negative ones and subnormals included, as raw bits.
 FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64).item())
 

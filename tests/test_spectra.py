@@ -27,6 +27,7 @@ from cfcool import (
 )
 from cfcool.cli import cmd_spectrum, parse_config, system_config
 from cfcool.design import loop_sigma
+from cfcool.netalg import _closed_loop
 from cfcool.spectra import sigma
 
 CAV = OptoCavityParams(kappa=10.0, delta=-1.0, g=0.1, omega_m=1.0)
@@ -89,7 +90,10 @@ class TestRateSpectrum:
         points = [sigma(cfg.g, chi_cl(w)) for w in grid.tolist()]
         column = [row[1] for row in cmd_spectrum(cfg).rows]
         assert np.array_equal(values.view(np.int64), np.array(points).view(np.int64))
-        assert np.array_equal(values.view(np.int64), np.array(column).view(np.int64))
+        # The Sigma column adds the share of the controller's loss port.
+        loss = rate_spectrum(lambda w: _closed_loop(config.cav, config.filt, w, 0.5, 1, port=2),
+                             cfg.g, grid).values
+        assert np.array_equal((values + loss).view(np.int64), np.array(column).view(np.int64))
 
     def test_overflowing_sigma_names_g(self):
         # g * g = 1e308 is finite, but |chi|^2 reaches 8 on this grid.
@@ -259,7 +263,7 @@ def panel_integrals(config, lo, hi):
 
 
 def spectral_weight(config, half_width=2000.0, tol=1e-10):
-    """The integral of Sigma/g^2 = |chi_cl|^2 over d(omega)/2pi.
+    """The integral of Sigma/g^2, the sum of |chi_k|^2 over the loop's inputs, over d(omega)/2pi.
 
     Unit panels cover |omega| <= half_width; a panel whose two halves differ
     from it by more than tol is replaced by them, until every panel agrees,
@@ -288,11 +292,27 @@ def spectral_weight(config, half_width=2000.0, tol=1e-10):
     return (total + tails) / (2.0 * math.pi)
 
 
+class TestLossPort:
+    def test_shares_that_overflow_only_in_their_sum_name_g(self):
+        # At omega = +omega_m the external share of Sigma is 1.5e308 and the
+        # loss port's 3.6e307: each is finite, their sum is not.
+        cav = OptoCavityParams(kappa=0.01, delta=-1.0, g=6.2e152, omega_m=1.0)
+        filt = FilterCavityParams(1.0, 1.0, 1.0, 1.0)
+        for omega in (1.0, np.array([0.5, 1.0])):
+            for port in (0, 2):
+                assert np.all(np.isfinite(sigma(cav.g, _closed_loop(cav, filt, omega, 0.0, 0, port))))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(InvalidParam, match=r"overflows at g = 6\.2e\+152$"):
+                    loop_sigma(SystemConfig(cav, filt, Topology.NOTCH))(omega)
+
+
 class TestSumRule:
-    """A lossless loop only moves force-noise weight in frequency: with its
-    one input in vacuum, [a, a^dag] = 1 makes the integral of |chi_cl|^2 over
-    d(omega)/2pi equal 1.  Only the notch loop's gain vanishes at high
-    frequency, so the rule gates notch loops."""
+    """A passive loop only moves force-noise weight in frequency: with every
+    input in vacuum, the external one and a lossy controller's loss port,
+    [a, a^dag] = 1 makes the integral of Sigma/g^2 over d(omega)/2pi equal 1.
+    Only the notch loop's gain vanishes at high frequency, so the rule gates
+    notch loops."""
 
     def test_bare_cavity(self):
         assert abs(spectral_weight(SystemConfig(CAV, None, Topology.NONE)) - 1.0) <= 1e-12
@@ -309,12 +329,6 @@ class TestSumRule:
             config = SystemConfig(cav, filt, Topology.NOTCH, delay=rng.uniform(0.0, 5.0))
             assert abs(spectral_weight(config) - 1.0) <= 1e-6, config
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="Sigma counts only the loop's external input; the controller's "
-        "loss port is a vacuum input too, whose weight (6.6% and 8.1% here) "
-        "is left out until every open port is a vacuum input (ROADMAP item 1)",
-    )
     def test_lossy_notch_loops(self):
         weights = [
             spectral_weight(SystemConfig(CAV, FilterCavityParams(1.0, 1.0, 0.1, 1.0), Topology.NOTCH)),
